@@ -31,9 +31,12 @@ from sliptsim.errors import (
 from sliptsim.harvester import CellMode, SolarCell
 from sliptsim.node import Command, LoadProfile, NodeState, Opcode, Phase, SensorRecord
 from sliptsim.policy import (
-    DualWavelengthPlan,
+    DualWavelength,
+    NodeProtocol,
+    Policy,
     PowerSplit,
     SpatialAssignment,
+    SpatialSplit,
     TimeSwitchSchedule,
     assign_spatial,
     mode_at,
@@ -62,10 +65,13 @@ __all__ = [
     "Opcode",
     "SensorRecord",
     "LoadProfile",
+    "Policy",
+    "NodeProtocol",
     "TimeSwitchSchedule",
     "PowerSplit",
+    "DualWavelength",
+    "SpatialSplit",
     "SpatialAssignment",
-    "DualWavelengthPlan",
     "mode_at",
     "split",
     "assign_spatial",

@@ -16,32 +16,18 @@ from dataclasses import dataclass, field
 from sliptsim.errors import DomainError, NeverFullError
 
 
-@dataclass
-class Battery:
-    """Ideal battery with a linear SOC-to-voltage curve.
+class EnergyStore:
+    """Stored-energy bookkeeping shared by both stores.
 
-    Defaults bracket a single Li-ion cell: 3.0 V empty, 4.2 V full,
-    which puts 50% SOC at 3.6 V.
+    A store has `stored` and `capacity` in joules and its own
+    terminal_voltage curve.
     """
 
-    capacity: float  # J
-    stored: float = 0.0  # J
-    v_empty: float = 3.0
-    v_full: float = 4.2
-
-    def __post_init__(self):
-        if self.capacity <= 0:
-            raise DomainError("capacity must be > 0")
-        if not 0.0 <= self.stored <= self.capacity:
-            raise DomainError("stored must be within [0, capacity]")
-        if self.v_empty >= self.v_full:
-            raise DomainError("v_empty must be < v_full")
+    stored: float
+    capacity: float
 
     def soc(self) -> float:
         return self.stored / self.capacity
-
-    def terminal_voltage(self) -> float:
-        return self.v_empty + (self.v_full - self.v_empty) * self.soc()
 
     def deposit(self, energy: float) -> float:
         """Add signed energy [J], clamping at empty/full; returns the
@@ -64,7 +50,32 @@ class Battery:
 
 
 @dataclass
-class Supercapacitor:
+class Battery(EnergyStore):
+    """Ideal battery with a linear SOC-to-voltage curve.
+
+    Defaults bracket a single Li-ion cell: 3.0 V empty, 4.2 V full,
+    which puts 50% SOC at 3.6 V.
+    """
+
+    capacity: float  # J
+    stored: float = 0.0  # J
+    v_empty: float = 3.0
+    v_full: float = 4.2
+
+    def __post_init__(self):
+        if self.capacity <= 0:
+            raise DomainError("capacity must be > 0")
+        if not 0.0 <= self.stored <= self.capacity:
+            raise DomainError("stored must be within [0, capacity]")
+        if self.v_empty >= self.v_full:
+            raise DomainError("v_empty must be < v_full")
+
+    def terminal_voltage(self) -> float:
+        return self.v_empty + (self.v_full - self.v_empty) * self.soc()
+
+
+@dataclass
+class Supercapacitor(EnergyStore):
     """Ideal supercapacitor; capacity is the energy at rated voltage."""
 
     capacitance: float = 5.0  # F
@@ -79,24 +90,5 @@ class Supercapacitor:
         if not 0.0 <= self.stored <= self.capacity:
             raise DomainError("stored must be within [0, 0.5*C*V_rated^2]")
 
-    def soc(self) -> float:
-        return self.stored / self.capacity
-
     def terminal_voltage(self) -> float:
         return math.sqrt(2.0 * self.stored / self.capacitance)
-
-    def deposit(self, energy: float) -> float:
-        before = self.stored
-        self.stored = min(self.capacity, max(0.0, before + energy))
-        return self.stored - before
-
-    def integrate(self, net_power: float, dt: float) -> float:
-        if dt < 0:
-            raise DomainError("dt must be >= 0")
-        return self.deposit(net_power * dt)
-
-    def time_to_full(self, net_power: float) -> float:
-        """Seconds until the rated-voltage energy under constant power."""
-        if net_power <= 0:
-            raise NeverFullError("net power must be > 0 to reach full charge")
-        return (self.capacity - self.stored) / net_power

@@ -18,15 +18,16 @@ fixed (scenario, seed) pair reproduces traces byte for byte.
 import heapq
 import itertools
 import json
+import math
 import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from sliptsim.channel import LinkParams, attenuate, geometric_capture, sample_fading
-from sliptsim.energy_store import Battery, Supercapacitor
+from sliptsim.energy_store import EnergyStore
 from sliptsim.errors import ConfigError
-from sliptsim.harvester import CellMode, SolarCell
+from sliptsim.harvester import SolarCell
 from sliptsim.node import (
     Command,
     NodeState,
@@ -37,8 +38,8 @@ from sliptsim.node import (
     encode_command,
     load_power,
 )
-from sliptsim.policy import (
-    PowerSplit,
+from sliptsim.policy import (  # noqa: F401 - bench/traced.py times engine.split
+    Policy,
     TimeSwitchSchedule,
     TxRole,
     assign_spatial,
@@ -89,20 +90,11 @@ class TransmitterDef:
 
 
 @dataclass
-class PolicyDef:
-    """Per-node (or scenario-default) resource-allocation policy."""
-
-    kind: str = "protocol"  # protocol | time_switch | power_split | dual_wavelength | spatial
-    schedule: TimeSwitchSchedule | None = None
-    power_split: PowerSplit | None = None
-
-
-@dataclass
 class NodeDef:
     node_id: str
     cell: SolarCell
-    store: Battery | Supercapacitor
-    policy: PolicyDef
+    store: EnergyStore
+    policy: Policy
     v_threshold: float = 3.6
     enabled_sensors: set[int] = field(default_factory=set)
     active_load: str = "sense_and_save"
@@ -214,7 +206,7 @@ class _LinkRuntime:
 class _NodeRuntime:
     cfg: NodeDef
     cell: SolarCell
-    store: Battery | Supercapacitor
+    store: EnergyStore
     state: NodeState
     metrics: NodeMetrics
     links: list[_LinkRuntime] = field(default_factory=list)
@@ -270,9 +262,8 @@ class Simulation:
                 store=replace(nd.store),
                 state=state,
                 metrics=NodeMetrics(stored_initial_j=nd.store.stored),
+                schedule=nd.policy.schedule,
             )
-            if nd.policy.kind in ("time_switch", "spatial"):
-                n.schedule = nd.policy.schedule
             self.metrics.nodes[nd.node_id] = n.metrics
             self.nodes[nd.node_id] = n
 
@@ -294,8 +285,7 @@ class Simulation:
         return link
 
     def _build_links(self):
-        spatial = any(nd.policy.kind == "spatial" for nd in self.scenario.nodes)
-        if spatial:
+        if any(nd.policy.spatial for nd in self.scenario.nodes):
             self._build_spatial_links()
             return
         for tx in self.scenario.transmitters:
@@ -353,8 +343,6 @@ class Simulation:
             if n.schedule is not None:
                 n.cell.mode = mode_at(n.schedule, 0.0)
                 self._schedule_next_slot(n, node_id)
-            elif n.cfg.policy.kind in ("power_split", "dual_wavelength"):
-                n.cell.mode = CellMode.PHOTOVOLTAIC
             self._refresh(n, 0.0)
 
     # -- event plumbing -------------------------------------------------------
@@ -395,7 +383,7 @@ class Simulation:
         return value
 
     def _load_name(self, n: _NodeRuntime, t: float) -> str:
-        if n.cfg.policy.kind != "protocol":
+        if not n.cfg.policy.protocol:
             return n.cfg.active_load  # policy nodes draw one constant load
         phase = n.state.phase
         if phase in (Phase.SLEEP, Phase.HARVEST):
@@ -419,51 +407,36 @@ class Simulation:
                 decode_pool += p
         n.lit = total > 0.0
 
-        kind = n.cfg.policy.kind
-        cell_ready = t >= n.cell.ready_at
-        harvest_opt = 0.0
-        decode_opt = 0.0
-        decoding = False
-        if kind == "power_split":
-            harvest_opt, decode_opt = split(n.cfg.policy.power_split, harvest_pool)
-            decoding = cell_ready
-        elif kind == "dual_wavelength":
-            harvest_opt, decode_opt = harvest_pool, decode_pool
-            decoding = cell_ready
-        else:  # protocol, time_switch, spatial: exclusive cell modes
-            if n.cell.mode is CellMode.PHOTOVOLTAIC:
-                harvest_opt = harvest_pool
-            else:
-                decode_opt = decode_pool
-                decoding = cell_ready and (
-                    kind != "protocol" or n.state.phase is Phase.COMMAND_RX
-                )
-            if not cell_ready:
-                harvest_opt = 0.0
-                decode_opt = 0.0
-
-        n.harvest_elec = n.cell.conversion_efficiency * harvest_opt
-        n.decode_in = decode_opt
-        n.decoding = decoding
+        cell = n.cell
+        harvest_opt, n.decode_in, n.decoding = n.cfg.policy.divide(
+            harvest_pool, decode_pool, cell.mode, t >= cell.ready_at, n.state.phase)
+        n.harvest_elec = cell.conversion_efficiency * harvest_opt
         n.load_elec = load_power(self._load_name(n, t))
 
         # Arm the charge/depletion timer for the new power level, then handle
         # a not-full -> full transition.  Delivering FullCharge re-enters
         # _refresh with was_full already set, so the recursion terminates.
-        is_full = n.store.stored >= n.store.capacity * (1.0 - _FULL_REL_TOL)
+        store = n.store
+        is_full = store.stored >= store.capacity * (1.0 - _FULL_REL_TOL)
         n.timer_gen += 1
         net = n.harvest_elec - n.load_elec
-        node_id = n.cfg.node_id
+        flavor = None
         if net > 0.0 and not is_full:
-            self._schedule(t + n.store.time_to_full(net), "charge_check",
-                           node_id=node_id, gen=n.timer_gen, flavor="full")
-        elif net < 0.0 and n.store.stored > 0.0:
-            self._schedule(t + n.store.stored / -net, "charge_check",
-                           node_id=node_id, gen=n.timer_gen, flavor="empty")
+            at, flavor = t + store.time_to_full(net), "full"
+        elif net < 0.0 and store.stored > 0.0:
+            at, flavor = t + store.stored / -net, "empty"
+        if flavor is not None:
+            # A residue far below the ulp of t rounds the instant back to t,
+            # where a zero-length step changes nothing and the timer would
+            # re-arm forever; one ulp later the load drains the residue.
+            if at <= t:
+                at = math.nextafter(t, math.inf)
+            self._schedule(at, "charge_check", node_id=n.cfg.node_id,
+                           gen=n.timer_gen, flavor=flavor)
         if is_full and not n.was_full:
             n.was_full = True
             n.metrics.charge_completions.append(t)
-            if n.cfg.policy.kind == "protocol" and n.state.phase is Phase.HARVEST:
+            if n.cfg.policy.protocol and n.state.phase is Phase.HARVEST:
                 self._deliver(n, Stimulus.FULL_CHARGE, t)
                 self._refresh(n, t)
         else:
@@ -588,7 +561,7 @@ class Simulation:
             self._refresh(n, t)
             kind = "timer_expiry:tx_on" if turn_on else "timer_expiry:tx_off"
             if (turn_on and not was_lit and n.lit
-                    and n.cfg.policy.kind == "protocol"
+                    and n.cfg.policy.protocol
                     and n.state.phase is Phase.SLEEP):
                 self._deliver(n, Stimulus.LIGHT_DETECTED, t)
                 self._refresh(n, t)
@@ -743,8 +716,3 @@ def _csv_cell(value) -> str:
 def trace_to_jsonl(records: list[dict]) -> str:
     return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
 
-
-def node_records_csv(sim: Simulation, node_id: str) -> str:
-    from sliptsim.node import records_csv
-
-    return records_csv(sim.nodes[node_id].state.storage)

@@ -186,7 +186,6 @@ class NodeState:
 
     phase: Phase = Phase.SLEEP
     v_threshold: float = 3.6
-    pending_commands: list[Command] = field(default_factory=list)
     storage: list[SensorRecord] = field(default_factory=list)
     enabled_sensors: set[int] = field(default_factory=set)
     active_load: str = "sense_and_save"

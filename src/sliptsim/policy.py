@@ -1,25 +1,60 @@
-"""Resource-allocation schemes deciding how incident light is used.
+"""Resource-allocation policies deciding how incident light is used.
 
-Three single-link schemes: time switching (the cell alternates between
+One object per node: time switching (the cell alternates between
 harvesting and decoding over slots t1/t2), power splitting (a lossless
 splitter sends an alpha share to the harvester and the rest to the
-decoder, simultaneously), and the dual-wavelength arrangement (one
+decoder, simultaneously), the dual-wavelength arrangement (one
 wavelength carries energy, the other data, evaluated as independent
-channels).  For multi-transmitter deployments, spatial splitting
-assigns each transmitter an Energy or Data role.
+channels), spatial splitting (time switching plus an Energy or Data
+role for each transmitter), and the self-powered node protocol, whose
+own state machine switches the cell.
 """
 
 import enum
 import itertools
 from dataclasses import dataclass, field
 
-from sliptsim.channel import WaterProperties
 from sliptsim.errors import ConfigError, DomainError
 from sliptsim.harvester import CellMode
+from sliptsim.node import Phase
+
+
+class Policy:
+    """What the engine asks of a node's policy.
+
+    schedule: the periodic harvest/decode slot grid, or None.
+    protocol: the node runs the protocol state machine (load by phase,
+        wake on light, FullCharge hand-off from Harvest to Sleep).
+    spatial: transmitters get Energy/Data roles across the nodes.
+    """
+
+    schedule = None
+    protocol = False
+    spatial = False
+
+    def divide(self, harvest_pool: float, decode_pool: float, mode: CellMode,
+               ready: bool, phase: Phase) -> tuple[float, float, bool]:
+        """(optical W harvested, optical W decoded, decoding?) from the
+        incident pools.  By default the cell modes are exclusive: PV
+        harvests, PC decodes (a protocol node only in CommandRx), and a
+        cell whose relay is still settling (not ready) does neither.
+        """
+        if not ready:
+            return 0.0, 0.0, False
+        if mode is CellMode.PHOTOVOLTAIC:
+            return harvest_pool, 0.0, False
+        return 0.0, decode_pool, not self.protocol or phase is Phase.COMMAND_RX
 
 
 @dataclass(frozen=True)
-class TimeSwitchSchedule:
+class NodeProtocol(Policy):
+    """The self-powered node protocol drives the cell mode itself."""
+
+    protocol = True
+
+
+@dataclass(frozen=True)
+class TimeSwitchSchedule(Policy):
     """Periodic harvest/decode slots: harvest for t1, decode for t2."""
 
     t1: float
@@ -33,6 +68,10 @@ class TimeSwitchSchedule:
             raise DomainError("t1 + t2 must be > 0")
 
     @property
+    def schedule(self) -> "TimeSwitchSchedule":
+        return self
+
+    @property
     def period(self) -> float:
         return self.t1 + self.t2
 
@@ -40,6 +79,13 @@ class TimeSwitchSchedule:
     def duty_cycle(self) -> float:
         """Fraction of each period spent harvesting."""
         return self.t1 / self.period
+
+
+@dataclass(frozen=True)
+class SpatialSplit(TimeSwitchSchedule):
+    """Time-switched nodes whose transmitters get Energy/Data roles."""
+
+    spatial = True
 
 
 def mode_at(schedule: TimeSwitchSchedule, t: float) -> CellMode:
@@ -59,7 +105,7 @@ def mode_at(schedule: TimeSwitchSchedule, t: float) -> CellMode:
 
 
 @dataclass(frozen=True)
-class PowerSplit:
+class PowerSplit(Policy):
     """Lossless splitter ratio: alpha to harvest, 1 - alpha to decode."""
 
     alpha: float
@@ -67,6 +113,10 @@ class PowerSplit:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("policy.alpha", f"must be in [0, 1], got {self.alpha}")
+
+    def divide(self, harvest_pool, decode_pool, mode, ready, phase):
+        harvest, decode = split(self, harvest_pool)
+        return harvest, decode, ready
 
 
 def split(ps: PowerSplit, incident: float) -> tuple[float, float]:
@@ -84,6 +134,14 @@ def split(ps: PowerSplit, incident: float) -> tuple[float, float]:
     if harvest + decode != incident:
         harvest = incident - decode
     return harvest, decode
+
+
+@dataclass(frozen=True)
+class DualWavelength(Policy):
+    """Energy and data beams at distinct wavelengths, used at once."""
+
+    def divide(self, harvest_pool, decode_pool, mode, ready, phase):
+        return harvest_pool, decode_pool, ready
 
 
 class TxRole(enum.Enum):
@@ -195,20 +253,3 @@ def assign_spatial(
             assignment.mapping[best_rx].add(tx)
 
     return assignment
-
-
-@dataclass(frozen=True)
-class DualWavelengthPlan:
-    """Two co-propagating wavelengths: one charges, one carries data."""
-
-    energy_wavelength: float  # nm
-    data_wavelength: float  # nm
-    energy_water: WaterProperties
-    data_water: WaterProperties
-
-    def __post_init__(self):
-        if self.energy_wavelength == self.data_wavelength:
-            raise ConfigError(
-                "dual_wavelength",
-                "energy and data wavelengths must map to distinct channels",
-            )

@@ -14,11 +14,12 @@ from pathlib import Path
 
 from sliptsim.channel import BeamGeometry, LinkParams, TurbulenceModel, WaterProperties
 from sliptsim.energy_store import Battery, Supercapacitor
-from sliptsim.engine import NodeDef, PolicyDef, Scenario, StimulusDef, TransmitterDef
+from sliptsim.engine import NodeDef, Scenario, StimulusDef, TransmitterDef
 from sliptsim.errors import ConfigError, DomainError
 from sliptsim.harvester import SolarCell
 from sliptsim.node import LOAD_CATALOG, Command, Opcode, Stimulus
-from sliptsim.policy import PowerSplit, TimeSwitchSchedule
+from sliptsim.policy import (DualWavelength, NodeProtocol, Policy, PowerSplit,
+                             SpatialSplit, TimeSwitchSchedule)
 from sliptsim.units import parse_quantity
 
 _OPCODES = {
@@ -46,13 +47,6 @@ _BATTERY_KEYS = {"type", "capacity", "stored", "v_empty", "v_full"}
 _SUPERCAP_KEYS = {"type", "capacitance", "rated_voltage", "stored"}
 _SENSORS_KEYS = {"enabled", "values", "seconds_per_sensor"}
 _UPLINK_KEYS = {"rate", "load", "record_bits"}
-_POLICY_KEYS = {
-    "protocol": {"kind"},
-    "time_switch": {"kind", "t1", "t2", "phase_offset"},
-    "power_split": {"kind", "alpha"},
-    "dual_wavelength": {"kind"},
-    "spatial": {"kind", "t1", "t2", "phase_offset"},
-}
 _STIMULUS_KEYS = {"time", "node", "stimulus"}
 _COMMAND_KEYS = {"op", "sensor"}
 
@@ -89,6 +83,13 @@ def _qty(obj: dict, key: str, kind: str, path: str, default=None) -> float:
             raise ConfigError(path, f"missing required key {key!r}")
         return default
     return parse_quantity(obj[key], kind, f"{path}.{key}")
+
+
+def _list(cfg: dict, key: str) -> list:
+    items = cfg.get(key, [])
+    if not isinstance(items, list):
+        raise ConfigError(f"scenario.{key}", "expected a list")
+    return items
 
 
 def _str_field(obj: dict, key: str, path: str, default: str) -> str:
@@ -143,32 +144,47 @@ def _turbulence(value, path: str, stream_default: str = "") -> TurbulenceModel:
 # -- section builders ---------------------------------------------------------
 
 
-def _build_policy(obj, path: str) -> PolicyDef:
+def _slots(cls):
+    def build(obj: dict, path: str) -> TimeSwitchSchedule:
+        return cls(_qty(obj, "t1", "time", path), _qty(obj, "t2", "time", path),
+                   _qty(obj, "phase_offset", "time", path, default=0.0))
+
+    return build
+
+
+def _power_split(obj: dict, path: str) -> PowerSplit:
+    alpha = obj.get("alpha")
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise ConfigError(f"{path}.alpha", "expected a number in [0, 1]")
+    return PowerSplit(float(alpha))
+
+
+_SLOT_KEYS = {"kind", "t1", "t2", "phase_offset"}
+# JSON policy kind -> (allowed keys, builder of the policy object)
+_POLICIES = {
+    "protocol": ({"kind"}, lambda obj, path: NodeProtocol()),
+    "time_switch": (_SLOT_KEYS, _slots(TimeSwitchSchedule)),
+    "power_split": ({"kind", "alpha"}, _power_split),
+    "dual_wavelength": ({"kind"}, lambda obj, path: DualWavelength()),
+    "spatial": (_SLOT_KEYS, _slots(SpatialSplit)),
+}
+
+
+def _build_policy(obj, path: str) -> Policy:
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected a policy object with a 'kind'")
     kind = obj.get("kind")
-    if kind not in _POLICY_KEYS:
+    if kind not in _POLICIES:
         raise ConfigError(
             f"{path}.kind",
-            f"unknown policy kind {kind!r} (have: {', '.join(sorted(_POLICY_KEYS))})",
+            f"unknown policy kind {kind!r} (have: {', '.join(sorted(_POLICIES))})",
         )
-    _check_keys(obj, _POLICY_KEYS[kind], path)
+    keys, build = _POLICIES[kind]
+    _check_keys(obj, keys, path)
     try:
-        if kind in ("time_switch", "spatial"):
-            schedule = TimeSwitchSchedule(
-                _qty(obj, "t1", "time", path),
-                _qty(obj, "t2", "time", path),
-                _qty(obj, "phase_offset", "time", path, default=0.0),
-            )
-            return PolicyDef(kind=kind, schedule=schedule)
-        if kind == "power_split":
-            alpha = obj.get("alpha")
-            if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-                raise ConfigError(f"{path}.alpha", "expected a number in [0, 1]")
-            return PolicyDef(kind=kind, power_split=PowerSplit(float(alpha)))
+        return build(obj, path)
     except DomainError as e:
         raise ConfigError(path, str(e)) from None
-    return PolicyDef(kind=kind)
 
 
 def _build_beam(tx_obj: dict, beam_obj: dict, path: str, geometry: BeamGeometry,
@@ -349,7 +365,7 @@ def _build_sensors(obj, path: str):
     return set(enabled), values, per
 
 
-def _build_node(obj, index: int, default_policy: PolicyDef) -> NodeDef:
+def _build_node(obj, index: int, default_policy: Policy) -> NodeDef:
     path = f"nodes[{index}]"
     _check_keys(obj, _NODE_KEYS, path)
     node_id = _str_field(obj, "id", path, f"node{index}")
@@ -363,10 +379,7 @@ def _build_node(obj, index: int, default_policy: PolicyDef) -> NodeDef:
     if isinstance(record_bits, bool) or not isinstance(record_bits, int) or record_bits <= 0:
         raise ConfigError(f"{path}.uplink.record_bits", "expected a positive integer")
 
-    if policy.kind == "protocol":
-        default_active = "sense_and_save"
-    else:
-        default_active = "sleep"
+    default_active = "sense_and_save" if policy.protocol else "sleep"
     active_load = _load_name(obj, "load", path, default_active)
     if "active_load" in obj:
         active_load = _load_name(obj, "active_load", path, default_active)
@@ -426,22 +439,11 @@ def build_scenario(cfg: dict, default_name: str = "scenario") -> Scenario:
         raise ConfigError("scenario.seed", "expected an integer")
 
     default_policy = (_build_policy(cfg["policy"], "scenario.policy")
-                      if "policy" in cfg else PolicyDef(kind="protocol"))
+                      if "policy" in cfg else NodeProtocol())
 
-    tx_list = cfg.get("transmitters", [])
-    if not isinstance(tx_list, list):
-        raise ConfigError("scenario.transmitters", "expected a list")
-    transmitters = [_build_transmitter(t, i) for i, t in enumerate(tx_list)]
-
-    node_list = cfg.get("nodes", [])
-    if not isinstance(node_list, list):
-        raise ConfigError("scenario.nodes", "expected a list")
-    nodes = [_build_node(n, i, default_policy) for i, n in enumerate(node_list)]
-
-    stim_list = cfg.get("stimuli", [])
-    if not isinstance(stim_list, list):
-        raise ConfigError("scenario.stimuli", "expected a list")
-    stimuli = [_build_stimulus(s, i) for i, s in enumerate(stim_list)]
+    transmitters = [_build_transmitter(t, i) for i, t in enumerate(_list(cfg, "transmitters"))]
+    nodes = [_build_node(n, i, default_policy) for i, n in enumerate(_list(cfg, "nodes"))]
+    stimuli = [_build_stimulus(s, i) for i, s in enumerate(_list(cfg, "stimuli"))]
 
     # cross references
     node_ids = [n.node_id for n in nodes]
@@ -463,7 +465,7 @@ def build_scenario(cfg: dict, default_name: str = "scenario") -> Scenario:
     for i, st in enumerate(stimuli):
         if st.node_id not in known:
             raise ConfigError(f"stimuli[{i}].node", f"unknown node {st.node_id!r}")
-    spatial_nodes = [n for n in nodes if n.policy.kind == "spatial"]
+    spatial_nodes = [n for n in nodes if n.policy.spatial]
     if spatial_nodes:
         if len(spatial_nodes) != len(nodes):
             raise ConfigError("scenario.policy",
@@ -497,36 +499,25 @@ def validate_scenario(cfg) -> list[str]:
             issues.append(str(e))
             return False
 
+    def each(key: str, build, *extra) -> bool:
+        items = cfg.get(key, [])
+        if not isinstance(items, list):
+            issues.append(f"scenario.{key}: expected a list")
+            return False
+        # a list, not a generator, so that every item's issues are collected
+        return all([attempt(build, item, i, *extra) for i, item in enumerate(items)])
+
     attempt(_check_keys, cfg, _TOP_KEYS, "scenario")
-    ok_sections = True
-    tx_list = cfg.get("transmitters", [])
-    if isinstance(tx_list, list):
-        for i, t in enumerate(tx_list):
-            ok_sections &= attempt(_build_transmitter, t, i)
-    else:
-        issues.append("scenario.transmitters: expected a list")
-        ok_sections = False
-    default_policy = PolicyDef(kind="protocol")
+    ok_sections = each("transmitters", _build_transmitter)
+    default_policy = NodeProtocol()
     if "policy" in cfg:
         try:
             default_policy = _build_policy(cfg["policy"], "scenario.policy")
         except ConfigError as e:
             issues.append(str(e))
             ok_sections = False
-    node_list = cfg.get("nodes", [])
-    if isinstance(node_list, list):
-        for i, n in enumerate(node_list):
-            ok_sections &= attempt(_build_node, n, i, default_policy)
-    else:
-        issues.append("scenario.nodes: expected a list")
-        ok_sections = False
-    stim_list = cfg.get("stimuli", [])
-    if isinstance(stim_list, list):
-        for i, s in enumerate(stim_list):
-            ok_sections &= attempt(_build_stimulus, s, i)
-    else:
-        issues.append("scenario.stimuli: expected a list")
-        ok_sections = False
+    ok_sections &= each("nodes", _build_node, default_policy)
+    ok_sections &= each("stimuli", _build_stimulus)
     if ok_sections:
         # sections are individually fine; surface cross-reference problems
         attempt(build_scenario, cfg)

@@ -263,3 +263,23 @@ def test_dual_wavelength_splits_pools():
     assert m.harvested_j == pytest.approx(0.2 * 1.0 * att * 10.0, rel=1e-9)
     assert m.decoded_bits == pytest.approx(500e3 * 10.0, rel=1e-9)
     assert m.outage_s == 0.0
+
+
+def test_depletion_timer_lands_after_now_for_a_tiny_residue():
+    # 2e-16 J against a 25.9 mW load: stored / -net is far below the ulp of
+    # t = 300 s, so t + stored / -net rounds back to t itself
+    cfg = {
+        "duration": "10min",
+        "seed": 1,
+        "policy": {"kind": "time_switch", "t1": "1s", "t2": "0s"},
+        "nodes": [{"id": "n0", "store": _battery("10J", "5J"), "load": "sense_and_save"}],
+    }
+    sim = Simulation(build_scenario(cfg))
+    n = sim.nodes["n0"]
+    n.store.stored = 2e-16
+    sim._refresh(n, 300.0)
+    assert n.harvest_elec - n.load_elec == pytest.approx(-0.0259)
+    armed = [(t, p["flavor"]) for t, _, kind, p in sim._heap
+             if kind == "charge_check" and p["gen"] == n.timer_gen]
+    assert [flavor for _, flavor in armed] == ["empty"]
+    assert armed[0][0] > 300.0

@@ -107,11 +107,12 @@ GOLDEN = {
 }
 
 
+INLINE = {cfg["name"]: cfg for cfg in (POWER_SPLIT_CFG, DUAL_WAVELENGTH_CFG)}
+
+
 def _scenario(name: str):
-    if name == "golden_power_split":
-        return build_scenario(POWER_SPLIT_CFG)
-    if name == "golden_dual_wavelength":
-        return build_scenario(DUAL_WAVELENGTH_CFG)
+    if name in INLINE:
+        return build_scenario(INLINE[name])
     return load_scenario(SCENARIOS / f"{name}.json")
 
 

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sliptsim.channel import WaterProperties
 from sliptsim.errors import ConfigError, DomainError
 from sliptsim.harvester import CellMode
+from sliptsim.node import Phase
 from sliptsim.policy import (
-    DualWavelengthPlan,
+    DualWavelength,
+    NodeProtocol,
     PowerSplit,
+    SpatialSplit,
     TimeSwitchSchedule,
     TxRole,
     assign_spatial,
@@ -150,9 +152,19 @@ def test_assign_requires_a_transmitter():
         assign_spatial(["t0"], ["r0"], {}, {}, {})  # missing link power
 
 
-def test_dual_wavelength_plan_distinct():
-    w = WaterProperties.preset("clear_ocean")
-    plan = DualWavelengthPlan(450.0, 520.0, w, w)
-    assert plan.energy_wavelength != plan.data_wavelength
-    with pytest.raises(ConfigError):
-        DualWavelengthPlan(450.0, 450.0, w, w)
+def test_policy_objects_answer_the_engine():
+    ts = TimeSwitchSchedule(1.0, 1.0)
+    assert ts.schedule is ts and not ts.protocol and not ts.spatial
+    assert SpatialSplit(1.0, 1.0).spatial
+    assert NodeProtocol().schedule is None and NodeProtocol().protocol
+    assert PowerSplit(0.5).schedule is None and DualWavelength().schedule is None
+    # exclusive modes: PV harvests, PC decodes, a settling cell does neither
+    assert ts.divide(1.0, 2.0, PV, True, Phase.SLEEP) == (1.0, 0.0, False)
+    assert ts.divide(1.0, 2.0, PC, True, Phase.SLEEP) == (0.0, 2.0, True)
+    assert ts.divide(1.0, 2.0, PC, False, Phase.SLEEP) == (0.0, 0.0, False)
+    # a protocol node decodes only in CommandRx
+    assert NodeProtocol().divide(1.0, 2.0, PC, True, Phase.SLEEP) == (0.0, 2.0, False)
+    assert NodeProtocol().divide(1.0, 2.0, PC, True, Phase.COMMAND_RX) == (0.0, 2.0, True)
+    # simultaneous policies ignore the mode and keep harvesting while settling
+    assert PowerSplit(0.25).divide(4.0, 9.0, PC, False, Phase.SLEEP) == (1.0, 3.0, False)
+    assert DualWavelength().divide(4.0, 9.0, PV, True, Phase.SLEEP) == (4.0, 9.0, True)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from sliptsim.errors import ConfigError
+from sliptsim.policy import NodeProtocol
 from sliptsim.scenario import (
     build_scenario,
     load_scenario,
@@ -43,7 +44,7 @@ def test_tank_scenario_contents():
     (tx,) = sc.transmitters
     assert tx.beam.geometry.distance == pytest.approx(1.5)
     (node,) = sc.nodes
-    assert node.policy.kind == "protocol"
+    assert node.policy == NodeProtocol()
     assert node.v_threshold == pytest.approx(3.6)
     assert node.store.capacity == pytest.approx(3024.0)  # 840 mWh
 
