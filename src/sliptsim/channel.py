@@ -17,10 +17,12 @@ uses its own stream.
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from sliptsim.errors import DomainError, GeometryError
+
+if TYPE_CHECKING:  # numpy is imported only where a stream is built (engine.rng_stream)
+    import numpy as np
 
 # Literature-typical attenuation presets, per meter at blue-green
 # wavelengths.  These are conventional textbook values for water types,
@@ -152,7 +154,7 @@ def geometric_capture(geometry: BeamGeometry) -> float:
     return min(1.0, ratio * ratio)
 
 
-def sample_fading(model: TurbulenceModel, rng: np.random.Generator) -> float:
+def sample_fading(model: TurbulenceModel, rng: "np.random.Generator") -> float:
     """Draw one turbulence fading coefficient from the model.
 
     Samples are log-normal with unit mean and log-variance
@@ -168,7 +170,7 @@ def sample_fading(model: TurbulenceModel, rng: np.random.Generator) -> float:
     return float(rng.lognormal(mean=-log_var / 2.0, sigma=math.sqrt(log_var)))
 
 
-def received_power(link: LinkParams, rng: np.random.Generator) -> float:
+def received_power(link: LinkParams, rng: "np.random.Generator") -> float:
     """Optical power arriving at the receiver for one channel realization.
 
     Composes geometric capture, exponential attenuation, and one fading

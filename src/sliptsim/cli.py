@@ -21,7 +21,7 @@ from pathlib import Path
 
 from sliptsim.engine import run, trace_to_csv, trace_to_jsonl
 from sliptsim.errors import ConfigError, SimError
-from sliptsim.scenario import build_scenario, load_scenario, validate_scenario
+from sliptsim.scenario import build_scenario, load_scenario, read_config, validate_scenario
 
 OUT_ENV_VAR = "SLIPTSIM_OUT"
 
@@ -78,19 +78,6 @@ def _write_atomic(path: Path, text: str):
     os.replace(tmp, path)
 
 
-def _load_config(path: str) -> dict:
-    p = Path(path)
-    try:
-        cfg = json.loads(p.read_text())
-    except OSError as e:
-        raise ConfigError(path, f"cannot read scenario file: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(path, f"invalid JSON: {e}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "scenario must be a JSON object")
-    return cfg
-
-
 def _set_path(cfg, dotted: str, value):
     """Set cfg[...] following a path like nodes[0].policy.alpha."""
     tokens = [
@@ -136,7 +123,7 @@ def _print_summary(metrics):
 
 def _cmd_validate(scenario_path: str) -> int:
     try:
-        cfg = _load_config(scenario_path)
+        cfg = read_config(scenario_path)
     except ConfigError as e:
         print(e, file=sys.stderr)
         return 1
@@ -169,7 +156,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.scenario)
+    cfg = read_config(args.scenario)
     values = [v for v in args.values.split(",") if v != ""]
     if not values:
         raise ConfigError("--values", "no values given")

@@ -12,7 +12,10 @@ Randomness: every random stream is derived from the master seed as
 
 where `purpose` is a string such as "fading:tx0:node0".  Adding a node
 or link therefore never perturbs the streams of existing ones, and a
-fixed (scenario, seed) pair reproduces traces byte for byte.
+fixed (scenario, seed) pair reproduces traces byte for byte.  Only links
+with a non-zero scintillation index draw from a stream, so only those
+get one, and numpy is imported when the first one is built: a calm
+scenario runs without it.
 """
 
 import heapq
@@ -21,8 +24,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from sliptsim.channel import LinkParams, attenuate, geometric_capture, sample_fading
 from sliptsim.energy_store import EnergyStore
@@ -47,6 +49,9 @@ from sliptsim.policy import (  # noqa: F401 - bench/traced.py times engine.split
     split,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 FRAME_BITS = 32  # 4-byte command frame
 _FULL_REL_TOL = 1e-12
 
@@ -62,8 +67,10 @@ TRACE_FIELDS = (
 )
 
 
-def rng_stream(master_seed: int, purpose: str) -> np.random.Generator:
+def rng_stream(master_seed: int, purpose: str) -> "np.random.Generator":
     """Derive the deterministic random stream for a named purpose."""
+    import numpy as np
+
     key = zlib.crc32(purpose.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(key,)))
 
@@ -196,7 +203,7 @@ class _LinkRuntime:
     active: bool = False
     fade: float = 1.0
     base_power: float = 0.0  # tx_power * capture * exp(-alpha z), fade excluded
-    rng: np.random.Generator | None = None
+    rng: "np.random.Generator | None" = None  # None on a calm link: the fade stays 1
 
     def power_now(self) -> float:
         return self.base_power * self.fade if self.active else 0.0
@@ -236,6 +243,8 @@ class Simulation:
             raise ConfigError("engine.seed", "a seed is required (file or --seed)")
         self.scenario = scenario
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError("engine.seed", f"must be >= 0, got {seed}")
         self.now = 0.0
         self._heap: list = []
         self._seq = itertools.count()
@@ -270,15 +279,18 @@ class Simulation:
     def _link_for(self, tx: TransmitterDef, node_id: str, beam: LinkParams,
                   tag: str, in_harvest: bool, in_decode: bool) -> _LinkRuntime:
         beam = tx.beam_for(beam, node_id)
-        stream_id = beam.turbulence.rng_stream_id or f"fading:{tag}:{node_id}"
         link = _LinkRuntime(
             tx_id=tx.tx_id,
             node_id=node_id,
             params=beam,
             in_harvest=in_harvest,
             in_decode=in_decode,
-            rng=rng_stream(self.seed, stream_id),
         )
+        turbulence = beam.turbulence
+        if turbulence.scintillation_index > 0.0:
+            # streams are keyed by name, so skipping calm links moves no draw
+            link.rng = rng_stream(
+                self.seed, turbulence.rng_stream_id or f"fading:{tag}:{node_id}")
         link.base_power = attenuate(
             beam.tx_power, beam.water.total_attenuation, beam.geometry.distance
         ) * geometric_capture(beam.geometry)

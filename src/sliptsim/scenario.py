@@ -5,11 +5,13 @@ A scenario is a JSON object with unit-suffixed quantities ("840mWh",
 engine consumes, strictly: unknown keys, missing required fields, bad
 units and dangling references are all ConfigErrors that name the
 config path they occurred at.  validate_scenario collects such issues
-into a report instead of raising on the first.
+into a report instead of raising on the first.  Every number must be
+finite: NaN and Infinity literals are refused when the file is read.
 """
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 from sliptsim.channel import BeamGeometry, LinkParams, TurbulenceModel, WaterProperties
@@ -92,6 +94,17 @@ def _list(cfg: dict, key: str) -> list:
     return items
 
 
+def _finite(value) -> float | None:
+    """value as a float if it is a finite number (a bool is not), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _str_field(obj: dict, key: str, path: str, default: str) -> str:
     value = obj.get(key, default)
     if not isinstance(value, str):
@@ -133,10 +146,11 @@ def _turbulence(value, path: str, stream_default: str = "") -> TurbulenceModel:
         _check_keys(value, {"sigma2", "stream"}, path)
         stream = _str_field(value, "stream", path, stream_default)
         value = _require(value, "sigma2", path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, "scintillation index must be a number")
+    sigma2 = _finite(value)
+    if sigma2 is None:
+        raise ConfigError(path, "scintillation index must be a finite number")
     try:
-        return TurbulenceModel(float(value), stream)
+        return TurbulenceModel(sigma2, stream)
     except DomainError as e:
         raise ConfigError(path, str(e)) from None
 
@@ -153,10 +167,10 @@ def _slots(cls):
 
 
 def _power_split(obj: dict, path: str) -> PowerSplit:
-    alpha = obj.get("alpha")
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+    alpha = _finite(obj.get("alpha"))
+    if alpha is None:
         raise ConfigError(f"{path}.alpha", "expected a number in [0, 1]")
-    return PowerSplit(float(alpha))
+    return PowerSplit(alpha)
 
 
 _SLOT_KEYS = {"kind", "t1", "t2", "phase_offset"}
@@ -246,12 +260,15 @@ def _build_transmitter(obj, index: int) -> TransmitterDef:
     for node_id, d in (obj.get("distances") or {}).items():
         distances[node_id] = parse_quantity(d, "length", f"{path}.distances.{node_id}")
 
-    off = obj.get("off")
+    on_time = _qty(obj, "on", "time", path, default=0.0)
+    off_time = None if obj.get("off") is None else _qty(obj, "off", "time", path)
+    if off_time is not None and off_time < on_time:
+        raise ConfigError(f"{path}.off", f"must be >= on ({on_time} s), got {off_time} s")
     return TransmitterDef(
         tx_id=tx_id,
         beam=beam,
-        on_time=_qty(obj, "on", "time", path, default=0.0),
-        off_time=None if off is None else _qty(obj, "off", "time", path),
+        on_time=on_time,
+        off_time=off_time,
         targets=targets,
         dual_energy=dual_energy,
         dual_data=dual_data,
@@ -263,13 +280,13 @@ def _build_cell(obj, path: str) -> SolarCell:
     if obj is None:
         return SolarCell()
     _check_keys(obj, _CELL_KEYS, path)
-    efficiency = obj.get("efficiency", 0.2)
-    if isinstance(efficiency, bool) or not isinstance(efficiency, (int, float)):
+    efficiency = _finite(obj.get("efficiency", 0.2))
+    if efficiency is None:
         raise ConfigError(f"{path}.efficiency", "expected a number in (0, 1]")
     try:
         return SolarCell(
             area=_qty(obj, "area", "area", path, default=SolarCell().area),
-            conversion_efficiency=float(efficiency),
+            conversion_efficiency=efficiency,
             decode_bandwidth=_qty(obj, "decode_bandwidth", "frequency", path,
                                   default=30e3),
             decode_rate=_qty(obj, "decode_rate", "rate", path, default=500e3),
@@ -345,19 +362,21 @@ def _build_sensors(obj, path: str):
             sensor_id = int(key)
         except ValueError:
             raise ConfigError(vpath, "sensor ids must be integers") from None
-        if isinstance(src, (int, float)) and not isinstance(src, bool):
-            values[sensor_id] = float(src)
+        number = _finite(src)
+        if number is not None:
+            values[sensor_id] = number
         elif isinstance(src, list):
             series = []
             for j, point in enumerate(src):
                 if not isinstance(point, list) or len(point) != 2:
                     raise ConfigError(f"{vpath}[{j}]", "expected a [time, value] pair")
                 t = parse_quantity(point[0], "time", f"{vpath}[{j}]")
-                if not isinstance(point[1], (int, float)) or isinstance(point[1], bool):
-                    raise ConfigError(f"{vpath}[{j}]", "value must be a number")
+                value = _finite(point[1])
+                if value is None:
+                    raise ConfigError(f"{vpath}[{j}]", "value must be a finite number")
                 if series and t < series[-1][0]:
                     raise ConfigError(f"{vpath}[{j}]", "series times must be sorted")
-                series.append((t, float(point[1])))
+                series.append((t, value))
             values[sensor_id] = series
         else:
             raise ConfigError(vpath, "expected a number or a [[time, value], ...] series")
@@ -437,6 +456,8 @@ def build_scenario(cfg: dict, default_name: str = "scenario") -> Scenario:
     seed = cfg.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ConfigError("scenario.seed", "expected an integer")
+    if seed is not None and seed < 0:
+        raise ConfigError("scenario.seed", f"must be >= 0, got {seed}")
 
     default_policy = (_build_policy(cfg["policy"], "scenario.policy")
                       if "policy" in cfg else NodeProtocol())
@@ -524,17 +545,62 @@ def validate_scenario(cfg) -> list[str]:
     return issues
 
 
-def load_scenario(path) -> Scenario:
-    """Read a scenario JSON file and build the runtime Scenario."""
-    p = Path(path)
+class _Constant:
+    """A NaN or Infinity literal, held until its config path is known."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+
+def _constant_at(value, path: str) -> tuple[str, _Constant] | None:
+    """Config path and literal of the first _Constant within value."""
+    if isinstance(value, _Constant):
+        return path, value
+    if isinstance(value, dict):
+        children = ((f"{path}.{k}", v) for k, v in value.items())
+    elif isinstance(value, list):
+        children = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for child_path, child in children:
+        hit = _constant_at(child, child_path)
+        if hit is not None:
+            return hit
+    return None
+
+
+def read_config(path) -> dict:
+    """Read a scenario JSON file into a config dict.
+
+    NaN, Infinity and -Infinity are not JSON, though Python's reader takes
+    them; they are refused with the config path they appear at (top-level
+    lists as "transmitters[0]...", other top-level keys as "scenario...").
+    """
     try:
-        text = p.read_text()
+        text = Path(path).read_text()
     except OSError as e:
         raise ConfigError(str(path), f"cannot read scenario file: {e}") from None
+    constants = []
+
+    def constant(name: str) -> _Constant:
+        constants.append(name)
+        return _Constant(name)
+
     try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as e:
+        cfg = json.loads(text, parse_constant=constant)
+    except (ValueError, RecursionError) as e:  # also digit and nesting limits
         raise ConfigError(str(path), f"invalid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(str(path), "scenario must be a JSON object")
-    return build_scenario(cfg, default_name=p.stem)
+    if constants:
+        for key, value in cfg.items():
+            hit = _constant_at(value, key if isinstance(value, list) else f"scenario.{key}")
+            if hit is not None:
+                where, literal = hit
+                raise ConfigError(where, f"{literal.name} is not a finite number")
+    return cfg
+
+
+def load_scenario(path) -> Scenario:
+    """Read a scenario JSON file and build the runtime Scenario."""
+    return build_scenario(read_config(path), default_name=Path(path).stem)

@@ -56,7 +56,8 @@ def parse_quantity(value, kind: str, path: str = "value") -> float:
 
     Accepts a bare int/float (interpreted as already being in the base
     unit) or a string with a recognized unit suffix.  Raises ConfigError
-    naming `path` on anything else.
+    naming `path` on anything else, and on a value that is not finite in
+    the base unit (NaN, an infinity, or an overflow such as "1e999s").
     """
     table = _UNIT_TABLES.get(kind)
     if table is None:
@@ -64,19 +65,24 @@ def parse_quantity(value, kind: str, path: str = "value") -> float:
     if isinstance(value, bool):
         raise ConfigError(path, f"expected a {kind} quantity, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
-    if not isinstance(value, str):
+        number, factor = value, 1.0
+    elif isinstance(value, str):
+        m = _QTY_RE.match(value)
+        if not m:
+            raise ConfigError(path, f"cannot parse quantity {value!r}")
+        number, suffix = m.group(1), m.group(2)
+        factor = 1.0 if suffix == "" else table.get(suffix)
+        if factor is None:
+            expected = ", ".join(sorted(k for k in table if k))
+            raise ConfigError(
+                path, f"unit {suffix!r} is not a {kind} unit (expected one of: {expected})"
+            )
+    else:
         raise ConfigError(path, f"expected a {kind} quantity, got {type(value).__name__}")
-    m = _QTY_RE.match(value)
-    if not m:
-        raise ConfigError(path, f"cannot parse quantity {value!r}")
-    number, suffix = m.group(1), m.group(2)
-    if suffix == "":
-        return float(number)
-    factor = table.get(suffix)
-    if factor is None:
-        expected = ", ".join(sorted(k for k in table if k))
-        raise ConfigError(
-            path, f"unit {suffix!r} is not a {kind} unit (expected one of: {expected})"
-        )
-    return float(number) * factor
+    try:
+        result = float(number) * factor
+    except OverflowError:  # an int beyond the float range
+        result = math.inf
+    if not math.isfinite(result):
+        raise ConfigError(path, f"expected a finite {kind} quantity")
+    return result

@@ -133,3 +133,69 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "scenario is valid" in proc.stdout
+
+
+TANK = str(SCENARIOS / "tank_1m5.json")
+
+# runs main() in a fresh interpreter, then reports whether numpy got imported
+_IMPORT_PROBE = """
+import sys
+from sliptsim.cli import main
+rc = main(sys.argv[1:])
+print("numpy loaded:", "numpy" in sys.modules)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("command, scenario, numpy_loaded", [
+    ("validate", TANK, False),
+    ("run", TANK, False),
+    ("run", DEMO, True),  # a turbulent link draws its fades from numpy
+], ids=["validate-calm", "run-calm", "run-turbulent"])
+def test_numpy_is_imported_only_for_turbulent_links(tmp_path, command, scenario,
+                                                    numpy_loaded):
+    argv = [command, "--scenario", scenario]
+    if command == "run":
+        argv += ["--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"numpy loaded: {numpy_loaded}"
+
+
+def _variant(tmp_path, base: str, edit) -> str:
+    cfg = json.loads(Path(base).read_text())
+    edit(cfg)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(cfg))  # a float nan or inf is written as NaN / Infinity
+    return str(path)
+
+
+@pytest.mark.parametrize("scenario", [TANK, DEMO], ids=["calm", "turbulent"])
+def test_negative_seed_exits_1_with_its_path(tmp_path, capsys, scenario):
+    assert main(["run", "--scenario", scenario, "--seed", "-1"]) == 1
+    assert "error: engine.seed: must be >= 0" in capsys.readouterr().err
+    bad = _variant(tmp_path, scenario, lambda cfg: cfg.update(seed=-3))
+    for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
+        assert main(argv) == 1
+        assert "scenario.seed: must be >= 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda cfg: cfg["transmitters"][0].update(power=float("nan")),
+     "transmitters[0].power: NaN is not a finite number"),
+    (lambda cfg: cfg.update(duration=float("inf")),
+     "scenario.duration: Infinity is not a finite number"),
+], ids=["nan_power", "infinite_duration"])
+def test_non_finite_literals_fail_validate_and_run(tmp_path, capsys, edit, message):
+    bad = _variant(tmp_path, DEMO, edit)
+    for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_nan_value_at_its_path(capsys):
+    rc = main(["sweep", "--scenario", DEMO, "--param", "transmitters[0].power",
+               "--values", "1mW,NaN"])
+    assert rc == 1
+    assert "transmitters[0].power: expected a finite power quantity" in capsys.readouterr().err

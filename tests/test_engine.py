@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import sliptsim.engine as engine
 from sliptsim.engine import (
     FRAME_BITS,
     Simulation,
@@ -283,3 +284,30 @@ def test_depletion_timer_lands_after_now_for_a_tiny_residue():
              if kind == "charge_check" and p["gen"] == n.timer_gen]
     assert [flavor for _, flavor in armed] == ["empty"]
     assert armed[0][0] > 300.0
+
+
+@pytest.mark.parametrize("name", ["tank_1m5", "vertical_supercap", "spatial_demo"])
+def test_calm_links_build_no_random_stream(monkeypatch, name):
+    calls = []
+    monkeypatch.setattr(engine, "rng_stream", lambda *args: calls.append(args))
+    sim = Simulation(load_scenario(SCENARIOS / f"{name}.json"))
+    links = [link for n in sim.nodes.values() for link in n.links]
+    assert links and all(link.rng is None for link in links)
+    assert calls == []
+
+
+def test_only_turbulent_links_get_a_stream(monkeypatch):
+    calls = []
+    real = engine.rng_stream
+    monkeypatch.setattr(engine, "rng_stream",
+                        lambda seed, purpose: calls.append(purpose) or real(seed, purpose))
+    cfg = {
+        "duration": "1s",
+        "seed": 3,
+        "transmitters": [_beam("1W", id="calm"), _beam("1W", id="wavy", turbulence=0.2)],
+        "nodes": [{"id": "n0", "store": _battery("10J", "0J")}],
+    }
+    sim = Simulation(build_scenario(cfg))
+    calm, wavy = sim.nodes["n0"].links
+    assert calm.rng is None and wavy.rng is not None
+    assert calls == ["fading:wavy:n0"]

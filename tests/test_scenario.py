@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from sliptsim.policy import NodeProtocol
 from sliptsim.scenario import (
     build_scenario,
     load_scenario,
+    read_config,
     scenario_hash,
     validate_scenario,
 )
@@ -76,6 +79,56 @@ def test_duration_and_seed_validation():
         build_scenario(_minimal(seed="42"))
     sc = build_scenario(_minimal(seed=None))  # allowed; engine demands one later
     assert sc.seed is None
+    assert build_scenario(_minimal(seed=0)).seed == 0
+    with pytest.raises(ConfigError, match=r"scenario\.seed: must be >= 0"):
+        build_scenario(_minimal(seed=-1))
+    assert validate_scenario(_minimal(seed=-1)) == ["scenario.seed: must be >= 0, got -1"]
+
+
+def test_transmitter_off_before_on_rejected():
+    tx = {"power": "1W", "water": "pure_sea", "receiver_radius": "1mm",
+          "distance": "1m", "on": "5s"}
+    assert build_scenario(_minimal(transmitters=[{**tx, "off": "5s"}]))
+    issues = validate_scenario(_minimal(transmitters=[{**tx, "off": "4s"}]))
+    assert len(issues) == 1 and issues[0].startswith("transmitters[0].off: must be >= on")
+
+
+def test_non_finite_numbers_rejected_with_path():
+    tx = {"power": math.nan, "water": "pure_sea", "receiver_radius": "1mm", "distance": "1m"}
+    assert validate_scenario(_minimal(transmitters=[tx])) == [
+        "transmitters[0].power: expected a finite power quantity"]
+    assert validate_scenario(_minimal(duration=math.inf)) == [
+        "scenario.duration: expected a finite time quantity"]
+    # fields outside parse_quantity: a JSON 1e999 reads as inf, a sweep "NaN" as nan
+    for path, cfg in [
+        ("transmitters[0].turbulence",
+         _minimal(transmitters=[{**tx, "power": "1W", "turbulence": 1e999}])),
+        ("scenario.policy.alpha", _minimal(policy={"kind": "power_split", "alpha": math.nan})),
+        ("nodes[0].cell.efficiency",
+         _minimal(nodes=[{"id": "n0", "cell": {"efficiency": 10**400},
+                          "store": {"type": "battery", "capacity": "10J"}}])),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            build_scenario(cfg)
+
+
+@pytest.mark.parametrize("text, path, literal", [
+    ('{"duration": Infinity}', "scenario.duration", "Infinity"),
+    ('{"policy": {"kind": "power_split", "alpha": NaN}}', "scenario.policy.alpha", "NaN"),
+    ('{"transmitters": [{"id": "a"}, {"power": -Infinity}]}',
+     "transmitters[1].power", "-Infinity"),
+    ('{"nodes": [{"sensors": {"values": {"0": [[0, 1], [1, NaN]]}}}]}',
+     "nodes[0].sensors.values.0[1][1]", "NaN"),
+], ids=["top_level", "nested_object", "list_item", "series_point"])
+def test_reader_refuses_nan_and_infinity_literals(tmp_path, text, path, literal):
+    f = tmp_path / "s.json"
+    f.write_text(text)
+    with pytest.raises(ConfigError) as e:
+        read_config(f)
+    assert e.value.path == path
+    assert e.value.message == f"{literal} is not a finite number"
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        load_scenario(f)
 
 
 def test_duplicate_ids_rejected():
@@ -247,3 +300,7 @@ def test_load_scenario_file_errors(tmp_path):
     top.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):
         load_scenario(top)
+    for name, text in [("deep.json", "[" * 100_000), ("long.json", "1" * 5000)]:
+        (tmp_path / name).write_text(text)  # past the parser's nesting / digit limits
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_scenario(tmp_path / name)

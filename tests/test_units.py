@@ -60,6 +60,14 @@ def test_garbage_rejected():
         parse_quantity(True, "power")
 
 
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf, 10**400, "1e999s", "1e308h",
+], ids=["nan", "inf", "-inf", "huge_int", "1e999s", "1e308h"])
+def test_non_finite_rejected_with_path(value):
+    with pytest.raises(ConfigError, match=r"scenario\.duration: expected a finite time"):
+        parse_quantity(value, "time", path="scenario.duration")
+
+
 def test_unknown_kind_is_a_programming_error():
     with pytest.raises(ValueError):
         parse_quantity("1x", "no_such_kind")
