@@ -9,7 +9,9 @@ Exit codes: 0 on success, 1 on configuration or simulation errors, 2 on
 command-line usage errors.  Output files go to --out, falling back to
 the SLIPTSIM_OUT environment variable; with neither set, results are
 only printed.  File writes are atomic (temp file + rename), so a
-crashed run never leaves a truncated metrics or trace file behind.
+crashed run never leaves a truncated metrics or trace file behind; the
+trace streams into its temp file while the run goes on, and `sweep`
+and a `run` without an output directory build no trace at all.
 """
 
 import argparse
@@ -19,7 +21,7 @@ import re
 import sys
 from pathlib import Path
 
-from sliptsim.engine import run, trace_to_csv, trace_to_jsonl
+from sliptsim.engine import FileSink, NullSink, run, trace_to_csv, trace_to_jsonl
 from sliptsim.errors import ConfigError, SimError
 from sliptsim.scenario import build_scenario, load_scenario, read_config, validate_scenario
 
@@ -74,8 +76,12 @@ def _out_dir(args) -> Path | None:
 
 def _write_atomic(path: Path, text: str):
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _set_path(cfg, dotted: str, value):
@@ -141,17 +147,19 @@ def _cmd_run(args) -> int:
     if args.validate_only:
         return _cmd_validate(args.scenario)
     scenario = load_scenario(args.scenario)
-    metrics, trace = run(scenario, seed_override=args.seed)
-    _print_summary(metrics)
     out = _out_dir(args)
-    if out is not None:
-        _write_atomic(out / "metrics.json",
-                      json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
-        if args.format == "csv":
-            _write_atomic(out / "trace.csv", trace_to_csv(trace))
-        else:
-            _write_atomic(out / "trace.jsonl", trace_to_jsonl(trace))
-        print(f"wrote {out / 'metrics.json'} and trace.{args.format}")
+    if out is None:
+        metrics, _ = run(scenario, seed_override=args.seed, sink=NullSink())
+        _print_summary(metrics)
+        return 0
+    # this module's names, so a wrapper on cli.trace_to_* (bench/traced.py) sees every chunk
+    serialize = trace_to_csv if args.format == "csv" else trace_to_jsonl
+    with FileSink(out / f"trace.{args.format}", serialize) as sink:
+        metrics, _ = run(scenario, seed_override=args.seed, sink=sink)
+    _print_summary(metrics)
+    _write_atomic(out / "metrics.json",
+                  json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {out / 'metrics.json'} and trace.{args.format}")
     return 0
 
 
@@ -167,7 +175,7 @@ def _cmd_sweep(args) -> int:
         sub_cfg = json.loads(json.dumps(cfg))  # deep copy per run
         _set_path(sub_cfg, args.param, _parse_value(raw))
         scenario = build_scenario(sub_cfg, default_name=f"{name}[{raw}]")
-        metrics, trace = run(scenario, seed_override=args.seed)
+        metrics, _ = run(scenario, seed_override=args.seed, sink=NullSink())
         harvested = sum(m.harvested_j for m in metrics.nodes.values())
         decoded = sum(m.decoded_bits for m in metrics.nodes.values())
         rows.append((raw, harvested, decoded))

@@ -22,9 +22,10 @@ import heapq
 import itertools
 import json
 import math
+import os
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Protocol
 
 from sliptsim.channel import LinkParams, attenuate, geometric_capture, sample_fading
 from sliptsim.energy_store import EnergyStore
@@ -237,7 +238,8 @@ class _NodeRuntime:
 class Simulation:
     """One scenario instance wired up and ready to run."""
 
-    def __init__(self, scenario: Scenario, seed_override: int | None = None):
+    def __init__(self, scenario: Scenario, seed_override: int | None = None,
+                 sink: "TraceSink | None" = None):
         seed = seed_override if seed_override is not None else scenario.seed
         if seed is None:
             raise ConfigError("engine.seed", "a seed is required (file or --seed)")
@@ -248,7 +250,7 @@ class Simulation:
         self.now = 0.0
         self._heap: list = []
         self._seq = itertools.count()
-        self.trace: list[dict] = []
+        self.trace: TraceSink = MemorySink() if sink is None else sink
         self.metrics = Metrics(seed=self.seed, scenario_hash=scenario.scenario_hash)
         self.nodes: dict[str, _NodeRuntime] = {}
         self._build_nodes()
@@ -534,17 +536,14 @@ class Simulation:
     # -- trace ----------------------------------------------------------------
 
     def _emit(self, t: float, node_id: str, event_kind: str, n: _NodeRuntime):
+        sink = self.trace
+        if not sink.builds_rows:
+            sink.write()
+            return
         m = n.metrics
-        self.trace.append({
-            "time": t,
-            "node_id": node_id,
-            "event_kind": event_kind,
-            "phase": n.state.phase.value,
-            "stored_J": n.store.stored,
-            "V_B": n.store.terminal_voltage(),
-            "harvested_J_cum": m.harvested_j,
-            "decoded_bits_cum": m.decoded_bits,
-        })
+        store = n.store
+        sink.write(t, node_id, event_kind, n.state.phase.value, store.stored,
+                   store.terminal_voltage(), m.harvested_j, m.decoded_bits)
 
     # -- event handlers -------------------------------------------------------
 
@@ -670,7 +669,8 @@ class Simulation:
 
     # -- main loop ------------------------------------------------------------
 
-    def run(self) -> tuple[Metrics, list[dict]]:
+    def run(self) -> "tuple[Metrics, TraceSink]":
+        """Simulate to the end, close the sink and return it with the metrics."""
         duration = self.scenario.duration
         while self._heap:
             t, _seq, kind, payload = heapq.heappop(self._heap)
@@ -701,30 +701,163 @@ class Simulation:
             n.metrics.stored_final_j = n.store.stored
             self._emit(duration, node_id, "end", n)
         self.metrics.end_time = duration
+        self.trace.close()
         return self.metrics, self.trace
 
 
-def run(scenario: Scenario, seed_override: int | None = None) -> tuple[Metrics, list[dict]]:
+def run(scenario: Scenario, seed_override: int | None = None,
+        sink: "TraceSink | None" = None) -> "tuple[Metrics, TraceSink]":
     """Validate nothing, just simulate: build a Simulation and run it."""
-    return Simulation(scenario, seed_override).run()
+    return Simulation(scenario, seed_override, sink).run()
 
 
-# -- trace serialization ------------------------------------------------------
+# -- trace sinks and serialization ---------------------------------------------
+
+CSV_HEADER = ",".join(TRACE_FIELDS) + "\n"
 
 
-def trace_to_csv(records: list[dict]) -> str:
-    lines = [",".join(TRACE_FIELDS)]
-    for r in records:
-        lines.append(",".join(_csv_cell(r[k]) for k in TRACE_FIELDS))
-    return "\n".join(lines) + "\n"
+def _csv_row(values) -> str:
+    """One CSV line: floats as repr, which round-trips exactly; the rest as str."""
+    return ",".join([repr(v) if isinstance(v, float) else str(v) for v in values]) + "\n"
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _jsonl_row(values) -> str:
+    return json.dumps(dict(zip(TRACE_FIELDS, values)), separators=(",", ":")) + "\n"
 
 
-def trace_to_jsonl(records: list[dict]) -> str:
-    return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+def _row_values(record):
+    """A row's values in TRACE_FIELDS order: MemorySink rows are dicts,
+    FileSink chunks hold the value tuples as written."""
+    return [record[k] for k in TRACE_FIELDS] if isinstance(record, dict) else record
 
+
+def trace_to_csv(records) -> str:
+    return CSV_HEADER + "".join([_csv_row(_row_values(r)) for r in records])
+
+
+def trace_to_jsonl(records) -> str:
+    return "".join([_jsonl_row(_row_values(r)) for r in records])
+
+
+class TraceSink(Protocol):
+    """Where the engine sends trace rows.
+
+    write() takes one row's values in TRACE_FIELDS order; a sink whose
+    builds_rows is False is called with no values, and the engine skips
+    building the row.  The engine calls close() once, after the last
+    row of a run that finished; len() is the number of rows produced.
+    """
+
+    builds_rows: bool
+
+    def write(self, *values) -> None: ...
+
+    def close(self) -> None: ...
+
+    def __len__(self) -> int: ...
+
+
+class MemorySink(list):
+    """Keeps every row as a dict keyed by TRACE_FIELDS (the default)."""
+
+    builds_rows = True
+
+    def write(self, time, node_id, event_kind, phase, stored_j, v_b,
+              harvested_j_cum, decoded_bits_cum):
+        self.append({
+            "time": time,
+            "node_id": node_id,
+            "event_kind": event_kind,
+            "phase": phase,
+            "stored_J": stored_j,
+            "V_B": v_b,
+            "harvested_J_cum": harvested_j_cum,
+            "decoded_bits_cum": decoded_bits_cum,
+        })
+
+    def close(self):
+        pass
+
+
+class NullSink:
+    """Counts rows and keeps none."""
+
+    builds_rows = False
+
+    def __init__(self):
+        self.rows = 0
+
+    def write(self, *values):
+        self.rows += 1
+
+    def close(self):
+        pass
+
+    def __len__(self) -> int:
+        return self.rows
+
+
+class FileSink:
+    """Streams rows to `path` through `serialize` (trace_to_csv or
+    trace_to_jsonl), `chunk_rows` rows at a time, so memory stays flat
+    however long the run; the CSV header goes out once.
+
+    Rows go to `<path>.tmp`, which close() renames to `path`.  Used as a
+    context manager, an exception in the block (or in close) removes the
+    temp file and leaves `path` as it was.
+    """
+
+    builds_rows = True
+    chunk_rows = 4096
+
+    def __init__(self, path, serialize):
+        self._path = path
+        self._tmp = os.fspath(path) + ".tmp"
+        self._serialize = serialize
+        self._chunk: list[tuple] = []
+        self._written = 0
+        self._file = open(self._tmp, "w")
+
+    def write(self, *values):
+        self._chunk.append(values)
+        if len(self._chunk) >= self.chunk_rows:
+            self._flush()
+
+    def _flush(self):
+        text = self._serialize(self._chunk)
+        if self._written and text.startswith(CSV_HEADER):
+            text = text[len(CSV_HEADER):]
+        self._file.write(text)
+        self._written += len(self._chunk)
+        self._chunk = []
+
+    def close(self):
+        try:
+            if self._chunk or not self._written:
+                self._flush()
+            self._file.close()
+            os.replace(self._tmp, self._path)
+        except BaseException:
+            self._discard()
+            raise
+
+    def _discard(self):
+        """Close and remove the temp file; `path` is not touched."""
+        self._file.close()
+        try:
+            os.remove(self._tmp)
+        except FileNotFoundError:
+            pass
+
+    def __len__(self) -> int:
+        return self._written + len(self._chunk)
+
+    def __enter__(self) -> "FileSink":
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if not self._file.closed:
+            if exc_type is None:
+                self.close()
+            else:
+                self._discard()

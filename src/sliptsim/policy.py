@@ -216,15 +216,30 @@ def assign_spatial(
     data_tx: dict[str, str] = {}  # rx -> tx
     taken: dict[str, str] = {}  # tx -> rx
 
-    def try_serve(rx: str, visited: set[str]) -> bool:
-        for tx in candidates[rx]:
-            if tx in visited:
+    def try_serve(root: str) -> bool:
+        """Depth-first search for an augmenting path from root, with an
+        explicit stack so the path length is not bound by recursion."""
+        visited: set[str] = set()
+        stack = [(root, iter(candidates[root]))]  # receivers along the path
+        path: list[str] = []  # path[k]: transmitter stack[k] is trying
+        while stack:
+            options = stack[-1][1]
+            tx = next((tx for tx in options if tx not in visited), None)
+            if tx is None:  # every candidate failed: back up one step
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             visited.add(tx)
-            if tx not in taken or try_serve(taken[tx], visited):
-                taken[tx] = rx
-                data_tx[rx] = tx
-                return True
+            path.append(tx)
+            if tx in taken:  # ask its holder to move to another transmitter
+                stack.append((taken[tx], iter(candidates[taken[tx]])))
+                continue
+            # tx is free: shift every receiver on the path, deepest first
+            for (rx_k, _), tx_k in zip(reversed(stack), reversed(path)):
+                taken[tx_k] = rx_k
+                data_tx[rx_k] = tx_k
+            return True
         return False
 
     assignment = SpatialAssignment()
@@ -232,7 +247,7 @@ def assign_spatial(
     for rx in sorted(receivers):
         if not demands.get(rx, False):
             continue
-        if not try_serve(rx, set()):
+        if not try_serve(rx):
             assignment.infeasible.append(rx)
 
     for rx, tx in data_tx.items():

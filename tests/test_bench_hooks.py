@@ -50,3 +50,18 @@ def test_node_runtime_has_timer_gen():
            "nodes": [{"id": "n0", "store": {"type": "battery", "capacity": "1J"}}]}
     sim = engine.Simulation(scenario.build_scenario(cfg))
     assert isinstance(sim.nodes["n0"].timer_gen, int)
+
+
+def test_cli_run_returns_a_trace_whose_len_counts_the_rows(tmp_path, monkeypatch):
+    # bench/traced.py reads trace.rows as len() of what cli.run returns
+    scenario_file = Path(__file__).resolve().parents[1] / "scenarios" / "turbulent_demo.json"
+    sc = scenario.load_scenario(scenario_file)
+    rows = len(cli.run(sc)[1])
+    assert rows > 1
+    assert len(cli.run(sc, seed_override=3, sink=engine.MemorySink())[1]) == rows
+    assert len(cli.run(sc, seed_override=3, sink=engine.NullSink())[1]) == rows
+    monkeypatch.setattr(engine.FileSink, "chunk_rows", 7)
+    for fmt, serialize in (("csv", cli.trace_to_csv), ("jsonl", cli.trace_to_jsonl)):
+        with engine.FileSink(tmp_path / f"trace.{fmt}", serialize) as sink:
+            _, trace = cli.run(sc, seed_override=3, sink=sink)
+        assert len(trace) == rows

@@ -4,7 +4,9 @@ The digests are SHA-256 of trace.csv and metrics.json as the CLI writes
 them.  They were computed once and are only ever changed by a change
 that says why its traces differ; a refactor that reorders a float sum
 shows up here.  The two inline configs cover the power_split and
-dual_wavelength policies, which no bundled scenario runs.
+dual_wavelength policies, which no bundled scenario runs.  Each case is
+checked twice: serialized from the in-memory trace, and as `sliptsim
+run` streams it to its output directory.
 """
 
 import hashlib
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from sliptsim.engine import run, trace_to_csv
+from sliptsim.cli import main
+from sliptsim.engine import run, trace_to_csv, trace_to_jsonl
 from sliptsim.scenario import build_scenario, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -110,6 +113,18 @@ GOLDEN = {
 INLINE = {cfg["name"]: cfg for cfg in (POWER_SPLIT_CFG, DUAL_WAVELENGTH_CFG)}
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _scenario_path(name: str, tmp_path: Path) -> Path:
+    if name not in INLINE:
+        return SCENARIOS / f"{name}.json"
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(INLINE[name]))
+    return path
+
+
 def _scenario(name: str):
     if name in INLINE:
         return build_scenario(INLINE[name])
@@ -120,10 +135,28 @@ def digests(name: str) -> tuple[str, str]:
     """(trace.csv sha256, metrics.json sha256) as `sliptsim run` writes them."""
     metrics, trace = run(_scenario(name))
     metrics_text = json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
-    return (hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest(),
-            hashlib.sha256(metrics_text.encode("utf-8")).hexdigest())
+    return (_sha256(trace_to_csv(trace).encode("utf-8")),
+            _sha256(metrics_text.encode("utf-8")))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digests(name):
     assert digests(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_streams_the_golden_bytes(name, fmt, tmp_path, monkeypatch):
+    monkeypatch.delenv("SLIPTSIM_OUT", raising=False)
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", str(_scenario_path(name, tmp_path)),
+            "--out", str(out), "--format", fmt]
+    assert main(argv) == 0
+    trace_digest, metrics_digest = GOLDEN[name]
+    if fmt == "csv":
+        assert _sha256((out / "trace.csv").read_bytes()) == trace_digest
+    else:
+        expected = trace_to_jsonl(run(_scenario(name))[1])
+        assert (out / "trace.jsonl").read_bytes() == expected.encode("utf-8")
+    assert _sha256((out / "metrics.json").read_bytes()) == metrics_digest
+    assert sorted(p.name for p in out.iterdir()) == ["metrics.json", f"trace.{fmt}"]

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -150,6 +152,74 @@ def test_assign_requires_a_transmitter():
         assign_spatial([], ["r0"], {}, {}, {})
     with pytest.raises(DomainError):
         assign_spatial(["t0"], ["r0"], {}, {}, {})  # missing link power
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_augmenting_path_through_every_receiver_needs_no_recursion():
+    # r_k takes t_k greedily; the last receiver can use only t0, so its
+    # augmenting path shifts every earlier r_k on to t_{k+1}.
+    n = 300
+    txs = [f"t{k:03d}" for k in range(n)]
+    rxs = [f"r{k:03d}" for k in range(n)]
+    lp = {(tx, rx): 0.0 for tx in txs for rx in rxs}
+    for k in range(n - 1):
+        lp[(txs[k], rxs[k])] = 3.0
+        lp[(txs[k + 1], rxs[k])] = 2.0
+    lp[(txs[0], rxs[-1])] = 2.0
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 50)  # far below the path length
+    try:
+        a = assign_spatial(txs, rxs, {rx: True for rx in rxs}, lp,
+                           {rx: 1.0 for rx in rxs})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert a.infeasible == []
+    assert a.data_source[rxs[-1]] == txs[0]
+    assert all(a.data_source[rxs[k]] == txs[k + 1] for k in range(n - 1))
+
+
+def _assign_data_recursive(txs, rxs, demands, lp, sens):
+    """The data stage as a recursive augmenting-path search: the order
+    the iterative search must reproduce, dict insertion order included."""
+    candidates = {rx: sorted((tx for tx in txs if lp[(tx, rx)] >= sens.get(rx, 0.0)),
+                             key=lambda tx: (-lp[(tx, rx)], tx)) for rx in rxs}
+    data_tx, taken, infeasible = {}, {}, []
+
+    def try_serve(rx, visited):
+        for tx in candidates[rx]:
+            if tx in visited:
+                continue
+            visited.add(tx)
+            if tx not in taken or try_serve(taken[tx], visited):
+                taken[tx] = rx
+                data_tx[rx] = tx
+                return True
+        return False
+
+    for rx in sorted(rxs):
+        if demands.get(rx, False) and not try_serve(rx, set()):
+            infeasible.append(rx)
+    return list(data_tx.items()), infeasible
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_iterative_search_matches_recursive_order(n_tx, n_rx, data):
+    txs = [f"t{k}" for k in range(n_tx)]
+    rxs = [f"r{k}" for k in range(n_rx)]
+    level = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    lp = {(tx, rx): data.draw(level) for tx in txs for rx in rxs}
+    demands = {rx: data.draw(st.booleans()) for rx in rxs}
+    sens = {rx: 1.0 for rx in rxs}
+    a = assign_spatial(txs, rxs, demands, lp, sens)
+    data_items, infeasible = _assign_data_recursive(txs, rxs, demands, lp, sens)
+    assert list(a.data_source.items()) == data_items
+    assert a.infeasible == infeasible
 
 
 def test_policy_objects_answer_the_engine():
