@@ -3,8 +3,10 @@
 The digests are SHA-256 of trace.csv and metrics.json as the CLI writes
 them.  They were computed once and are only ever changed by a change
 that says why its traces differ; a refactor that reorders a float sum
-shows up here.  The two inline configs cover the power_split and
-dual_wavelength policies, which no bundled scenario runs.  Each case is
+shows up here.  Two inline configs cover the power_split and
+dual_wavelength policies, which no bundled scenario runs; a third has
+several broadcast transmitters take turns over a protocol fleet, so
+links toggle and fades are redrawn on many nodes.  Each case is
 checked twice: serialized from the in-memory trace, and as `sliptsim
 run` streams it to its output directory.
 """
@@ -82,7 +84,46 @@ DUAL_WAVELENGTH_CFG = {
     ],
 }
 
+_NODE_IDS = [f"b{i}" for i in range(6)]
+
+
+def _broadcast_tx(tx_id: str, power: str, on: str, off: str, spread: float, **extra) -> dict:
+    return {"id": tx_id, "power": power, **_BEAM, "water": "clear_ocean",
+            "divergence": "20deg", "receiver_radius": "35mm", "on": on, "off": off,
+            "distances": {nid: f"{0.25 + spread * i:.3f}m"
+                          for i, nid in enumerate(_NODE_IDS)},
+            **extra}
+
+
+# Broadcast transmitters taking turns over a protocol fleet (tx0 and tx1
+# overlap for 2 s); tx1 draws a fade at its tx_on.  Initial charges sit on
+# both sides of the 3.6 V wake threshold (0.5 J of 1 J).
+BROADCAST_PROTOCOL_CFG = {
+    "name": "golden_broadcast_protocol",
+    "duration": "70s",
+    "seed": 13,
+    "policy": {"kind": "protocol"},
+    "transmitters": [
+        _broadcast_tx("tx0", "0.3W", "2s", "12s", 0.01),
+        _broadcast_tx("tx1", "0.25W", "10s", "25s", 0.02, turbulence={"sigma2": 0.3}),
+        _broadcast_tx("tx2", "0.35W", "35s", "55s", -0.005),
+    ],
+    "nodes": [{
+        "id": nid,
+        "cell": {"efficiency": 0.2, "switch_latency": "5ms"},
+        "store": {"type": "battery", "capacity": "1J", "stored": stored},
+        "sensors": {"enabled": [1], "values": {"1": 20.0}, "seconds_per_sensor": "2s"},
+        "commands": [{"op": "sensor_on", "sensor": 2}, {"op": "send_data"},
+                     {"op": "retransmit"}],
+    } for nid, stored in zip(_NODE_IDS, ["0.35J", "0.45J", "0.49J",
+                                         "0.52J", "0.6J", "0.7J"])],
+}
+
 GOLDEN = {
+    "golden_broadcast_protocol": (
+        "5e9faf5575b2210112e45cf6741ff4152437a3a7c8f05d3ad13d9766a31f5a58",
+        "cef3641f822175e739880b2b20c2d408c86791afaec845f5b36f1e3354b31fd6",
+    ),
     "golden_dual_wavelength": (
         "ef2fc73316b92d2862c64895511f8f09440f5274ddd5f1a6d2eb29ffe3c75355",
         "ee6f9d956c6f13b4a27c179bc39c17ef409e4fa2e6dd579182711c04605659da",
@@ -110,7 +151,8 @@ GOLDEN = {
 }
 
 
-INLINE = {cfg["name"]: cfg for cfg in (POWER_SPLIT_CFG, DUAL_WAVELENGTH_CFG)}
+INLINE = {cfg["name"]: cfg
+          for cfg in (POWER_SPLIT_CFG, DUAL_WAVELENGTH_CFG, BROADCAST_PROTOCOL_CFG)}
 
 
 def _sha256(data: bytes) -> str:
