@@ -76,6 +76,12 @@ def rng_stream(master_seed: int, purpose: str) -> "np.random.Generator":
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(key,)))
 
 
+def _boundary_time(sched: TimeSwitchSchedule, k: int) -> float:
+    """Slot boundary k of a schedule whose t1 and t2 are both > 0."""
+    period_idx, half = divmod(k, 2)
+    return sched.phase_offset + period_idx * sched.period + (sched.t1 if half == 0 else sched.period)
+
+
 # -- Scenario definition (built by sliptsim.scenario from config files) ------
 
 
@@ -219,6 +225,9 @@ class _NodeRuntime:
     metrics: NodeMetrics
     links: list[_LinkRuntime] = field(default_factory=list)
     schedule: TimeSwitchSchedule | None = None
+    # (harvest_pool, decode_pool, total) optical W over the links; None once
+    # a link's active or fade has changed, until _refresh sums them again
+    pools: tuple[float, float, float] | None = None
     # piecewise-constant snapshot, valid since last_t
     last_t: float = 0.0
     harvest_elec: float = 0.0  # W into the store
@@ -372,12 +381,18 @@ class Simulation:
         # a new period (harvest slot).  Times are recomputed from k each time
         # so the slot grid never accumulates floating-point drift.
         k = n.slot_index
-        period_idx, half = divmod(k, 2)
-        t = sched.phase_offset + period_idx * sched.period + (sched.t1 if half == 0 else sched.period)
-        if t <= self.now:  # phase_offset may place early boundaries in the past
-            n.slot_index += 1
-            self._schedule_next_slot(n, node_id)
-            return
+        t = _boundary_time(sched, k)
+        if t <= self.now:
+            # A hand-built negative phase_offset puts early boundaries in the
+            # past: jump to the period before the one holding `now` (the
+            # margin absorbs rounding in the division), then step to the
+            # first boundary after it.
+            k = max(k, 2 * int((self.now - sched.phase_offset) // sched.period) - 2)
+            t = _boundary_time(sched, k)
+            while t <= self.now:
+                k += 1
+                t = _boundary_time(sched, k)
+            n.slot_index = k
         self._schedule(t, "slot_boundary", node_id=node_id)
 
     # -- power bookkeeping ----------------------------------------------------
@@ -406,19 +421,32 @@ class Simulation:
             return n.cfg.uplink_load
         return n.cfg.active_load
 
-    def _refresh(self, n: _NodeRuntime, t: float):
-        """Recompute the piecewise-constant power snapshot at time t and
-        (re)arm the node's charge / depletion timer."""
+    @staticmethod
+    def _light_pools(n: _NodeRuntime) -> tuple[float, float, float]:
+        """Sum the lit links in link order.  A dark link would add +0.0,
+        which leaves every (non-negative) partial sum as it is, so skipping
+        it gives the same floats as summing all of them."""
         harvest_pool = 0.0
         decode_pool = 0.0
         total = 0.0
         for link in n.links:
-            p = link.power_now()
+            if not link.active:
+                continue
+            p = link.base_power * link.fade
             total += p
             if link.in_harvest:
                 harvest_pool += p
             if link.in_decode:
                 decode_pool += p
+        return harvest_pool, decode_pool, total
+
+    def _refresh(self, n: _NodeRuntime, t: float):
+        """Recompute the piecewise-constant power snapshot at time t and
+        (re)arm the node's charge / depletion timer."""
+        pools = n.pools
+        if pools is None:
+            pools = n.pools = self._light_pools(n)
+        harvest_pool, decode_pool, total = pools
         n.lit = total > 0.0
 
         cell = n.cell
@@ -567,6 +595,7 @@ class Simulation:
                     link.fade = sample_fading(link.params.turbulence, link.rng)
             if not touched:
                 continue
+            n.pools = None
             self._advance(n, t)
             was_lit = n.lit
             self._refresh(n, t)
@@ -588,6 +617,7 @@ class Simulation:
         for link in n.links:  # fading coherence is tied to the slot length
             if link.active and link.rng is not None:
                 link.fade = sample_fading(link.params.turbulence, link.rng)
+                n.pools = None
         self._refresh(n, t)
         n.slot_index += 1
         self._schedule_next_slot(n, node_id)

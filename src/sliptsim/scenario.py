@@ -160,8 +160,11 @@ def _turbulence(value, path: str, stream_default: str = "") -> TurbulenceModel:
 
 def _slots(cls):
     def build(obj: dict, path: str) -> TimeSwitchSchedule:
+        phase_offset = _qty(obj, "phase_offset", "time", path, default=0.0)
+        if phase_offset < 0:
+            raise ConfigError(f"{path}.phase_offset", "must be >= 0")
         return cls(_qty(obj, "t1", "time", path), _qty(obj, "t2", "time", path),
-                   _qty(obj, "phase_offset", "time", path, default=0.0))
+                   phase_offset)
 
     return build
 

@@ -199,3 +199,22 @@ def test_sweep_rejects_a_nan_value_at_its_path(capsys):
                "--values", "1mW,NaN"])
     assert rc == 1
     assert "transmitters[0].power: expected a finite power quantity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy_path", ["policy", "nodes[0].policy"])
+def test_negative_phase_offset_exits_1_with_its_path(tmp_path, capsys, policy_path):
+    def edit(cfg):
+        policy = {"kind": "time_switch", "t1": "0.5s", "t2": "0.5s", "phase_offset": "-1000s"}
+        if policy_path == "policy":
+            cfg["policy"] = policy
+        else:
+            cfg["nodes"][0]["policy"] = policy
+
+    bad = _variant(tmp_path, DEMO, edit)
+    for argv in (["validate", "--scenario", bad],
+                 ["run", "--scenario", bad, "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        prefix = "scenario." if policy_path == "policy" else ""
+        assert f"{prefix}{policy_path}.phase_offset: must be >= 0" in err
+        assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from sliptsim.engine import (
 from sliptsim.engine import run as run_scenario
 from sliptsim.errors import ConfigError
 from sliptsim.node import Phase
+from sliptsim.policy import TimeSwitchSchedule
 from sliptsim.scenario import build_scenario, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -311,3 +313,46 @@ def test_only_turbulent_links_get_a_stream(monkeypatch):
     calm, wavy = sim.nodes["n0"].links
     assert calm.rng is None and wavy.rng is not None
     assert calls == ["fading:wavy:n0"]
+
+
+def _slotted(phase_offset: float, t1: float = 1.0, t2: float = 1.0):
+    """turbulent_demo with a hand-built schedule, which the loader would
+    refuse for a negative phase_offset."""
+    sc = load_scenario(SCENARIOS / "turbulent_demo.json")
+    policy = TimeSwitchSchedule(t1, t2, phase_offset)
+    sc.nodes = [replace(nd, policy=policy) for nd in sc.nodes]
+    return sc
+
+
+def test_slot_boundaries_in_the_past_are_skipped_in_one_step():
+    # -1000 s is 500 whole 2 s periods, so the grid is the offset-0 grid;
+    # stepping one boundary per call would recurse 1000 frames deep
+    shifted = run_scenario(_slotted(-1000.0))
+    assert shifted[0].to_dict() == run_scenario(_slotted(0.0))[0].to_dict()
+    assert list(shifted[1]) == list(run_scenario(_slotted(0.0))[1])
+    sim = Simulation(_slotted(-1e12))  # would need 1e12 steps
+    n = next(iter(sim.nodes.values()))
+    assert n.slot_index == 10**12
+    assert [(t, kind) for t, _, kind, _ in sim._heap if kind == "slot_boundary"] == [
+        (1.0, "slot_boundary")]
+
+
+@pytest.mark.parametrize("phase_offset, t1, t2, now", [
+    (-7.3, 0.25, 0.5, 0.0),
+    (-7.3, 0.25, 0.5, 12.6),
+    (-1e6, 0.01, 0.03, 5e5),
+    (-0.1, 3.0, 1e-3, 1e4),
+    (-123.456, 1e-3, 1e-3, 987.654),
+])
+def test_catch_up_lands_on_the_first_boundary_after_now(phase_offset, t1, t2, now):
+    sim = Simulation(_slotted(phase_offset, t1, t2))
+    n = next(iter(sim.nodes.values()))
+    sim._heap.clear()
+    sim.now = now
+    n.slot_index = 0
+    sim._schedule_next_slot(n, n.cfg.node_id)
+    [(t, _, kind, _)] = sim._heap
+    k = n.slot_index
+    assert kind == "slot_boundary"
+    assert t == engine._boundary_time(n.schedule, k) > now
+    assert engine._boundary_time(n.schedule, k - 1) <= now

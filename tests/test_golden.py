@@ -18,8 +18,8 @@ from pathlib import Path
 import pytest
 
 from sliptsim.cli import main
-from sliptsim.engine import run, trace_to_csv, trace_to_jsonl
-from sliptsim.scenario import build_scenario, load_scenario
+from sliptsim.engine import Simulation, run, trace_to_csv, trace_to_jsonl
+from sliptsim.scenario import build_scenario, load_scenario, read_config
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -202,3 +202,51 @@ def test_cli_streams_the_golden_bytes(name, fmt, tmp_path, monkeypatch):
         assert (out / "trace.jsonl").read_bytes() == expected.encode("utf-8")
     assert _sha256((out / "metrics.json").read_bytes()) == metrics_digest
     assert sorted(p.name for p in out.iterdir()) == ["metrics.json", f"trace.{fmt}"]
+
+
+class _CheckedPools(Simulation):
+    """Checks, before each refresh that reuses a node's cached light pools,
+    that they equal a fresh sum over every link, dark ones included."""
+
+    hits = 0
+
+    def _refresh(self, n, t):
+        if n.pools is not None:
+            harvest_pool = decode_pool = total = 0.0
+            for link in n.links:
+                p = link.power_now()
+                total += p
+                if link.in_harvest:
+                    harvest_pool += p
+                if link.in_decode:
+                    decode_pool += p
+            assert n.pools == (harvest_pool, decode_pool, total), (n.cfg.node_id, t)
+            self.hits += 1
+        super()._refresh(n, t)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cached_light_pools_equal_a_sum_over_all_links(name):
+    sim = _CheckedPools(_scenario(name))
+    metrics, trace = sim.run()
+    # in turbulent_demo every refresh follows a fade redraw, so none reuses
+    assert (sim.hits > 0) is (name != "turbulent_demo")
+    metrics_text = json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert (_sha256(trace_to_csv(trace).encode("utf-8")),
+            _sha256(metrics_text.encode("utf-8"))) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["tank_1m5", "golden_broadcast_protocol"])
+def test_deprecated_cell_keys_change_no_result(name):
+    # cell.area and cell.decode_bandwidth are parsed and range-checked, but
+    # no model reads them; only the scenario hash sees the edit
+    cfg = (json.loads(json.dumps(INLINE[name])) if name in INLINE
+           else read_config(SCENARIOS / f"{name}.json"))
+    for node in cfg["nodes"]:
+        node.setdefault("cell", {}).update(area="1cm2", decode_bandwidth="2MHz")
+    metrics, trace = run(build_scenario(cfg, default_name=name))
+    assert _sha256(trace_to_csv(trace).encode("utf-8")) == GOLDEN[name][0]
+    baseline = run(_scenario(name))[0].to_dict()
+    edited = metrics.to_dict()
+    assert edited.pop("scenario_hash") != baseline.pop("scenario_hash")
+    assert edited == baseline
