@@ -6,6 +6,13 @@ energy is integrated in closed form when a node is next touched (lazy
 per-node advancement), and charge/depletion instants are scheduled as
 exact timer events instead of being polled.
 
+Each node caches its light pools (harvest, decode and total optical
+power over its links).  They are summed again only after a link of the
+node goes on or off or has a fade redrawn, and that sum visits the
+links in their fixed order but skips the dark ones.  A dark link would
+add +0.0, and s + 0.0 == s bit for bit for every partial sum s >= 0, so
+the pools are the same floats as a sum over every link.
+
 Randomness: every random stream is derived from the master seed as
 
     default_rng(SeedSequence(master_seed, spawn_key=(crc32(purpose),)))
@@ -421,32 +428,25 @@ class Simulation:
             return n.cfg.uplink_load
         return n.cfg.active_load
 
-    @staticmethod
-    def _light_pools(n: _NodeRuntime) -> tuple[float, float, float]:
-        """Sum the lit links in link order.  A dark link would add +0.0,
-        which leaves every (non-negative) partial sum as it is, so skipping
-        it gives the same floats as summing all of them."""
-        harvest_pool = 0.0
-        decode_pool = 0.0
-        total = 0.0
-        for link in n.links:
-            if not link.active:
-                continue
-            p = link.base_power * link.fade
-            total += p
-            if link.in_harvest:
-                harvest_pool += p
-            if link.in_decode:
-                decode_pool += p
-        return harvest_pool, decode_pool, total
-
     def _refresh(self, n: _NodeRuntime, t: float):
         """Recompute the piecewise-constant power snapshot at time t and
         (re)arm the node's charge / depletion timer."""
-        pools = n.pools
-        if pools is None:
-            pools = n.pools = self._light_pools(n)
-        harvest_pool, decode_pool, total = pools
+        if n.pools is None:
+            harvest_pool = 0.0
+            decode_pool = 0.0
+            total = 0.0
+            for link in n.links:
+                if not link.active:  # adds +0.0: see the module docstring
+                    continue
+                p = link.base_power * link.fade
+                total += p
+                if link.in_harvest:
+                    harvest_pool += p
+                if link.in_decode:
+                    decode_pool += p
+            n.pools = (harvest_pool, decode_pool, total)
+        else:
+            harvest_pool, decode_pool, total = n.pools
         n.lit = total > 0.0
 
         cell = n.cell

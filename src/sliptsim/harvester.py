@@ -25,11 +25,12 @@ class CellMode(enum.Enum):
 class SolarCell:
     """One solar cell and its receive-chain parameters.
 
-    area: active area [m^2]
+    area: active area [m^2]; a datasheet value no model reads (the
+        collected light is set by the link's receiver aperture)
     conversion_efficiency: optical-to-electrical efficiency in PV mode,
         taken as the max-power-point value (0, 1]
-    decode_bandwidth: 3-dB bandwidth in photovoltaic mode [Hz]; carried
-        as a datasheet parameter, independent of decode_rate
+    decode_bandwidth: 3-dB bandwidth in photovoltaic mode [Hz]; a
+        datasheet value no model reads, independent of decode_rate
     decode_rate: configured link rate in photoconductive mode [bit/s]
     sensitivity: minimum optical power for error-free decoding [W]
     switch_latency: relay settling time on a mode change [s]
