@@ -86,7 +86,8 @@ def rng_stream(master_seed: int, purpose: str) -> "np.random.Generator":
 def _boundary_time(sched: TimeSwitchSchedule, k: int) -> float:
     """Slot boundary k of a schedule whose t1 and t2 are both > 0."""
     period_idx, half = divmod(k, 2)
-    return sched.phase_offset + period_idx * sched.period + (sched.t1 if half == 0 else sched.period)
+    return (sched.phase_offset + period_idx * sched.period
+            + (sched.t1 if half == 0 else sched.period))
 
 
 # -- Scenario definition (built by sliptsim.scenario from config files) ------

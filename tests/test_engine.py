@@ -325,12 +325,13 @@ def _slotted(phase_offset: float, t1: float = 1.0, t2: float = 1.0):
 
 
 def test_slot_boundaries_in_the_past_are_skipped_in_one_step():
-    # -1000 s is 500 whole 2 s periods, so the grid is the offset-0 grid;
-    # stepping one boundary per call would recurse 1000 frames deep
-    shifted = run_scenario(_slotted(-1000.0))
-    assert shifted[0].to_dict() == run_scenario(_slotted(0.0))[0].to_dict()
-    assert list(shifted[1]) == list(run_scenario(_slotted(0.0))[1])
-    sim = Simulation(_slotted(-1e12))  # would need 1e12 steps
+    # -1000 s is 500 whole 2 s periods, so the grid is the offset-0 grid
+    # with 1000 boundaries already past at t = 0
+    shifted_metrics, shifted_trace = run_scenario(_slotted(-1000.0))
+    metrics, trace = run_scenario(_slotted(0.0))
+    assert shifted_metrics.to_dict() == metrics.to_dict()
+    assert list(shifted_trace) == list(trace)
+    sim = Simulation(_slotted(-1e12))  # 1e12 boundaries already past
     n = next(iter(sim.nodes.values()))
     assert n.slot_index == 10**12
     assert [(t, kind) for t, _, kind, _ in sim._heap if kind == "slot_boundary"] == [

@@ -173,12 +173,15 @@ def _scenario(name: str):
     return load_scenario(SCENARIOS / f"{name}.json")
 
 
-def digests(name: str) -> tuple[str, str]:
-    """(trace.csv sha256, metrics.json sha256) as `sliptsim run` writes them."""
-    metrics, trace = run(_scenario(name))
+def _digests_of(metrics, trace) -> tuple[str, str]:
     metrics_text = json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
     return (_sha256(trace_to_csv(trace).encode("utf-8")),
             _sha256(metrics_text.encode("utf-8")))
+
+
+def digests(name: str) -> tuple[str, str]:
+    """(trace.csv sha256, metrics.json sha256) as `sliptsim run` writes them."""
+    return _digests_of(*run(_scenario(name)))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -228,12 +231,9 @@ class _CheckedPools(Simulation):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cached_light_pools_equal_a_sum_over_all_links(name):
     sim = _CheckedPools(_scenario(name))
-    metrics, trace = sim.run()
+    assert _digests_of(*sim.run()) == GOLDEN[name]
     # in turbulent_demo every refresh follows a fade redraw, so none reuses
     assert (sim.hits > 0) is (name != "turbulent_demo")
-    metrics_text = json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
-    assert (_sha256(trace_to_csv(trace).encode("utf-8")),
-            _sha256(metrics_text.encode("utf-8"))) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", ["tank_1m5", "golden_broadcast_protocol"])
