@@ -6,9 +6,11 @@ that says why its traces differ; a refactor that reorders a float sum
 shows up here.  Two inline configs cover the power_split and
 dual_wavelength policies, which no bundled scenario runs; a third has
 several broadcast transmitters take turns over a protocol fleet, so
-links toggle and fades are redrawn on many nodes.  Each case is
-checked twice: serialized from the in-memory trace, and as `sliptsim
-run` streams it to its output directory.
+links toggle and fades are redrawn on many nodes; a fourth redraws the
+fades of three turbulent links every 5 ms slot for 30 s, thousands of
+draws per link, two of the links naming the same random stream.  Each
+case is checked twice: serialized from the in-memory trace, and as
+`sliptsim run` streams it to its output directory.
 """
 
 import hashlib
@@ -84,6 +86,11 @@ DUAL_WAVELENGTH_CFG = {
     ],
 }
 
+_SLOT_BEAM = {
+    "wavelength": "450nm", "water": "clear_ocean", "beam_waist": "2mm",
+    "divergence": "1mrad", "distance": "1.5m", "receiver_radius": "35mm",
+}
+
 _NODE_IDS = [f"b{i}" for i in range(6)]
 
 
@@ -119,6 +126,32 @@ BROADCAST_PROTOCOL_CFG = {
                                          "0.52J", "0.6J", "0.7J"])],
 }
 
+# Time switching in 5 ms slots under three turbulent transmitters: every
+# slot boundary redraws each lit link's fade, so each link takes 5500-6000
+# fades.  tx0 and tx2 name the same stream, so each draws the same sequence
+# from its own generator.  The store sits near full: it tops up in most
+# periods (charge_check:full) and leaves superseded depletion timers.
+FAST_SLOTS_CFG = {
+    "name": "golden_fast_slots",
+    "duration": "30s",
+    "seed": 14,
+    "policy": {"kind": "time_switch", "t1": "5ms", "t2": "5ms"},
+    "transmitters": [
+        {"id": "tx0", "power": "1W", **_SLOT_BEAM,
+         "turbulence": {"sigma2": 0.25, "stream": "fading:shared"}, "on": "0s"},
+        {"id": "tx1", "power": "0.6W", **_SLOT_BEAM, "turbulence": {"sigma2": 1.0},
+         "on": "0.5s", "off": "28s"},
+        {"id": "tx2", "power": "0.3W", **_SLOT_BEAM,
+         "turbulence": {"sigma2": 0.25, "stream": "fading:shared"}, "on": "2s"},
+    ],
+    "nodes": [{
+        "id": "buoy",
+        "cell": {"sensitivity": "1uW", "switch_latency": "1ms"},
+        "store": {"type": "battery", "capacity": "2J", "stored": "1.9J"},
+        "load": "sense_and_save",
+    }],
+}
+
 GOLDEN = {
     "golden_broadcast_protocol": (
         "5e9faf5575b2210112e45cf6741ff4152437a3a7c8f05d3ad13d9766a31f5a58",
@@ -127,6 +160,10 @@ GOLDEN = {
     "golden_dual_wavelength": (
         "ef2fc73316b92d2862c64895511f8f09440f5274ddd5f1a6d2eb29ffe3c75355",
         "ee6f9d956c6f13b4a27c179bc39c17ef409e4fa2e6dd579182711c04605659da",
+    ),
+    "golden_fast_slots": (
+        "3943d388c8a30d0c441d6f09ec175fe987989b0e0f3f6a56191651bf05c96951",
+        "e0d24acd4969a796f7c90c7ba0af9beca4c7a283683acdf672694e6f804fc444",
     ),
     "golden_power_split": (
         "8e6f672415b77c0c28c747ac2c2674f389d0d4e0a623379f9c91c444a084ec4d",
@@ -152,7 +189,8 @@ GOLDEN = {
 
 
 INLINE = {cfg["name"]: cfg
-          for cfg in (POWER_SPLIT_CFG, DUAL_WAVELENGTH_CFG, BROADCAST_PROTOCOL_CFG)}
+          for cfg in (POWER_SPLIT_CFG, DUAL_WAVELENGTH_CFG, BROADCAST_PROTOCOL_CFG,
+                      FAST_SLOTS_CFG)}
 
 
 def _sha256(data: bytes) -> str:
