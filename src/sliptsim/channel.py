@@ -154,20 +154,31 @@ def geometric_capture(geometry: BeamGeometry) -> float:
     return min(1.0, ratio * ratio)
 
 
-def sample_fading(model: TurbulenceModel, rng: "np.random.Generator") -> float:
-    """Draw one turbulence fading coefficient from the model.
+def sample_fading(model: TurbulenceModel, rng: "np.random.Generator",
+                  size: int | None = None) -> "float | list[float]":
+    """Draw one turbulence fading coefficient from the model, or with
+    `size` a list of that many.
 
     Samples are log-normal with unit mean and log-variance
     ln(1 + sigma^2), so the sample variance equals the scintillation
     index.  sigma^2 = 0 returns exactly 1.0 without consuming randomness.
+
+    A block of k draws equals k scalar draws from the same stream, bit
+    for bit and in order: numpy's Generator fills an array by calling
+    the same per-sample routine k times, and tolist() hands the values
+    back as Python floats, so a block can be split or joined anywhere
+    without changing a fade.
     """
     sigma2 = model.scintillation_index
     if sigma2 < 0:
         raise DomainError("scintillation_index must be >= 0")
     if sigma2 == 0.0:
-        return 1.0
+        return 1.0 if size is None else [1.0] * size
     log_var = math.log1p(sigma2)
-    return float(rng.lognormal(mean=-log_var / 2.0, sigma=math.sqrt(log_var)))
+    mean, sigma = -log_var / 2.0, math.sqrt(log_var)
+    if size is None:
+        return float(rng.lognormal(mean=mean, sigma=sigma))
+    return rng.lognormal(mean=mean, sigma=sigma, size=size).tolist()
 
 
 def received_power(link: LinkParams, rng: "np.random.Generator") -> float:

@@ -23,12 +23,22 @@ fixed (scenario, seed) pair reproduces traces byte for byte.  Only links
 with a non-zero scintillation index draw from a stream, so only those
 get one, and numpy is imported when the first one is built: a calm
 scenario runs without it.
+
+A turbulent link draws its fades in blocks and hands them out one at a
+time.  The blocks double from 1 up to 1024 fades, so a link that draws
+only when its transmitter comes on wastes nothing, and one redrawn every
+slot makes one numpy call per 1024 fades.  Each link builds its own
+Generator, even when two links name the same stream, and draws nothing
+else from it, so drawing ahead cannot reorder anything; a block of k
+equals k single draws bit for bit (channel.sample_fading), so the fades
+are the same floats as one draw per fade.
 """
 
 import heapq
 import itertools
 import json
 import math
+import operator
 import os
 import zlib
 from dataclasses import dataclass, field, replace
@@ -61,6 +71,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 FRAME_BITS = 32  # 4-byte command frame
+_FADE_BLOCK_CAP = 1024  # fades a turbulent link draws at once, at most
 _FULL_REL_TOL = 1e-12
 
 TRACE_FIELDS = (
@@ -225,6 +236,24 @@ class _LinkRuntime:
 
 
 @dataclass
+class _TurbulentLink(_LinkRuntime):
+    """A link with a non-zero scintillation index: it owns its stream and
+    keeps the fades drawn ahead of use, next one last (see the module
+    docstring).  Calm links are plain _LinkRuntime and carry no buffer."""
+
+    fades: list[float] = field(default_factory=list)
+    block: int = 1  # size of the next block drawn
+
+    def draw_fade(self) -> float:
+        if not self.fades:
+            fades = sample_fading(self.params.turbulence, self.rng, self.block)
+            fades.reverse()
+            self.fades = fades
+            self.block = min(2 * self.block, _FADE_BLOCK_CAP)
+        return self.fades.pop()
+
+
+@dataclass
 class _NodeRuntime:
     cfg: NodeDef
     cell: SolarCell
@@ -298,18 +327,13 @@ class Simulation:
     def _link_for(self, tx: TransmitterDef, node_id: str, beam: LinkParams,
                   tag: str, in_harvest: bool, in_decode: bool) -> _LinkRuntime:
         beam = tx.beam_for(beam, node_id)
-        link = _LinkRuntime(
-            tx_id=tx.tx_id,
-            node_id=node_id,
-            params=beam,
-            in_harvest=in_harvest,
-            in_decode=in_decode,
-        )
         turbulence = beam.turbulence
         if turbulence.scintillation_index > 0.0:
             # streams are keyed by name, so skipping calm links moves no draw
-            link.rng = rng_stream(
-                self.seed, turbulence.rng_stream_id or f"fading:{tag}:{node_id}")
+            rng = rng_stream(self.seed, turbulence.rng_stream_id or f"fading:{tag}:{node_id}")
+            link = _TurbulentLink(tx.tx_id, node_id, beam, in_harvest, in_decode, rng=rng)
+        else:
+            link = _LinkRuntime(tx.tx_id, node_id, beam, in_harvest, in_decode)
         link.base_power = attenuate(
             beam.tx_power, beam.water.total_attenuation, beam.geometry.distance
         ) * geometric_capture(beam.geometry)
@@ -593,7 +617,7 @@ class Simulation:
                 touched = True
                 link.active = turn_on
                 if turn_on and link.rng is not None:
-                    link.fade = sample_fading(link.params.turbulence, link.rng)
+                    link.fade = link.draw_fade()
             if not touched:
                 continue
             n.pools = None
@@ -617,7 +641,7 @@ class Simulation:
             self._schedule(ready, "timer_expiry", action="cell_ready", node_id=node_id)
         for link in n.links:  # fading coherence is tied to the slot length
             if link.active and link.rng is not None:
-                link.fade = sample_fading(link.params.turbulence, link.rng)
+                link.fade = link.draw_fade()
                 n.pools = None
         self._refresh(n, t)
         n.slot_index += 1
@@ -747,23 +771,26 @@ def run(scenario: Scenario, seed_override: int | None = None,
 CSV_HEADER = ",".join(TRACE_FIELDS) + "\n"
 
 
-def _csv_row(values) -> str:
-    """One CSV line: floats as repr, which round-trips exactly; the rest as str."""
-    return ",".join([repr(v) if isinstance(v, float) else str(v) for v in values]) + "\n"
+# One CSV line: the numeric columns as repr, which round-trips a float
+# exactly, and the text columns as str.
+_CSV_ROW = "%r,%s,%s,%s,%r,%r,%r,%r\n"
+_field_values = operator.itemgetter(*TRACE_FIELDS)
 
 
 def _jsonl_row(values) -> str:
     return json.dumps(dict(zip(TRACE_FIELDS, values)), separators=(",", ":")) + "\n"
 
 
-def _row_values(record):
+def _row_values(record) -> tuple:
     """A row's values in TRACE_FIELDS order: MemorySink rows are dicts,
     FileSink chunks hold the value tuples as written."""
-    return [record[k] for k in TRACE_FIELDS] if isinstance(record, dict) else record
+    return _field_values(record) if isinstance(record, dict) else tuple(record)
 
 
 def trace_to_csv(records) -> str:
-    return CSV_HEADER + "".join([_csv_row(_row_values(r)) for r in records])
+    row = _CSV_ROW
+    return CSV_HEADER + "".join([
+        row % (r if isinstance(r, tuple) else _row_values(r)) for r in records])
 
 
 def trace_to_jsonl(records) -> str:

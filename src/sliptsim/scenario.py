@@ -264,6 +264,8 @@ def _build_transmitter(obj, index: int) -> TransmitterDef:
         distances[node_id] = parse_quantity(d, "length", f"{path}.distances.{node_id}")
 
     on_time = _qty(obj, "on", "time", path, default=0.0)
+    if on_time < 0:
+        raise ConfigError(f"{path}.on", f"must be >= 0, got {on_time} s")
     off_time = None if obj.get("off") is None else _qty(obj, "off", "time", path)
     if off_time is not None and off_time < on_time:
         raise ConfigError(f"{path}.off", f"must be >= on ({on_time} s), got {off_time} s")
@@ -439,11 +441,10 @@ def _build_stimulus(obj, index: int) -> StimulusDef:
         valid = ", ".join(s.value for s in Stimulus)
         raise ConfigError(f"{path}.stimulus",
                           f"unknown stimulus {name!r} (have: {valid})") from None
-    return StimulusDef(
-        time=_qty(obj, "time", "time", path),
-        node_id=_str_field(obj, "node", path, ""),
-        stimulus=stim,
-    )
+    time = _qty(obj, "time", "time", path)
+    if time < 0:
+        raise ConfigError(f"{path}.time", f"must be >= 0, got {time} s")
+    return StimulusDef(time=time, node_id=_str_field(obj, "node", path, ""), stimulus=stim)
 
 
 # -- public API ---------------------------------------------------------------
@@ -489,6 +490,9 @@ def build_scenario(cfg: dict, default_name: str = "scenario") -> Scenario:
     for i, st in enumerate(stimuli):
         if st.node_id not in known:
             raise ConfigError(f"stimuli[{i}].node", f"unknown node {st.node_id!r}")
+        if st.time > duration:
+            raise ConfigError(f"stimuli[{i}].time",
+                              f"must be <= duration ({duration} s), got {st.time} s")
     spatial_nodes = [n for n in nodes if n.policy.spatial]
     if spatial_nodes:
         if len(spatial_nodes) != len(nodes):

@@ -116,6 +116,34 @@ def test_fading_samples_positive_and_seeded():
     assert len(set(a)) > 90  # essentially all distinct
 
 
+@pytest.mark.parametrize("sigma2", [0.01, 0.25, 1.0])
+@pytest.mark.parametrize("k", [1, 2, 3, 1023, 1024, 1025])
+def test_fading_block_equals_scalar_draws(k, sigma2):
+    model = TurbulenceModel(sigma2)
+    block = sample_fading(model, np.random.default_rng(11), k)
+    rng = np.random.default_rng(11)
+    assert block == [sample_fading(model, rng) for _ in range(k)]
+    assert all(type(x) is float for x in block)  # an np.float64 would reach the trace
+
+
+@pytest.mark.parametrize("sigma2", [0.01, 0.25, 1.0])
+def test_fading_doubling_blocks_join_into_the_scalar_sequence(sigma2):
+    model = TurbulenceModel(sigma2)
+    rng = np.random.default_rng(12)
+    joined = []
+    for size in [2 ** i for i in range(11)] + [1024, 1024]:  # 1, 2, ..., 1024, 1024, 1024
+        joined += sample_fading(model, rng, size)
+    rng = np.random.default_rng(12)
+    assert joined == [sample_fading(model, rng) for _ in range(len(joined))]
+
+
+def test_fading_calm_block_is_ones_without_drawing():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert sample_fading(TurbulenceModel(0.0), rng, 3) == [1.0, 1.0, 1.0]
+    assert rng.bit_generator.state == state
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.01, 2.0))
 def test_fading_unit_mean(sigma2):

@@ -218,3 +218,25 @@ def test_negative_phase_offset_exits_1_with_its_path(tmp_path, capsys, policy_pa
         prefix = "scenario." if policy_path == "policy" else ""
         assert f"{prefix}{policy_path}.phase_offset: must be >= 0" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda cfg: cfg["transmitters"][0].update(on="-2s"), "transmitters[0].on: must be >= 0"),
+    (lambda cfg: cfg.update(stimuli=[{"time": "-1s", "node": "buoy",
+                                      "stimulus": "light_detected"}]),
+     "stimuli[0].time: must be >= 0"),
+    (lambda cfg: cfg.update(stimuli=[{"time": "61s", "node": "buoy",
+                                      "stimulus": "light_detected"}]),
+     "stimuli[0].time: must be <= duration (60.0 s)"),
+], ids=["tx_on_negative", "stimulus_negative", "stimulus_after_duration"])
+def test_event_times_outside_the_run_exit_1_with_their_path(tmp_path, capsys, edit, message):
+    # before the check, a -1 s stimulus wrote rows at t = -1.0 and 61 s of
+    # phase occupancy over a 60 s run
+    bad = _variant(tmp_path, DEMO, edit)
+    out = tmp_path / "out"
+    for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad, "--out", str(out)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +10,8 @@ from sliptsim.engine import (
     FRAME_BITS,
     Simulation,
     TRACE_FIELDS,
+    _LinkRuntime,
+    _TurbulentLink,
     rng_stream,
     trace_to_csv,
     trace_to_jsonl,
@@ -293,9 +295,17 @@ def test_calm_links_build_no_random_stream(monkeypatch, name):
     calls = []
     monkeypatch.setattr(engine, "rng_stream", lambda *args: calls.append(args))
     sim = Simulation(load_scenario(SCENARIOS / f"{name}.json"))
+    sim.run()
     links = [link for n in sim.nodes.values() for link in n.links]
     assert links and all(link.rng is None for link in links)
+    assert all(_is_plain(link) for link in links)
     assert calls == []
+
+
+def _is_plain(link) -> bool:
+    """A calm link: a bare _LinkRuntime with no attribute beyond its fields."""
+    return (type(link) is _LinkRuntime
+            and set(vars(link)) == {f.name for f in fields(_LinkRuntime)})
 
 
 def test_only_turbulent_links_get_a_stream(monkeypatch):
@@ -310,8 +320,10 @@ def test_only_turbulent_links_get_a_stream(monkeypatch):
         "nodes": [{"id": "n0", "store": _battery("10J", "0J")}],
     }
     sim = Simulation(build_scenario(cfg))
+    sim.run()
     calm, wavy = sim.nodes["n0"].links
     assert calm.rng is None and wavy.rng is not None
+    assert _is_plain(calm) and isinstance(wavy, _TurbulentLink)
     assert calls == ["fading:wavy:n0"]
 
 

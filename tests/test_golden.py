@@ -20,7 +20,15 @@ from pathlib import Path
 import pytest
 
 from sliptsim.cli import main
-from sliptsim.engine import Simulation, run, trace_to_csv, trace_to_jsonl
+from sliptsim.channel import sample_fading
+from sliptsim.engine import (
+    Simulation,
+    _TurbulentLink,
+    rng_stream,
+    run,
+    trace_to_csv,
+    trace_to_jsonl,
+)
 from sliptsim.scenario import build_scenario, load_scenario, read_config
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -272,6 +280,38 @@ def test_cached_light_pools_equal_a_sum_over_all_links(name):
     assert _digests_of(*sim.run()) == GOLDEN[name]
     # in turbulent_demo every refresh follows a fade redraw, so none reuses
     assert (sim.hits > 0) is (name != "turbulent_demo")
+
+
+@pytest.mark.parametrize("name", ["golden_fast_slots", "turbulent_demo"])
+def test_block_drawn_fades_equal_one_scalar_draw_per_fade(name, monkeypatch):
+    # every fade a link takes, in order, against a fresh copy of its stream
+    # drawn one fade at a time
+    taken: dict[int, list[float]] = {}
+    draw_fade = _TurbulentLink.draw_fade
+
+    def recording(link):
+        fade = draw_fade(link)
+        taken.setdefault(id(link), []).append(fade)
+        return fade
+
+    monkeypatch.setattr(_TurbulentLink, "draw_fade", recording)
+    sim = Simulation(_scenario(name))
+    assert _digests_of(*sim.run()) == GOLDEN[name]
+    links = [link for n in sim.nodes.values() for link in n.links]
+    assert sorted(taken) == sorted(id(link) for link in links)
+    by_tx = {}
+    for link in links:
+        fades = by_tx[link.tx_id] = taken[id(link)]
+        turbulence = link.params.turbulence
+        rng = rng_stream(sim.seed, turbulence.rng_stream_id
+                         or f"fading:{link.tx_id}:{link.node_id}")
+        assert fades == [sample_fading(turbulence, rng) for _ in fades]
+        assert all(type(fade) is float for fade in fades)
+    if name == "golden_fast_slots":
+        # every link crosses the 1024-fade block cap more than once
+        assert min(map(len, by_tx.values())) > 3 * 1024
+        # tx0 and tx2 name one stream, and each draws it from the start
+        assert by_tx["tx2"] == by_tx["tx0"][:len(by_tx["tx2"])]
 
 
 @pytest.mark.parametrize("name", ["tank_1m5", "golden_broadcast_protocol"])

@@ -93,6 +93,25 @@ def test_transmitter_off_before_on_rejected():
     assert len(issues) == 1 and issues[0].startswith("transmitters[0].off: must be >= on")
 
 
+@pytest.mark.parametrize("edit, where, message", [
+    ({"transmitters": [{"on": "-2s"}]}, "transmitters[0].on", "must be >= 0, got -2.0 s"),
+    ({"stimuli": [{"time": "-1s"}]}, "stimuli[0].time", "must be >= 0, got -1.0 s"),
+    ({"stimuli": [{"time": "10.5s"}]}, "stimuli[0].time",
+     "must be <= duration (10.0 s), got 10.5 s"),
+])
+def test_event_times_outside_the_run_rejected(edit, where, message):
+    tx = {"power": "1W", "water": "pure_sea", "receiver_radius": "1mm", "distance": "1m"}
+    stimulus = {"node": "n0", "stimulus": "light_detected"}
+    edges = _minimal(transmitters=[{**tx, "on": "0s"}],
+                     stimuli=[{**stimulus, "time": "0s"}, {**stimulus, "time": "10s"}])
+    assert validate_scenario(edges) == [] and build_scenario(edges)
+    key, (over,) = next(iter(edit.items()))
+    cfg = _minimal(**{key: [{**(tx if key == "transmitters" else stimulus), **over}]})
+    assert validate_scenario(cfg) == [f"{where}: {message}"]
+    with pytest.raises(ConfigError, match=re.escape(f"{where}: {message}")):
+        build_scenario(cfg)
+
+
 def test_non_finite_numbers_rejected_with_path():
     tx = {"power": math.nan, "water": "pure_sea", "receiver_radius": "1mm", "distance": "1m"}
     assert validate_scenario(_minimal(transmitters=[tx])) == [

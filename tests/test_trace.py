@@ -1,10 +1,14 @@
 """Trace sinks: streamed files match the in-memory trace byte for byte,
-`sweep` keeps no trace, and a failed run leaves no partial file."""
+`sweep` keeps no trace, and a failed run leaves no partial file.  CSV
+rows follow one rule, kept here as the reference: floats as repr, which
+round-trips exactly, everything else as str."""
 
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sliptsim.cli as cli
 import sliptsim.engine as engine
@@ -31,6 +35,29 @@ SLOTS_CFG = {
     "nodes": [{"id": "n0", "cell": {"sensitivity": "1mW"},
                "store": {"type": "battery", "capacity": "10J", "stored": "5J"}}],
 }
+
+
+def _csv_row(values) -> str:
+    """One CSV line by the reference rule."""
+    return ",".join([repr(v) if isinstance(v, float) else str(v) for v in values]) + "\n"
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e22, 0.1 + 0.2, 1.0, 3.0, -2.0, 2.0 ** 53]),
+    st.floats(),
+    st.integers(),
+    st.booleans(),
+)
+_ROWS = st.lists(st.tuples(_NUMBERS, st.text(), st.text(), st.text(),
+                           _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROWS)
+def test_csv_rows_follow_the_reference_rule(rows):
+    expected = engine.CSV_HEADER + "".join([_csv_row(row) for row in rows])
+    assert trace_to_csv(rows) == expected
+    assert trace_to_csv([dict(zip(engine.TRACE_FIELDS, row)) for row in rows]) == expected
 
 
 @pytest.fixture(autouse=True)
