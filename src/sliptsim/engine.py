@@ -238,8 +238,9 @@ class _LinkRuntime:
 @dataclass
 class _TurbulentLink(_LinkRuntime):
     """A link with a non-zero scintillation index: it owns its stream and
-    keeps the fades drawn ahead of use, next one last (see the module
-    docstring).  Calm links are plain _LinkRuntime and carry no buffer."""
+    keeps the fades drawn ahead of use in reverse order, so the next one
+    pops off the end (see the module docstring).  Calm links are plain
+    _LinkRuntime and carry no buffer."""
 
     fades: list[float] = field(default_factory=list)
     block: int = 1  # size of the next block drawn
