@@ -14,7 +14,6 @@ from sliptsim.channel import (
     WaterProperties,
     attenuate,
     geometric_capture,
-    received_power,
     sample_fading,
 )
 from sliptsim.energy_store import Battery, Supercapacitor
@@ -24,7 +23,6 @@ from sliptsim.errors import (
     DomainError,
     FrameError,
     GeometryError,
-    ModeError,
     NeverFullError,
     SimError,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "attenuate",
     "geometric_capture",
     "sample_fading",
-    "received_power",
     "SolarCell",
     "CellMode",
     "Battery",
@@ -82,7 +79,6 @@ __all__ = [
     "SimError",
     "DomainError",
     "GeometryError",
-    "ModeError",
     "FrameError",
     "ConfigError",
     "NeverFullError",

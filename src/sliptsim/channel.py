@@ -149,7 +149,7 @@ def geometric_capture(geometry: BeamGeometry) -> float:
     """
     w = geometry.radius_at_receiver()
     if w == 0.0:
-        raise GeometryError("zero-width beam: initial radius and divergence are both zero")
+        raise GeometryError("zero-width beam: its radius at the receiver is zero")
     ratio = geometry.receiver_aperture_radius / w
     return min(1.0, ratio * ratio)
 
@@ -179,16 +179,3 @@ def sample_fading(model: TurbulenceModel, rng: "np.random.Generator",
     if size is None:
         return float(rng.lognormal(mean=mean, sigma=sigma))
     return rng.lognormal(mean=mean, sigma=sigma, size=size).tolist()
-
-
-def received_power(link: LinkParams, rng: "np.random.Generator") -> float:
-    """Optical power arriving at the receiver for one channel realization.
-
-    Composes geometric capture, exponential attenuation, and one fading
-    sample.  With zero turbulence, zero divergence, zero attenuation and
-    an oversized aperture this returns exactly the transmit power.
-    """
-    capture = geometric_capture(link.geometry)
-    fade = sample_fading(link.turbulence, rng)
-    attenuated = attenuate(link.tx_power, link.water.total_attenuation, link.geometry.distance)
-    return attenuated * capture * fade

@@ -36,12 +36,6 @@ class EnergyStore:
         self.stored = min(self.capacity, max(0.0, before + energy))
         return self.stored - before
 
-    def integrate(self, net_power: float, dt: float) -> float:
-        """Apply net_power [W] for dt [s]; returns the clamped energy delta."""
-        if dt < 0:
-            raise DomainError("dt must be >= 0")
-        return self.deposit(net_power * dt)
-
     def time_to_full(self, net_power: float) -> float:
         """Seconds until full under constant net charging power."""
         if net_power <= 0:

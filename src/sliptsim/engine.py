@@ -1,10 +1,12 @@
 """Deterministic discrete-event simulation core.
 
 The engine owns a single event queue ordered by (time, insertion
-sequence).  Between events every per-node power flow is constant, so
-energy is integrated in closed form when a node is next touched (lazy
-per-node advancement), and charge/depletion instants are scheduled as
-exact timer events instead of being polled.
+sequence).  An entry is (time, seq, handler name, args), and the loop
+calls the handler method of that name with (time, *args).  Between
+events every per-node power flow is constant, so energy is integrated
+in closed form when a node is next touched (lazy per-node
+advancement), and charge/depletion instants are scheduled as exact
+timer events instead of being polled.
 
 Each node caches its light pools (harvest, decode and total optical
 power over its links).  They are summed again only after a link of the
@@ -47,7 +49,7 @@ from typing import TYPE_CHECKING, Protocol
 from sliptsim.channel import LinkParams, attenuate, geometric_capture, sample_fading
 from sliptsim.energy_store import EnergyStore
 from sliptsim.errors import ConfigError
-from sliptsim.harvester import SolarCell
+from sliptsim.harvester import CellMode, SolarCell
 from sliptsim.node import (
     Command,
     NodeState,
@@ -92,6 +94,16 @@ def rng_stream(master_seed: int, purpose: str) -> "np.random.Generator":
 
     key = zlib.crc32(purpose.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(key,)))
+
+
+def _mean_power(beam: LinkParams) -> float:
+    """A link's optical power with the fade excluded: P_t * capture * exp(-alpha z)."""
+    return attenuate(beam.tx_power, beam.water.total_attenuation,
+                     beam.geometry.distance) * geometric_capture(beam.geometry)
+
+
+def _is_full(store: EnergyStore) -> bool:
+    return store.stored >= store.capacity * (1.0 - _FULL_REL_TOL)
 
 
 def _boundary_time(sched: TimeSwitchSchedule, k: int) -> float:
@@ -275,9 +287,7 @@ class _NodeRuntime:
     lit: bool = False
     was_full: bool = False
     timer_gen: int = 0
-    # command session bookkeeping
-    session_commands: list[Command] = field(default_factory=list)
-    session_last_frame: int = -1
+    # command session bookkeeping: frame i carries cfg.commands[i]
     uplink_until: float = 0.0
     slot_index: int = 0
 
@@ -335,9 +345,7 @@ class Simulation:
             link = _TurbulentLink(tx.tx_id, node_id, beam, in_harvest, in_decode, rng=rng)
         else:
             link = _LinkRuntime(tx.tx_id, node_id, beam, in_harvest, in_decode)
-        link.base_power = attenuate(
-            beam.tx_power, beam.water.total_attenuation, beam.geometry.distance
-        ) * geometric_capture(beam.geometry)
+        link.base_power = _mean_power(beam)
         return link
 
     def _build_links(self):
@@ -369,9 +377,7 @@ class Simulation:
         for tx in self.scenario.transmitters:
             for node_id in node_ids:
                 beam = tx.beam_for(tx.beam, node_id)
-                p = attenuate(beam.tx_power, beam.water.total_attenuation,
-                              beam.geometry.distance) * geometric_capture(beam.geometry)
-                link_power[(tx.tx_id, node_id)] = p
+                link_power[(tx.tx_id, node_id)] = _mean_power(beam)
                 beams[(tx.tx_id, node_id)] = beam
         demands = {nid: self.nodes[nid].cfg.data_demand for nid in node_ids}
         sensitivity = {nid: self.nodes[nid].cell.sensitivity for nid in node_ids}
@@ -390,11 +396,11 @@ class Simulation:
 
     def _prime_events(self):
         for tx in self.scenario.transmitters:
-            self._schedule(tx.on_time, "timer_expiry", action="tx_on", tx_id=tx.tx_id)
+            self._schedule(tx.on_time, "_handle_timer", "tx_on", tx.tx_id)
             if tx.off_time is not None:
-                self._schedule(tx.off_time, "timer_expiry", action="tx_off", tx_id=tx.tx_id)
+                self._schedule(tx.off_time, "_handle_timer", "tx_off", tx.tx_id)
         for st in self.scenario.stimuli:
-            self._schedule(st.time, "custom", node_id=st.node_id, stimulus=st.stimulus)
+            self._schedule(st.time, "_handle_custom", st.node_id, st.stimulus)
         for node_id, n in self.nodes.items():
             if n.schedule is not None:
                 n.cell.mode = mode_at(n.schedule, 0.0)
@@ -403,8 +409,10 @@ class Simulation:
 
     # -- event plumbing -------------------------------------------------------
 
-    def _schedule(self, t: float, kind: str, **payload):
-        heapq.heappush(self._heap, (t, next(self._seq), kind, payload))
+    def _schedule(self, t: float, handler: str, *args):
+        # the handler's name, not a bound method: the heap keeps no
+        # reference to the simulation, so it forms no reference cycle
+        heapq.heappush(self._heap, (t, next(self._seq), handler, args))
 
     def _schedule_next_slot(self, n: _NodeRuntime, node_id: str):
         sched = n.schedule
@@ -426,7 +434,7 @@ class Simulation:
                 k += 1
                 t = _boundary_time(sched, k)
             n.slot_index = k
-        self._schedule(t, "slot_boundary", node_id=node_id)
+        self._schedule(t, "_handle_slot_boundary", node_id)
 
     # -- power bookkeeping ----------------------------------------------------
 
@@ -485,7 +493,7 @@ class Simulation:
         # a not-full -> full transition.  Delivering FullCharge re-enters
         # _refresh with was_full already set, so the recursion terminates.
         store = n.store
-        is_full = store.stored >= store.capacity * (1.0 - _FULL_REL_TOL)
+        is_full = _is_full(store)
         n.timer_gen += 1
         net = n.harvest_elec - n.load_elec
         flavor = None
@@ -499,8 +507,7 @@ class Simulation:
             # re-arm forever; one ulp later the load drains the residue.
             if at <= t:
                 at = math.nextafter(t, math.inf)
-            self._schedule(at, "charge_check", node_id=n.cfg.node_id,
-                           gen=n.timer_gen, flavor=flavor)
+            self._schedule(at, "_handle_charge_check", n.cfg.node_id, n.timer_gen, flavor)
         if is_full and not n.was_full:
             n.was_full = True
             n.metrics.charge_completions.append(t)
@@ -560,32 +567,30 @@ class Simulation:
     def _apply_action(self, n: _NodeRuntime, action, t: float):
         node_id = n.cfg.node_id
         if action.kind == "switch_cell_mode":
-            ready = n.cell.switch_mode(action.arg, t)
-            if ready > t:
-                self._schedule(ready, "timer_expiry", action="cell_ready", node_id=node_id)
+            self._switch_cell(n, action.arg, t)
         elif action.kind == "start_sensing":
             sensors = action.arg
             per = n.cfg.sense_seconds_per_sensor
             for i, sensor_id in enumerate(sensors):
-                self._schedule(t + (i + 1) * per, "sense_tick",
-                               node_id=node_id, sensor_id=sensor_id)
-            self._schedule(t + len(sensors) * per, "sense_tick",
-                           node_id=node_id, sensor_id=None)
+                self._schedule(t + (i + 1) * per, "_handle_sense_tick", node_id, sensor_id)
+            self._schedule(t + len(sensors) * per, "_handle_sense_tick", node_id, None)
         elif action.kind == "start_command_rx":
-            n.session_commands = list(n.cfg.commands)
-            n.session_last_frame = len(n.session_commands) - 1
             start = max(t, n.cell.ready_at)
-            if not n.session_commands:
-                self._schedule(start, "timer_expiry", action="commands_complete",
-                               node_id=node_id)
+            if not n.cfg.commands:
+                self._schedule(start, "_handle_timer", "commands_complete", node_id)
                 return
             frame_s = FRAME_BITS / n.cell.decode_rate
-            for i in range(len(n.session_commands)):
-                self._schedule(start + (i + 1) * frame_s, "frame_arrival",
-                               node_id=node_id, index=i)
+            for i in range(len(n.cfg.commands)):
+                self._schedule(start + (i + 1) * frame_s, "_handle_frame_arrival", node_id, i)
         elif action.kind == "protocol_error":
             n.metrics.protocol_errors += 1
             self._emit(t, n.cfg.node_id, "protocol_error", n)
+
+    def _switch_cell(self, n: _NodeRuntime, target: CellMode, t: float):
+        """Switch the cell; while its relay settles, arm cell_ready."""
+        ready = n.cell.switch_mode(target, t)
+        if ready > t:
+            self._schedule(ready, "_handle_timer", "cell_ready", n.cfg.node_id)
 
     # -- trace ----------------------------------------------------------------
 
@@ -636,10 +641,7 @@ class Simulation:
     def _handle_slot_boundary(self, t: float, node_id: str):
         n = self.nodes[node_id]
         self._advance(n, t)
-        target = mode_at(n.schedule, t)
-        ready = n.cell.switch_mode(target, t)
-        if ready > t:
-            self._schedule(ready, "timer_expiry", action="cell_ready", node_id=node_id)
+        self._switch_cell(n, mode_at(n.schedule, t), t)
         for link in n.links:  # fading coherence is tied to the slot length
             if link.active and link.rng is not None:
                 link.fade = link.draw_fade()
@@ -663,13 +665,13 @@ class Simulation:
         if sensor_id is not None:
             value = self._sensor_value(n, sensor_id, t)
             n.state.record_sensor(sensor_id, value, t)
-            self._refresh(n, t)
-            self._emit(t, node_id, f"sense_tick:{sensor_id}", n)
-            return
-        if n.state.phase is Phase.SENSE_SAVE:
-            self._deliver(n, Stimulus.SENSE_COMPLETE, t)
+            kind = f"sense_tick:{sensor_id}"
+        else:
+            if n.state.phase is Phase.SENSE_SAVE:
+                self._deliver(n, Stimulus.SENSE_COMPLETE, t)
+            kind = "sense_tick:complete"
         self._refresh(n, t)
-        self._emit(t, node_id, "sense_tick:complete", n)
+        self._emit(t, node_id, kind, n)
 
     def _handle_frame_arrival(self, t: float, node_id: str, index: int):
         n = self.nodes[node_id]
@@ -682,39 +684,37 @@ class Simulation:
             self.metrics.frame_errors[key] = self.metrics.frame_errors.get(key, 0) + 1
             kind = "frame_arrival:error"
         else:
-            cmd = decode_command(encode_command(n.session_commands[index]))
+            cmd = decode_command(encode_command(n.cfg.commands[index]))
             batch = n.state.execute_command(cmd)
             if batch and cmd.opcode in (Opcode.SEND_DATA, Opcode.RETRANSMIT):
                 tx_s = len(batch) * n.cfg.record_bits / n.cfg.uplink_rate
                 start = max(t, n.uplink_until)
                 n.uplink_until = start + tx_s
-                self._schedule(n.uplink_until, "timer_expiry",
-                               action="uplink_done", node_id=node_id, batch=batch)
+                self._schedule(n.uplink_until, "_handle_timer", "uplink_done", node_id, batch)
             kind = f"frame_arrival:{cmd.opcode.name.lower()}"
-        if index == n.session_last_frame:
+        if index == len(n.cfg.commands) - 1:
             done = max(t, n.uplink_until)
-            self._schedule(done, "timer_expiry", action="commands_complete",
-                           node_id=node_id)
+            self._schedule(done, "_handle_timer", "commands_complete", node_id)
         self._refresh(n, t)
         self._emit(t, node_id, kind, n)
 
-    def _handle_timer(self, t: float, action: str, payload: dict):
+    def _handle_timer(self, t: float, action: str, target_id: str, batch=()):
+        """A timed action: tx_on/tx_off name a transmitter; cell_ready,
+        commands_complete and uplink_done (with its batch) name a node."""
         if action in ("tx_on", "tx_off"):
-            self._handle_tx_power_change(t, payload["tx_id"], action == "tx_on")
+            self._handle_tx_power_change(t, target_id, action == "tx_on")
             return
-        node_id = payload["node_id"]
-        n = self.nodes[node_id]
+        n = self.nodes[target_id]
         self._advance(n, t)
         if action == "commands_complete":
             if n.state.phase is Phase.COMMAND_RX:
                 self._deliver(n, Stimulus.COMMANDS_COMPLETE, t)
         elif action == "uplink_done":
-            batch = payload["batch"]
             n.state.ack_transmission(batch)
             n.metrics.delivered_records += len(batch)
         # cell_ready needs no state change: the refresh below re-enables power
         self._refresh(n, t)
-        self._emit(t, node_id, f"timer_expiry:{action}", n)
+        self._emit(t, target_id, f"timer_expiry:{action}", n)
 
     def _handle_custom(self, t: float, node_id: str, stimulus: Stimulus):
         n = self.nodes[node_id]
@@ -729,29 +729,16 @@ class Simulation:
         """Simulate to the end, close the sink and return it with the metrics."""
         duration = self.scenario.duration
         while self._heap:
-            t, _seq, kind, payload = heapq.heappop(self._heap)
+            t, _seq, handler, args = heapq.heappop(self._heap)
             if t > duration:
                 break
             self.now = t
             self.metrics.events_processed += 1
-            if kind == "timer_expiry":
-                self._handle_timer(t, payload.pop("action"), payload)
-            elif kind == "slot_boundary":
-                self._handle_slot_boundary(t, payload["node_id"])
-            elif kind == "charge_check":
-                self._handle_charge_check(t, payload["node_id"], payload["gen"],
-                                          payload["flavor"])
-            elif kind == "sense_tick":
-                self._handle_sense_tick(t, payload["node_id"], payload["sensor_id"])
-            elif kind == "frame_arrival":
-                self._handle_frame_arrival(t, payload["node_id"], payload["index"])
-            elif kind == "custom":
-                self._handle_custom(t, payload["node_id"], payload["stimulus"])
+            getattr(self, handler)(t, *args)
         self.now = duration
         for node_id, n in self.nodes.items():
             self._advance(n, duration)
-            if (not n.was_full
-                    and n.store.stored >= n.store.capacity * (1.0 - _FULL_REL_TOL)):
+            if not n.was_full and _is_full(n.store):
                 n.was_full = True
                 n.metrics.charge_completions.append(duration)
             n.metrics.stored_final_j = n.store.stored

@@ -13,10 +13,6 @@ class GeometryError(DomainError):
     """Degenerate link geometry (e.g. a zero-width beam)."""
 
 
-class ModeError(SimError):
-    """A solar-cell operation was invoked in the wrong cell mode."""
-
-
 class FrameError(SimError):
     """A command frame failed sync, length, CRC, or opcode checks."""
 

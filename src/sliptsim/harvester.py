@@ -10,7 +10,7 @@ rate is delivered error-free, below it the slot is an outage.
 import enum
 from dataclasses import dataclass, field
 
-from sliptsim.errors import DomainError, ModeError
+from sliptsim.errors import DomainError
 
 # 55 mm x 70 mm cell
 DEFAULT_AREA_M2 = 55e-3 * 70e-3
@@ -54,27 +54,6 @@ class SolarCell:
             raise DomainError("switch_latency must be >= 0")
         if self.decode_rate < 0 or self.decode_bandwidth < 0 or self.sensitivity < 0:
             raise DomainError("decode_rate, decode_bandwidth and sensitivity must be >= 0")
-
-    def harvest_power(self, incident: float) -> float:
-        """Electrical power sourced from `incident` optical watts (PV mode)."""
-        if self.mode is not CellMode.PHOTOVOLTAIC:
-            raise ModeError("harvest_power requires photovoltaic mode")
-        if incident < 0:
-            raise DomainError("incident power must be >= 0")
-        return self.conversion_efficiency * incident
-
-    def decode_throughput(self, incident: float, duration: float) -> float:
-        """Bits delivered over `duration` seconds of decoding (PC mode).
-
-        Full rate when incident >= sensitivity, zero (outage) otherwise.
-        """
-        if self.mode is not CellMode.PHOTOCONDUCTIVE:
-            raise ModeError("decode_throughput requires photoconductive mode")
-        if duration < 0:
-            raise DomainError("duration must be >= 0")
-        if incident < self.sensitivity:
-            return 0.0
-        return self.decode_rate * duration
 
     def switch_mode(self, target: CellMode, now: float) -> float:
         """Switch the relay toward `target`; returns when the cell is usable.

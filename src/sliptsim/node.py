@@ -263,11 +263,3 @@ class NodeState:
         self.last_sent = list(batch)
         delivered = set(id(r) for r in batch)
         self.storage = [r for r in self.storage if id(r) not in delivered]
-
-
-def records_csv(records: list[SensorRecord]) -> str:
-    """Render records as CSV with a timestamp,sensor_id,value header."""
-    lines = ["timestamp,sensor_id,value"]
-    for r in records:
-        lines.append(f"{r.timestamp!r},{r.sensor_id},{r.value!r}")
-    return "\n".join(lines) + "\n"

@@ -75,11 +75,6 @@ class TimeSwitchSchedule(Policy):
     def period(self) -> float:
         return self.t1 + self.t2
 
-    @property
-    def duty_cycle(self) -> float:
-        """Fraction of each period spent harvesting."""
-        return self.t1 / self.period
-
 
 @dataclass(frozen=True)
 class SpatialSplit(TimeSwitchSchedule):
@@ -151,7 +146,7 @@ class TxRole(enum.Enum):
 
 @dataclass
 class SpatialAssignment:
-    """Role per transmitter plus the receiver -> transmitters mapping.
+    """Role per transmitter plus the receiver each one points at.
 
     Each transmitter illuminates exactly one receiver; a receiver may be
     illuminated (and harvest) from many.  data_source maps a receiver to
@@ -161,17 +156,8 @@ class SpatialAssignment:
 
     roles: dict[str, TxRole] = field(default_factory=dict)
     target: dict[str, str] = field(default_factory=dict)  # tx -> rx it points at
-    mapping: dict[str, set[str]] = field(default_factory=dict)  # rx -> txs on it
     data_source: dict[str, str] = field(default_factory=dict)  # rx -> data tx
     infeasible: list[str] = field(default_factory=list)
-
-    def harvested_power(self, link_power: dict[tuple[str, str], float]) -> float:
-        """Sum of link powers delivered by Energy-role transmitters."""
-        return sum(
-            link_power[(tx, self.target[tx])]
-            for tx, role in self.roles.items()
-            if role is TxRole.ENERGY
-        )
 
 
 def assign_spatial(
@@ -243,7 +229,6 @@ def assign_spatial(
         return False
 
     assignment = SpatialAssignment()
-    assignment.mapping = {rx: set() for rx in receivers}
     for rx in sorted(receivers):
         if not demands.get(rx, False):
             continue
@@ -254,7 +239,6 @@ def assign_spatial(
         assignment.roles[tx] = TxRole.DATA
         assignment.target[tx] = rx
         assignment.data_source[rx] = tx
-        assignment.mapping[rx].add(tx)
 
     for tx in transmitters:
         if tx in assignment.roles:
@@ -265,6 +249,5 @@ def assign_spatial(
             # ties broken by lowest receiver id
             best_rx = min(rx for rx in receivers if link_power[(tx, rx)] == best_power)
             assignment.target[tx] = best_rx
-            assignment.mapping[best_rx].add(tx)
 
     return assignment

@@ -12,9 +12,11 @@ finite: NaN and Infinity literals are refused when the file is read.
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
-from sliptsim.channel import BeamGeometry, LinkParams, TurbulenceModel, WaterProperties
+from sliptsim.channel import (BeamGeometry, LinkParams, TurbulenceModel, WaterProperties,
+                              geometric_capture)
 from sliptsim.energy_store import Battery, Supercapacitor
 from sliptsim.engine import NodeDef, Scenario, StimulusDef, TransmitterDef
 from sliptsim.errors import ConfigError, DomainError
@@ -80,11 +82,9 @@ def _require(obj: dict, key: str, path: str):
 
 
 def _qty(obj: dict, key: str, kind: str, path: str, default=None) -> float:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(path, f"missing required key {key!r}")
+    if key not in obj and default is not None:
         return default
-    return parse_quantity(obj[key], kind, f"{path}.{key}")
+    return parse_quantity(_require(obj, key, path), kind, f"{path}.{key}")
 
 
 def _list(cfg: dict, key: str) -> list:
@@ -233,6 +233,7 @@ def _build_transmitter(obj, index: int) -> TransmitterDef:
             receiver_aperture_radius=_qty(obj, "receiver_radius", "length", path),
             distance=_qty(obj, "distance", "length", path),
         )
+        geometric_capture(geometry)  # refuses a zero-width beam
     except DomainError as e:
         raise ConfigError(path, str(e)) from None
     turbulence = _turbulence(obj.get("turbulence", 0.0), f"{path}.turbulence")
@@ -262,6 +263,12 @@ def _build_transmitter(obj, index: int) -> TransmitterDef:
     distances = {}
     for node_id, d in (obj.get("distances") or {}).items():
         distances[node_id] = parse_quantity(d, "length", f"{path}.distances.{node_id}")
+    if distances:  # a beam only widens with distance: check the nearest receiver
+        nearest = min(distances, key=distances.get)
+        try:
+            geometric_capture(replace(geometry, distance=distances[nearest]))
+        except DomainError as e:
+            raise ConfigError(f"{path}.distances.{nearest}", str(e)) from None
 
     on_time = _qty(obj, "on", "time", path, default=0.0)
     if on_time < 0:

@@ -16,7 +16,7 @@ from sliptsim.channel import TurbulenceModel, attenuate, sample_fading
 from sliptsim.energy_store import Battery
 from sliptsim.engine import Simulation, rng_stream, trace_to_csv
 from sliptsim.node import NodeState, Phase, Stimulus
-from sliptsim.policy import PowerSplit, assign_spatial, split
+from sliptsim.policy import PowerSplit, TxRole, assign_spatial, split
 from sliptsim.scenario import build_scenario, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -171,11 +171,11 @@ def test_ac08_protocol_invariants():
             if state.phase is Phase.COMMAND_RX and before is not Phase.COMMAND_RX:
                 assert v_b >= state.v_threshold, "entered CommandRx undercharged"
                 rx_entries += 1
-            store.integrate(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 2.0)))
+            store.deposit(float(rng.uniform(-1.0, 1.0)) * float(rng.uniform(0.0, 2.0)))
             assert store.stored >= 0.0, "stored energy went negative"
             if state.phase is Phase.HARVEST:
                 net = float(rng.uniform(0.1, 2.0))
-                store.integrate(net, store.time_to_full(net))
+                store.deposit(net * store.time_to_full(net))
                 state.step(Stimulus.FULL_CHARGE, store.terminal_voltage())
                 assert state.phase is Phase.SLEEP, "full charge did not end in Sleep"
                 harvest_exits += 1
@@ -215,7 +215,9 @@ def test_ac09_spatial_against_brute_force():
         assert (not greedy.infeasible) == brute_ok, "feasibility mismatch"
         if brute_ok:
             feasible_n += 1
-            gap = brute_best - greedy.harvested_power(lp)
+            harvested = sum(lp[(t, greedy.target[t])]
+                            for t, role in greedy.roles.items() if role is TxRole.ENERGY)
+            gap = brute_best - harvested
             assert gap >= -1e-12, "greedy beat the exhaustive optimum"
             gaps.append(max(gap, 0.0))
     detail = (f"100 instances, feasibility always preserved; harvest gap "

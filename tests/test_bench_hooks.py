@@ -1,10 +1,15 @@
 """The traced benchmark run (bench/traced.py) wraps program functions by
 name.  These checks fail when a rename breaks one of those names, without
-installing any wrapper."""
+installing any wrapper, or when an event could slip past the handlers it
+counts."""
 
+import heapq
 import importlib.util
 import inspect
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import sliptsim.cli as cli
 import sliptsim.engine as engine
@@ -12,6 +17,8 @@ import sliptsim.scenario as scenario
 from sliptsim.energy_store import Battery, Supercapacitor
 from sliptsim.harvester import SolarCell
 from sliptsim.node import NodeState
+
+from test_golden import GOLDEN, _scenario
 
 TRACED = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
 
@@ -43,6 +50,48 @@ def test_handlers_and_counted_hooks_resolve():
         assert callable(fn)
     params = list(inspect.signature(sim._handle_charge_check).parameters)
     assert params == ["self", "t", "node_id", "gen", "flavor"]
+    params = list(inspect.signature(sim._handle_timer).parameters)
+    assert params == ["self", "t", "action", "target_id", "batch"]
+
+
+def _refers_to(value, sim) -> bool:
+    """value is sim, a method bound to it, or a container holding either."""
+    if value is sim or getattr(value, "__self__", None) is sim:
+        return True
+    if isinstance(value, (tuple, list)):
+        return any(_refers_to(v, sim) for v in value)
+    return False
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_event_names_a_traced_handler(name, monkeypatch):
+    # traced.py counts events by wrapping the HANDLERS methods on the class,
+    # so each heap entry must name one of them and be dispatched by name
+    handlers = _traced().HANDLERS
+    calls = []
+    entries = []
+    schedule = engine.Simulation._schedule
+
+    def recording_schedule(self, t, handler, *args):
+        calls.append(handler)
+        schedule(self, t, handler, *args)
+
+    def recording_push(heap, entry):
+        entries.append(entry)
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(engine.Simulation, "_schedule", recording_schedule)
+    monkeypatch.setattr(engine, "heapq", SimpleNamespace(heappush=recording_push,
+                                                         heappop=heapq.heappop))
+    sim = engine.Simulation(_scenario(name))
+    metrics, _ = sim.run()
+    assert metrics.events_processed > 0
+    assert len(entries) == len(calls) > 0  # _schedule is the only place that pushes
+    assert set(calls) <= set(handlers)
+    for entry in entries:
+        t, seq, handler, args = entry
+        assert (type(t), type(seq), type(handler), type(args)) == (float, int, str, tuple)
+        assert not _refers_to(entry, sim), entry
 
 
 def test_node_runtime_has_timer_gen():

@@ -13,10 +13,13 @@ from sliptsim.channel import (
     WaterProperties,
     attenuate,
     geometric_capture,
-    received_power,
     sample_fading,
 )
+from sliptsim.energy_store import Battery
+from sliptsim.engine import NodeDef, Scenario, Simulation, TransmitterDef
 from sliptsim.errors import DomainError, GeometryError
+from sliptsim.harvester import SolarCell
+from sliptsim.policy import NodeProtocol
 
 # Frozen against a 50-digit arbitrary-precision evaluation of I*exp(-a*z).
 ATTENUATE_ORACLE = [
@@ -154,20 +157,27 @@ def test_fading_unit_mean(sigma2):
     assert xs.mean() == pytest.approx(1.0, abs=6 * math.sqrt(sigma2 / 20_000) + 0.02)
 
 
+def _received_power(link: LinkParams) -> float:
+    """The fade-free power of the link the engine builds for `link`."""
+    node = NodeDef("n0", SolarCell(), Battery(capacity=1.0), NodeProtocol())
+    sc = Scenario("link", 1.0, 1, [TransmitterDef("tx0", link)], [node])
+    [built] = Simulation(sc).nodes["n0"].links
+    return built.base_power
+
+
 def test_received_power_composes_factors():
     water = WaterProperties.preset("clear_ocean")
     g = BeamGeometry(2e-3, 1e-3, 35e-3, 1.5)
     link = LinkParams(tx_power=1.0, wavelength=430.0, water=water, geometry=g)
-    rng = np.random.default_rng(0)
     # calm channel, full capture: P_R = exp(-alpha * z) exactly
-    assert received_power(link, rng) == pytest.approx(0.7973193423129871, rel=1e-15)
+    assert _received_power(link) == pytest.approx(0.7973193423129871, rel=1e-15)
 
 
 def test_received_power_identity_in_vacuum_like_limit():
     water = WaterProperties(0.0, 0.0)
     g = BeamGeometry(1e-3, 0.0, 1.0, 5.0)
     link = LinkParams(tx_power=3.25, wavelength=450.0, water=water, geometry=g)
-    assert received_power(link, np.random.default_rng(1)) == 3.25
+    assert _received_power(link) == 3.25
 
 
 def test_turbulence_model_rejects_negative_index():

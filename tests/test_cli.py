@@ -240,3 +240,35 @@ def test_event_times_outside_the_run_exit_1_with_their_path(tmp_path, capsys, ed
         assert message in err
         assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def _drop_beam_width(tx):
+    del tx["beam_waist"], tx["divergence"]  # both default to 0
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda cfg: _drop_beam_width(cfg["transmitters"][0]), "transmitters[0]"),
+    (lambda cfg: cfg["transmitters"][0].update(beam_waist="0m", divergence="0rad"),
+     "transmitters[0]"),
+    (lambda cfg: (cfg["transmitters"][0].pop("beam_waist"),
+                  cfg["transmitters"][0].update(distances={"node0": "0m"})),
+     "transmitters[0].distances.node0"),
+], ids=["defaults", "zero_waist_and_divergence", "zero_distance_override"])
+def test_zero_width_beam_exits_1_with_its_path(tmp_path, capsys, edit, where):
+    # before the check, validate passed these and run failed with a message
+    # that named no path
+    bad = _variant(tmp_path, TANK, edit)
+    for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{where}: zero-width beam: its radius at the receiver is zero" in err
+        assert "Traceback" not in err
+
+
+def test_negative_distance_override_exits_1_with_its_path(tmp_path, capsys):
+    bad = _variant(tmp_path, TANK,
+                   lambda cfg: cfg["transmitters"][0].update(distances={"node0": "-1m"}))
+    for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
+        assert main(argv) == 1
+        assert ("transmitters[0].distances.node0: distance must be >= 0"
+                in capsys.readouterr().err)

@@ -284,8 +284,8 @@ def test_depletion_timer_lands_after_now_for_a_tiny_residue():
     n.store.stored = 2e-16
     sim._refresh(n, 300.0)
     assert n.harvest_elec - n.load_elec == pytest.approx(-0.0259)
-    armed = [(t, p["flavor"]) for t, _, kind, p in sim._heap
-             if kind == "charge_check" and p["gen"] == n.timer_gen]
+    armed = [(t, args[2]) for t, _, handler, args in sim._heap
+             if handler == "_handle_charge_check" and args[1] == n.timer_gen]
     assert [flavor for _, flavor in armed] == ["empty"]
     assert armed[0][0] > 300.0
 
@@ -346,8 +346,8 @@ def test_slot_boundaries_in_the_past_are_skipped_in_one_step():
     sim = Simulation(_slotted(-1e12))  # 1e12 boundaries already past
     n = next(iter(sim.nodes.values()))
     assert n.slot_index == 10**12
-    assert [(t, kind) for t, _, kind, _ in sim._heap if kind == "slot_boundary"] == [
-        (1.0, "slot_boundary")]
+    assert [(t, args) for t, _, handler, args in sim._heap
+            if handler == "_handle_slot_boundary"] == [(1.0, (n.cfg.node_id,))]
 
 
 @pytest.mark.parametrize("phase_offset, t1, t2, now", [
@@ -364,8 +364,8 @@ def test_catch_up_lands_on_the_first_boundary_after_now(phase_offset, t1, t2, no
     sim.now = now
     n.slot_index = 0
     sim._schedule_next_slot(n, n.cfg.node_id)
-    [(t, _, kind, _)] = sim._heap
+    [(t, _, handler, args)] = sim._heap
     k = n.slot_index
-    assert kind == "slot_boundary"
+    assert (handler, args) == ("_handle_slot_boundary", (n.cfg.node_id,))
     assert t == engine._boundary_time(n.schedule, k) > now
     assert engine._boundary_time(n.schedule, k - 1) <= now

@@ -1,7 +1,25 @@
+import math
+
 import pytest
 
-from sliptsim.errors import DomainError, ModeError
+from sliptsim.channel import BeamGeometry, LinkParams, WaterProperties
+from sliptsim.energy_store import Battery
+from sliptsim.engine import NodeDef, Scenario, Simulation, TransmitterDef
+from sliptsim.errors import DomainError
 from sliptsim.harvester import DEFAULT_AREA_M2, CellMode, SolarCell
+from sliptsim.policy import Policy
+
+
+def _run_cell(cell: SolarCell, light: float, duration: float = 2.0):
+    """Metrics of one node whose cell stays in its mode under `light`
+    optical watts: clear water and an aperture wider than the beam make
+    the link deliver exactly the transmit power."""
+    beam = LinkParams(light, 450.0, WaterProperties(0.0, 0.0),
+                      BeamGeometry(1e-3, 0.0, 1.0, 1.0))
+    node = NodeDef("n0", cell, Battery(capacity=1e3), Policy(), active_load="sleep")
+    sc = Scenario("cell", duration, 1, [TransmitterDef("tx0", beam)], [node])
+    metrics, _ = Simulation(sc).run()
+    return metrics.nodes["n0"]
 
 
 def test_default_area_is_55_by_70_mm():
@@ -9,27 +27,28 @@ def test_default_area_is_55_by_70_mm():
 
 
 def test_harvest_applies_conversion_efficiency():
-    cell = SolarCell(conversion_efficiency=0.2)
-    assert cell.harvest_power(0.5) == pytest.approx(0.1, rel=1e-15)
-    assert cell.harvest_power(0.0) == 0.0
+    m = _run_cell(SolarCell(conversion_efficiency=0.2), 0.5, duration=10.0)
+    assert m.harvested_j == pytest.approx(0.1 * 10.0, rel=1e-15)
+    assert _run_cell(SolarCell(conversion_efficiency=0.2), 0.0).harvested_j == 0.0
 
 
 def test_modes_are_exclusive():
-    cell = SolarCell()
-    assert cell.mode is CellMode.PHOTOVOLTAIC
-    with pytest.raises(ModeError):
-        cell.decode_throughput(1e-3, 1.0)
-    cell.switch_mode(CellMode.PHOTOCONDUCTIVE, now=0.0)
-    with pytest.raises(ModeError):
-        cell.harvest_power(1e-3)
+    pv = _run_cell(SolarCell(), 1e-3)
+    assert pv.harvested_j > 0.0
+    assert pv.decoded_bits == 0.0 and pv.outage_s == 0.0  # a PV cell never decodes
+    pc = _run_cell(SolarCell(mode=CellMode.PHOTOCONDUCTIVE), 1e-3)
+    assert pc.harvested_j == 0.0
+    assert pc.decoded_bits > 0.0
 
 
 def test_decode_threshold_behavior():
-    cell = SolarCell(sensitivity=1e-6, decode_rate=500e3)
-    cell.switch_mode(CellMode.PHOTOCONDUCTIVE, now=0.0)
-    assert cell.decode_throughput(1e-6, 2.0) == 1_000_000.0  # at sensitivity: full rate
-    assert cell.decode_throughput(9.9e-7, 2.0) == 0.0  # just below: outage
-    assert cell.decode_throughput(1.0, 0.0) == 0.0
+    cell = SolarCell(sensitivity=1e-6, decode_rate=500e3, mode=CellMode.PHOTOCONDUCTIVE)
+    at = _run_cell(cell, 1e-6)  # at sensitivity: full rate
+    assert at.decoded_bits == 1_000_000.0
+    assert at.outage_s == 0.0
+    below = _run_cell(cell, math.nextafter(1e-6, 0.0))  # one ulp below: outage
+    assert below.decoded_bits == 0.0
+    assert below.outage_s == 2.0
 
 
 def test_switch_latency_and_noop():
@@ -53,5 +72,3 @@ def test_validation():
         SolarCell(area=-1.0)
     with pytest.raises(DomainError):
         SolarCell(switch_latency=-0.1)
-    with pytest.raises(DomainError):
-        SolarCell().harvest_power(-1.0)

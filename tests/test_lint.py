@@ -1,0 +1,74 @@
+"""Import and export lint for the package, without a linter installed.
+
+Every name a module of src/sliptsim imports must be used in that module
+(string annotations count), unless its import statement carries
+`# noqa: F401`; the package's __all__ counts as a use of what
+__init__.py re-exports.  Every name in sliptsim.__all__ must resolve,
+once.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sliptsim
+
+PACKAGE = Path(sliptsim.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imported(tree: ast.Module, lines: list[str]) -> dict[str, int]:
+    """Name bound by each import outside a `# noqa: F401` statement -> line."""
+    names = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+def _string_annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations = [a.annotation for a in (args.posonlyargs + args.args
+                                                  + args.kwonlyargs)]
+            annotations += [args.vararg and args.vararg.annotation,
+                            args.kwarg and args.kwarg.annotation, node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for annotation in annotations:
+            for sub in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    yield ast.parse(sub.value, mode="eval")
+
+
+def _used(tree: ast.Module) -> set[str]:
+    trees = [tree, *_string_annotations(tree)]
+    used = {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+    for node in tree.body:  # __all__ = [...] re-exports its names
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {e.value for e in node.value.elts}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    text = path.read_text()
+    tree = ast.parse(text)
+    unused = set(_imported(tree, text.splitlines())) - _used(tree)
+    assert not unused, f"{path.name} imports unused names: {sorted(unused)}"
+
+
+def test_all_resolves_without_duplicates():
+    exported = sliptsim.__all__
+    assert len(exported) == len(set(exported))
+    missing = [name for name in exported if not hasattr(sliptsim, name)]
+    assert missing == []

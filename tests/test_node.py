@@ -11,13 +11,11 @@ from sliptsim.node import (
     NodeState,
     Opcode,
     Phase,
-    SensorRecord,
     Stimulus,
     crc8,
     decode_command,
     encode_command,
     load_power,
-    records_csv,
 )
 
 # -- codec --------------------------------------------------------------------
@@ -182,11 +180,3 @@ def test_send_and_retransmit_lifecycle():
     assert [r.value for r in s.storage] == [22.0]
     again = s.execute_command(Command(Opcode.RETRANSMIT))
     assert [r.value for r in again] == [20.0, 21.0]
-
-
-def test_records_csv_shape():
-    text = records_csv([SensorRecord(1.5, 1, 21.5), SensorRecord(2.0, 3, -4.25)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "timestamp,sensor_id,value"
-    assert lines[1] == "1.5,1,21.5"
-    assert lines[2] == "2.0,3,-4.25"

@@ -64,7 +64,7 @@ def test_unknown_keys_are_rejected_with_a_path():
 def test_wrong_unit_kind_names_the_path():
     cfg = _minimal(transmitters=[{
         "power": "5kg", "water": "pure_sea",
-        "receiver_radius": "1mm", "distance": "1m",
+        "beam_waist": "1mm", "receiver_radius": "1mm", "distance": "1m",
     }])
     with pytest.raises(ConfigError, match=r"transmitters\[0\].power"):
         build_scenario(cfg)
@@ -86,8 +86,8 @@ def test_duration_and_seed_validation():
 
 
 def test_transmitter_off_before_on_rejected():
-    tx = {"power": "1W", "water": "pure_sea", "receiver_radius": "1mm",
-          "distance": "1m", "on": "5s"}
+    tx = {"power": "1W", "water": "pure_sea", "beam_waist": "1mm",
+          "receiver_radius": "1mm", "distance": "1m", "on": "5s"}
     assert build_scenario(_minimal(transmitters=[{**tx, "off": "5s"}]))
     issues = validate_scenario(_minimal(transmitters=[{**tx, "off": "4s"}]))
     assert len(issues) == 1 and issues[0].startswith("transmitters[0].off: must be >= on")
@@ -100,7 +100,8 @@ def test_transmitter_off_before_on_rejected():
      "must be <= duration (10.0 s), got 10.5 s"),
 ])
 def test_event_times_outside_the_run_rejected(edit, where, message):
-    tx = {"power": "1W", "water": "pure_sea", "receiver_radius": "1mm", "distance": "1m"}
+    tx = {"power": "1W", "water": "pure_sea", "beam_waist": "1mm",
+          "receiver_radius": "1mm", "distance": "1m"}
     stimulus = {"node": "n0", "stimulus": "light_detected"}
     edges = _minimal(transmitters=[{**tx, "on": "0s"}],
                      stimuli=[{**stimulus, "time": "0s"}, {**stimulus, "time": "10s"}])
@@ -113,7 +114,8 @@ def test_event_times_outside_the_run_rejected(edit, where, message):
 
 
 def test_non_finite_numbers_rejected_with_path():
-    tx = {"power": math.nan, "water": "pure_sea", "receiver_radius": "1mm", "distance": "1m"}
+    tx = {"power": math.nan, "water": "pure_sea", "beam_waist": "1mm",
+          "receiver_radius": "1mm", "distance": "1m"}
     assert validate_scenario(_minimal(transmitters=[tx])) == [
         "transmitters[0].power: expected a finite power quantity"]
     assert validate_scenario(_minimal(duration=math.inf)) == [
@@ -157,9 +159,9 @@ def test_duplicate_ids_rejected():
         build_scenario(cfg)
     cfg = _minimal(transmitters=[
         {"id": "t", "power": "1W", "water": "pure_sea",
-         "receiver_radius": "1mm", "distance": "1m"},
+         "beam_waist": "1mm", "receiver_radius": "1mm", "distance": "1m"},
         {"id": "t", "power": "1W", "water": "pure_sea",
-         "receiver_radius": "1mm", "distance": "1m"},
+         "beam_waist": "1mm", "receiver_radius": "1mm", "distance": "1m"},
     ])
     with pytest.raises(ConfigError, match="duplicate transmitter ids"):
         build_scenario(cfg)
@@ -167,7 +169,7 @@ def test_duplicate_ids_rejected():
 
 def test_dangling_references_rejected():
     tx = {"id": "t", "power": "1W", "water": "pure_sea",
-          "receiver_radius": "1mm", "distance": "1m"}
+          "beam_waist": "1mm", "receiver_radius": "1mm", "distance": "1m"}
     with pytest.raises(ConfigError, match="ghost"):
         build_scenario(_minimal(transmitters=[{**tx, "targets": ["ghost"]}]))
     with pytest.raises(ConfigError, match="ghost"):
@@ -184,7 +186,7 @@ def test_spatial_constraints():
     cfg = _minimal(
         policy={"kind": "spatial", "t1": "1s", "t2": "1s"},
         transmitters=[{"power": "1W", "water": "pure_sea",
-                       "receiver_radius": "1mm", "distance": "1m"}],
+                       "beam_waist": "1mm", "receiver_radius": "1mm", "distance": "1m"}],
     )
     cfg["nodes"].append({
         "id": "n1",
@@ -208,7 +210,7 @@ def test_policy_validation():
 
 def test_dual_wavelengths_must_differ():
     cfg = _minimal(transmitters=[{
-        "receiver_radius": "1mm", "distance": "1m",
+        "beam_waist": "1mm", "receiver_radius": "1mm", "distance": "1m",
         "dual": {
             "energy": {"power": "1W", "wavelength": "450nm", "water": "pure_sea"},
             "data": {"power": "1W", "wavelength": "450nm", "water": "pure_sea"},
@@ -219,7 +221,7 @@ def test_dual_wavelengths_must_differ():
 
 
 def test_water_and_turbulence_forms():
-    tx = {"power": "1W", "receiver_radius": "1mm", "distance": "1m"}
+    tx = {"power": "1W", "beam_waist": "1mm", "receiver_radius": "1mm", "distance": "1m"}
     with pytest.raises(ConfigError, match="water"):
         build_scenario(_minimal(transmitters=[{**tx, "water": "lemonade"}]))
     with pytest.raises(ConfigError, match="scattering"):
@@ -291,7 +293,7 @@ def test_built_scenario_carries_its_hash():
 def test_validate_collects_multiple_issues():
     cfg = _minimal(transmitters=[{
         "power": "5kg", "water": "pure_sea",
-        "receiver_radius": "1mm", "distance": "1m",
+        "beam_waist": "1mm", "receiver_radius": "1mm", "distance": "1m",
     }])
     cfg["nodes"][0]["store"]["capacty"] = "1J"
     issues = validate_scenario(cfg)
