@@ -86,6 +86,8 @@ class BeamGeometry:
         ):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0")
+        if self.half_angle_divergence >= math.pi / 2:  # tan would be negative or infinite
+            raise DomainError("half_angle_divergence must be < 90 deg")
 
     def radius_at_receiver(self) -> float:
         """Beam radius after diverging over the link distance [m]."""

@@ -40,9 +40,9 @@ import heapq
 import itertools
 import json
 import math
-import operator
 import os
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Protocol
 
@@ -86,6 +86,7 @@ TRACE_FIELDS = (
     "harvested_J_cum",
     "decoded_bits_cum",
 )
+TraceRow = namedtuple("TraceRow", TRACE_FIELDS)
 
 
 def rng_stream(master_seed: int, purpose: str) -> "np.random.Generator":
@@ -318,17 +319,12 @@ class Simulation:
 
     def _build_nodes(self):
         for nd in self.scenario.nodes:
-            state = NodeState(
-                v_threshold=nd.v_threshold,
-                enabled_sensors=set(nd.enabled_sensors),
-                active_load=nd.active_load,
-                sleep_load=nd.sleep_load,
-            )
             n = _NodeRuntime(
                 cfg=nd,
                 cell=replace(nd.cell),
                 store=replace(nd.store),
-                state=state,
+                state=NodeState(v_threshold=nd.v_threshold,
+                                enabled_sensors=set(nd.enabled_sensors)),
                 metrics=NodeMetrics(stored_initial_j=nd.store.stored),
                 schedule=nd.policy.schedule,
             )
@@ -453,6 +449,9 @@ class Simulation:
         return value
 
     def _load_name(self, n: _NodeRuntime, t: float) -> str:
+        """The catalog row draining the store: a protocol node draws sleep_load
+        in Sleep and Harvest, uplink_load while it uplinks, and active_load in
+        the other awake phases (WakeCheck, SenseSave, CommandRx)."""
         if not n.cfg.policy.protocol:
             return n.cfg.active_load  # policy nodes draw one constant load
         phase = n.state.phase
@@ -762,27 +761,18 @@ CSV_HEADER = ",".join(TRACE_FIELDS) + "\n"
 # One CSV line: the numeric columns as repr, which round-trips a float
 # exactly, and the text columns as str.
 _CSV_ROW = "%r,%s,%s,%s,%r,%r,%r,%r\n"
-_field_values = operator.itemgetter(*TRACE_FIELDS)
 
 
-def _jsonl_row(values) -> str:
-    return json.dumps(dict(zip(TRACE_FIELDS, values)), separators=(",", ":")) + "\n"
-
-
-def _row_values(record) -> tuple:
-    """A row's values in TRACE_FIELDS order: MemorySink rows are dicts,
-    FileSink chunks hold the value tuples as written."""
-    return _field_values(record) if isinstance(record, dict) else tuple(record)
-
-
+# Both serializers take any tuples of values in TRACE_FIELDS order: the
+# TraceRows of a MemorySink or the plain tuples of a FileSink chunk.
 def trace_to_csv(records) -> str:
     row = _CSV_ROW
-    return CSV_HEADER + "".join([
-        row % (r if isinstance(r, tuple) else _row_values(r)) for r in records])
+    return CSV_HEADER + "".join([row % r for r in records])
 
 
 def trace_to_jsonl(records) -> str:
-    return "".join([_jsonl_row(_row_values(r)) for r in records])
+    return "".join([json.dumps(dict(zip(TRACE_FIELDS, r)), separators=(",", ":")) + "\n"
+                    for r in records])
 
 
 class TraceSink(Protocol):
@@ -804,22 +794,12 @@ class TraceSink(Protocol):
 
 
 class MemorySink(list):
-    """Keeps every row as a dict keyed by TRACE_FIELDS (the default)."""
+    """Keeps every row as a TraceRow, a namedtuple of TRACE_FIELDS (the default)."""
 
     builds_rows = True
 
-    def write(self, time, node_id, event_kind, phase, stored_j, v_b,
-              harvested_j_cum, decoded_bits_cum):
-        self.append({
-            "time": time,
-            "node_id": node_id,
-            "event_kind": event_kind,
-            "phase": phase,
-            "stored_J": stored_j,
-            "V_B": v_b,
-            "harvested_J_cum": harvested_j_cum,
-            "decoded_bits_cum": decoded_bits_cum,
-        })
+    def write(self, *values):
+        self.append(TraceRow._make(values))
 
     def close(self):
         pass

@@ -52,8 +52,10 @@ class SolarCell:
             raise DomainError("area must be > 0")
         if self.switch_latency < 0:
             raise DomainError("switch_latency must be >= 0")
-        if self.decode_rate < 0 or self.decode_bandwidth < 0 or self.sensitivity < 0:
-            raise DomainError("decode_rate, decode_bandwidth and sensitivity must be >= 0")
+        if self.decode_rate <= 0:  # a frame lasts 32 bits / decode_rate
+            raise DomainError("decode_rate must be > 0")
+        if self.decode_bandwidth < 0 or self.sensitivity < 0:
+            raise DomainError("decode_bandwidth and sensitivity must be >= 0")
 
     def switch_mode(self, target: CellMode, now: float) -> float:
         """Switch the relay toward `target`; returns when the cell is usable.

@@ -178,18 +178,13 @@ class NodeState:
     """Protocol state of one node.
 
     storage is append-only during a run; records leave only through an
-    acknowledged data transmission.  active_load names the catalog row
-    that drains the store in every awake phase other than Harvest
-    (WakeCheck, SenseSave, CommandRx); Sleep and Harvest draw
-    sleep_load (default "sleep", i.e. zero).
+    acknowledged data transmission.
     """
 
     phase: Phase = Phase.SLEEP
     v_threshold: float = 3.6
     storage: list[SensorRecord] = field(default_factory=list)
     enabled_sensors: set[int] = field(default_factory=set)
-    active_load: str = "sense_and_save"
-    sleep_load: str = "sleep"
     last_sent: list[SensorRecord] = field(default_factory=list)
 
     def step(self, stimulus: Stimulus, v_b: float | None = None) -> list[Action]:

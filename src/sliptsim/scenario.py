@@ -4,9 +4,10 @@ A scenario is a JSON object with unit-suffixed quantities ("840mWh",
 "1.5m", "30kHz").  This module turns one into the runtime Scenario the
 engine consumes, strictly: unknown keys, missing required fields, bad
 units and dangling references are all ConfigErrors that name the
-config path they occurred at.  validate_scenario collects such issues
-into a report instead of raising on the first.  Every number must be
-finite: NaN and Infinity literals are refused when the file is read.
+config path they occurred at.  One pass (_build) walks the config and
+collects every such issue: build_scenario raises the first, and
+validate_scenario reports them all.  Every number must be finite: NaN
+and Infinity literals are refused when the file is read.
 """
 
 import hashlib
@@ -41,7 +42,7 @@ _TX_KEYS = {
 _DUAL_BEAM_KEYS = {"power", "wavelength", "water", "turbulence"}
 _NODE_KEYS = {
     "id", "cell", "store", "policy", "v_threshold", "sensors", "load",
-    "active_load", "sleep_load", "uplink", "data_demand", "commands",
+    "sleep_load", "uplink", "data_demand", "commands",
 }
 _CELL_KEYS = {
     "area", "efficiency", "decode_rate", "decode_bandwidth", "sensitivity",
@@ -87,13 +88,6 @@ def _qty(obj: dict, key: str, kind: str, path: str, default=None) -> float:
     return parse_quantity(_require(obj, key, path), kind, f"{path}.{key}")
 
 
-def _list(cfg: dict, key: str) -> list:
-    items = cfg.get(key, [])
-    if not isinstance(items, list):
-        raise ConfigError(f"scenario.{key}", "expected a list")
-    return items
-
-
 def _finite(value) -> float | None:
     """value as a float if it is a finite number (a bool is not), else None."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -103,6 +97,16 @@ def _finite(value) -> float | None:
     except OverflowError:  # an int beyond the float range
         return None
     return value if math.isfinite(value) else None
+
+
+def _mapping(obj: dict, key: str, path: str, what: str) -> dict:
+    """obj[key] as a dict, {} when absent or null."""
+    value = obj.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}.{key}", f"expected an object of {what}")
+    return value
 
 
 def _str_field(obj: dict, key: str, path: str, default: str) -> str:
@@ -261,9 +265,11 @@ def _build_transmitter(obj, index: int) -> TransmitterDef:
             raise ConfigError(f"{path}.targets", "expected a list of node ids")
 
     distances = {}
-    for node_id, d in (obj.get("distances") or {}).items():
+    for node_id, d in _mapping(obj, "distances", path, "node id -> distance").items():
         distances[node_id] = parse_quantity(d, "length", f"{path}.distances.{node_id}")
-    if distances:  # a beam only widens with distance: check the nearest receiver
+    # BeamGeometry refuses a divergence of 90 deg or more, so every accepted
+    # beam widens with distance: a zero-width check at the nearest is exact
+    if distances:
         nearest = min(distances, key=distances.get)
         try:
             geometric_capture(replace(geometry, distance=distances[nearest]))
@@ -368,7 +374,7 @@ def _build_sensors(obj, path: str):
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in enabled)):
         raise ConfigError(f"{path}.enabled", "expected a list of integer sensor ids")
     values = {}
-    for key, src in (obj.get("values") or {}).items():
+    for key, src in _mapping(obj, "values", path, "sensor id -> value").items():
         vpath = f"{path}.values.{key}"
         try:
             sensor_id = int(key)
@@ -393,6 +399,8 @@ def _build_sensors(obj, path: str):
         else:
             raise ConfigError(vpath, "expected a number or a [[time, value], ...] series")
     per = _qty(obj, "seconds_per_sensor", "time", path, default=2.0)
+    if per < 0:
+        raise ConfigError(f"{path}.seconds_per_sensor", f"must be >= 0, got {per} s")
     return set(enabled), values, per
 
 
@@ -409,11 +417,10 @@ def _build_node(obj, index: int, default_policy: Policy) -> NodeDef:
     record_bits = uplink.get("record_bits", 128)
     if isinstance(record_bits, bool) or not isinstance(record_bits, int) or record_bits <= 0:
         raise ConfigError(f"{path}.uplink.record_bits", "expected a positive integer")
-
-    default_active = "sense_and_save" if policy.protocol else "sleep"
-    active_load = _load_name(obj, "load", path, default_active)
-    if "active_load" in obj:
-        active_load = _load_name(obj, "active_load", path, default_active)
+    uplink_rate = _qty(uplink, "rate", "rate", f"{path}.uplink", default=500e3)
+    if uplink_rate <= 0:
+        raise ConfigError(f"{path}.uplink.rate", f"must be > 0, got {uplink_rate} bit/s")
+    active_load = _load_name(obj, "load", path, "sense_and_save" if policy.protocol else "sleep")
 
     data_demand = obj.get("data_demand", False)
     if not isinstance(data_demand, bool):
@@ -430,7 +437,7 @@ def _build_node(obj, index: int, default_policy: Policy) -> NodeDef:
         sleep_load=_load_name(obj, "sleep_load", path, "sleep"),
         sense_seconds_per_sensor=per,
         sensor_values=values,
-        uplink_rate=_qty(uplink, "rate", "rate", f"{path}.uplink", default=500e3),
+        uplink_rate=uplink_rate,
         uplink_load=_load_name(uplink, "load", f"{path}.uplink", "laser_uplink"),
         record_bits=record_bits,
         data_demand=data_demand,
@@ -457,106 +464,117 @@ def _build_stimulus(obj, index: int) -> StimulusDef:
 # -- public API ---------------------------------------------------------------
 
 
-def build_scenario(cfg: dict, default_name: str = "scenario") -> Scenario:
-    """Turn a parsed config dict into a runtime Scenario (strict)."""
-    _check_keys(cfg, _TOP_KEYS, "scenario")
-    name = _str_field(cfg, "name", "scenario", default_name)
+def _duration(cfg: dict) -> float:
     duration = _qty(cfg, "duration", "time", "scenario")
     if duration <= 0:
         raise ConfigError("scenario.duration", "must be > 0")
+    return duration
+
+
+def _seed(cfg: dict) -> int | None:
     seed = cfg.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ConfigError("scenario.seed", "expected an integer")
     if seed is not None and seed < 0:
         raise ConfigError("scenario.seed", f"must be >= 0, got {seed}")
+    return seed
 
-    default_policy = (_build_policy(cfg["policy"], "scenario.policy")
-                      if "policy" in cfg else NodeProtocol())
 
-    transmitters = [_build_transmitter(t, i) for i, t in enumerate(_list(cfg, "transmitters"))]
-    nodes = [_build_node(n, i, default_policy) for i, n in enumerate(_list(cfg, "nodes"))]
-    stimuli = [_build_stimulus(s, i) for i, s in enumerate(_list(cfg, "stimuli"))]
+def _build(cfg, default_name: str, issues: list[ConfigError]) -> Scenario | None:
+    """Walk cfg once, in build order, appending every ConfigError to issues.
 
-    # cross references
+    Each top-level field and each section item is tried on its own, so
+    one bad item hides no other.  Cross-references read the built items,
+    so they are checked only once everything else has built; all of them
+    are reported.  Returns the Scenario when issues stays empty.
+    """
+
+    def attempt(build, *args):
+        try:
+            return build(*args)
+        except ConfigError as e:
+            issues.append(e)
+            return None
+
+    def section(key: str, build, *extra) -> list:
+        items = cfg.get(key, [])
+        if not isinstance(items, list):
+            issues.append(ConfigError(f"scenario.{key}", "expected a list"))
+            return []
+        return [attempt(build, item, i, *extra) for i, item in enumerate(items)]
+
+    attempt(_check_keys, cfg, _TOP_KEYS, "scenario")
+    if not isinstance(cfg, dict):
+        return None
+    name = attempt(_str_field, cfg, "name", "scenario", default_name)
+    duration = attempt(_duration, cfg)
+    seed = attempt(_seed, cfg)
+    # a refused policy leaves the protocol as the default, so nodes are still checked
+    default_policy = (attempt(_build_policy, cfg["policy"], "scenario.policy")
+                      if "policy" in cfg else None) or NodeProtocol()
+    transmitters = section("transmitters", _build_transmitter)
+    nodes = section("nodes", _build_node, default_policy)
+    stimuli = section("stimuli", _build_stimulus)
+    if issues:
+        return None
+
+    def refuse(path: str, message: str):
+        issues.append(ConfigError(path, message))
+
     node_ids = [n.node_id for n in nodes]
     if len(set(node_ids)) != len(node_ids):
-        raise ConfigError("scenario.nodes", "duplicate node ids")
+        refuse("scenario.nodes", "duplicate node ids")
     tx_ids = [t.tx_id for t in transmitters]
     if len(set(tx_ids)) != len(tx_ids):
-        raise ConfigError("scenario.transmitters", "duplicate transmitter ids")
+        refuse("scenario.transmitters", "duplicate transmitter ids")
     known = set(node_ids)
+    spatial = any(n.policy.spatial for n in nodes)
     for i, tx in enumerate(transmitters):
         for target in tx.targets or []:
             if target not in known:
-                raise ConfigError(f"transmitters[{i}].targets",
-                                  f"unknown node {target!r}")
+                refuse(f"transmitters[{i}].targets", f"unknown node {target!r}")
         for node_id in tx.distances:
             if node_id not in known:
-                raise ConfigError(f"transmitters[{i}].distances",
-                                  f"unknown node {node_id!r}")
+                refuse(f"transmitters[{i}].distances", f"unknown node {node_id!r}")
+        if spatial and tx.dual_energy is not None:
+            refuse(f"transmitters[{i}].dual",
+                   "spatial assignment aims one beam per transmitter, not a dual pair")
     for i, st in enumerate(stimuli):
         if st.node_id not in known:
-            raise ConfigError(f"stimuli[{i}].node", f"unknown node {st.node_id!r}")
+            refuse(f"stimuli[{i}].node", f"unknown node {st.node_id!r}")
         if st.time > duration:
-            raise ConfigError(f"stimuli[{i}].time",
-                              f"must be <= duration ({duration} s), got {st.time} s")
-    spatial_nodes = [n for n in nodes if n.policy.spatial]
-    if spatial_nodes:
-        if len(spatial_nodes) != len(nodes):
-            raise ConfigError("scenario.policy",
-                              "spatial assignment requires every node to use it")
+            refuse(f"stimuli[{i}].time",
+                   f"must be <= duration ({duration} s), got {st.time} s")
+    if spatial:
+        if not all(n.policy.spatial for n in nodes):
+            refuse("scenario.policy", "spatial assignment requires every node to use it")
         if not transmitters:
-            raise ConfigError("scenario.transmitters",
-                              "spatial assignment needs at least one transmitter")
+            refuse("scenario.transmitters",
+                   "spatial assignment needs at least one transmitter")
+    if issues:
+        return None
+    return Scenario(name, duration, seed, transmitters, nodes, stimuli,
+                    scenario_hash=scenario_hash(cfg))
 
-    return Scenario(
-        name=name,
-        duration=duration,
-        seed=seed,
-        transmitters=transmitters,
-        nodes=nodes,
-        stimuli=stimuli,
-        scenario_hash=scenario_hash(cfg),
-    )
+
+def build_scenario(cfg: dict, default_name: str = "scenario") -> Scenario:
+    """Turn a parsed config dict into a runtime Scenario (strict): raises
+    the first ConfigError validate_scenario would report."""
+    issues = []
+    scenario = _build(cfg, default_name, issues)
+    if issues:
+        raise issues[0]
+    return scenario
 
 
 def validate_scenario(cfg) -> list[str]:
-    """Collect config problems as "path: message" strings (empty = valid)."""
+    """Every config problem as a "path: message" string, in build order
+    (empty = valid)."""
     if not isinstance(cfg, dict):
         return ["scenario: expected a JSON object"]
     issues = []
-
-    def attempt(fn, *args):
-        try:
-            fn(*args)
-            return True
-        except ConfigError as e:
-            issues.append(str(e))
-            return False
-
-    def each(key: str, build, *extra) -> bool:
-        items = cfg.get(key, [])
-        if not isinstance(items, list):
-            issues.append(f"scenario.{key}: expected a list")
-            return False
-        # a list, not a generator, so that every item's issues are collected
-        return all([attempt(build, item, i, *extra) for i, item in enumerate(items)])
-
-    attempt(_check_keys, cfg, _TOP_KEYS, "scenario")
-    ok_sections = each("transmitters", _build_transmitter)
-    default_policy = NodeProtocol()
-    if "policy" in cfg:
-        try:
-            default_policy = _build_policy(cfg["policy"], "scenario.policy")
-        except ConfigError as e:
-            issues.append(str(e))
-            ok_sections = False
-    ok_sections &= each("nodes", _build_node, default_policy)
-    ok_sections &= each("stimuli", _build_stimulus)
-    if ok_sections:
-        # sections are individually fine; surface cross-reference problems
-        attempt(build_scenario, cfg)
-    return issues
+    _build(cfg, "scenario", issues)
+    return [str(e) for e in issues]
 
 
 class _Constant:

@@ -246,11 +246,11 @@ def test_ac10_deterministic_traces():
     ok &= csv_for(sc) == csv_for(sc)
     rows_a = Simulation(sc).run()[1]
     rows_b = Simulation(sc, seed_override=8).run()[1]
-    skeleton = lambda r: (r["time"], r["node_id"], r["event_kind"], r["phase"])
+    skeleton = lambda r: (r.time, r.node_id, r.event_kind, r.phase)
     same_skeleton = (len(rows_a) == len(rows_b)
                      and all(skeleton(a) == skeleton(b)
                              for a, b in zip(rows_a, rows_b)))
-    fading_changed = any(a[f] != b[f]
+    fading_changed = any(getattr(a, f) != getattr(b, f)
                          for a, b in zip(rows_a, rows_b) for f in fading_fields)
     ok &= same_skeleton and fading_changed
     notes.append(f"turbulent skeleton-stable={same_skeleton}, "

@@ -183,3 +183,12 @@ def test_received_power_identity_in_vacuum_like_limit():
 def test_turbulence_model_rejects_negative_index():
     with pytest.raises(DomainError):
         TurbulenceModel(-0.1)
+
+
+def test_divergence_of_90_degrees_or_more_refused():
+    # tan is negative past 90 deg, so the beam radius would shrink below zero
+    for theta in (math.pi / 2, 2.0):
+        with pytest.raises(DomainError, match="< 90 deg"):
+            BeamGeometry(1e-3, theta, 1e-3, 1.0)
+    widest = BeamGeometry(0.0, math.nextafter(math.pi / 2, 0.0), 1e-3, 1.0)
+    assert widest.radius_at_receiver() > 0

@@ -272,3 +272,45 @@ def test_negative_distance_override_exits_1_with_its_path(tmp_path, capsys):
         assert main(argv) == 1
         assert ("transmitters[0].distances.node0: distance must be >= 0"
                 in capsys.readouterr().err)
+
+
+def _make_dual(tx):
+    beam = {"wavelength": "450nm", "water": tx.pop("water")}
+    tx["dual"] = {"energy": {**beam, "power": "5W", "wavelength": "520nm"},
+                  "data": {**beam, "power": "1mW"}}
+    del tx["power"], tx["wavelength"]
+
+
+@pytest.mark.parametrize("base, edit, message", [
+    (TANK, lambda cfg: cfg["transmitters"][0].update(distances=["node0"]),
+     "transmitters[0].distances: expected an object of node id -> distance"),
+    (TANK, lambda cfg: cfg["nodes"][0]["sensors"].update(values=[1]),
+     "nodes[0].sensors.values: expected an object of sensor id -> value"),
+    (TANK, lambda cfg: cfg["transmitters"][0].update(divergence="100deg"),
+     "transmitters[0]: half_angle_divergence must be < 90 deg"),
+    (TANK, lambda cfg: cfg["transmitters"][0].update(divergence="90deg"),
+     "transmitters[0]: half_angle_divergence must be < 90 deg"),
+    (TANK, lambda cfg: cfg["nodes"][0]["cell"].update(decode_rate=0),
+     "nodes[0].cell: decode_rate must be > 0"),
+    (TANK, lambda cfg: cfg["nodes"][0].update(uplink={"rate": 0}),
+     "nodes[0].uplink.rate: must be > 0"),
+    (TANK, lambda cfg: cfg["nodes"][0]["sensors"].update(seconds_per_sensor="-5s"),
+     "nodes[0].sensors.seconds_per_sensor: must be >= 0"),
+    (str(SCENARIOS / "spatial_demo.json"), lambda cfg: _make_dual(cfg["transmitters"][2]),
+     "transmitters[2].dual: spatial assignment aims one beam per transmitter"),
+    (TANK, lambda cfg: cfg["nodes"][0].update(active_load="soc_mcu_3mhz"),
+     "nodes[0]: unknown key(s) active_load"),  # "load" is the one key for it
+], ids=["distances_list", "values_list", "divergence_100deg", "divergence_90deg",
+        "zero_decode_rate", "zero_uplink_rate", "negative_sensing_time", "dual_under_spatial",
+        "active_load_key"])
+def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit, message):
+    # before these checks, the list edits died with a traceback; the others
+    # validated, and a run divided by the zero rate once it timed a frame or
+    # an uplink, or ran on a negative beam radius, at negative event times
+    # or with the energy beam carrying data
+    bad = _variant(tmp_path, base, edit)
+    for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err

@@ -94,10 +94,10 @@ def test_timeout_while_asleep_is_a_protocol_error():
     }
     metrics, trace = run_scenario(build_scenario(cfg))
     assert metrics.nodes["n0"].protocol_errors == 1
-    kinds = [r["event_kind"] for r in trace]
+    kinds = [r.event_kind for r in trace]
     assert "protocol_error" in kinds
     assert "custom:timeout" in kinds
-    assert all(r["phase"] == "sleep" for r in trace)
+    assert all(r.phase == "sleep" for r in trace)
 
 
 def test_protocol_walk_end_to_end():
@@ -150,9 +150,9 @@ def test_protocol_walk_end_to_end():
         "timer_expiry:uplink_done", "timer_expiry:commands_complete",
         "timer_expiry:cell_ready", "charge_check:full", "end",
     ]
-    seen = [r["event_kind"] for r in trace if r["event_kind"] in set(milestones)]
+    seen = [r.event_kind for r in trace if r.event_kind in set(milestones)]
     assert seen == milestones
-    assert trace[-1]["phase"] == "sleep"
+    assert trace[-1].phase == "sleep"
 
 
 def test_energy_closure_identity():
@@ -193,7 +193,7 @@ def test_weak_signal_frames_fail_and_count():
     assert m.delivered_records == 0
     # decoder armed at cell-ready, starved until commands_complete
     assert m.outage_s == pytest.approx(2 * FRAME_BITS / 500e3, rel=1e-6)
-    kinds = [r["event_kind"] for r in trace]
+    kinds = [r.event_kind for r in trace]
     assert kinds.count("frame_arrival:error") == 2
 
 
@@ -218,13 +218,13 @@ def test_trace_schema_and_serializers():
     phases = {p.value for p in Phase}
     assert trace, "a run must produce trace rows"
     for row in trace:
-        assert tuple(row) == TRACE_FIELDS
-        assert row["phase"] in phases
-        assert row["stored_J"] >= 0.0
-    times = [r["time"] for r in trace]
+        assert row._fields == TRACE_FIELDS
+        assert row.phase in phases
+        assert row.stored_J >= 0.0
+    times = [r.time for r in trace]
     assert times == sorted(times)
-    assert trace[-1]["event_kind"] == "end"
-    assert trace[-1]["time"] == metrics.end_time
+    assert trace[-1].event_kind == "end"
+    assert trace[-1].time == metrics.end_time
 
     csv_text = trace_to_csv(trace)
     lines = csv_text.strip().split("\n")
@@ -233,7 +233,7 @@ def test_trace_schema_and_serializers():
 
     jsonl = trace_to_jsonl(trace)
     parsed = [json.loads(line) for line in jsonl.strip().split("\n")]
-    assert parsed == trace
+    assert parsed == [row._asdict() for row in trace]
 
 
 def test_spatial_assignment_reported_in_metrics():

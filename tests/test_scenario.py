@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import sliptsim.scenario as scenario
 from sliptsim.errors import ConfigError
 from sliptsim.policy import NodeProtocol
 from sliptsim.scenario import (
@@ -325,3 +326,53 @@ def test_load_scenario_file_errors(tmp_path):
         (tmp_path / name).write_text(text)  # past the parser's nesting / digit limits
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_scenario(tmp_path / name)
+
+
+_TX = {"power": "1W", "water": "pure_sea", "beam_waist": "1mm",
+       "receiver_radius": "1mm", "distance": "1m"}
+
+
+def _first_issue_is_raised(cfg):
+    """build_scenario raises the first issue validate_scenario reports."""
+    issues = validate_scenario(cfg)
+    with pytest.raises(ConfigError) as e:
+        build_scenario(cfg)
+    assert str(e.value) == issues[0]
+    return issues
+
+
+def test_validate_builds_each_item_once(monkeypatch):
+    calls = {}
+    for name in ("_build_transmitter", "_build_node", "_build_stimulus"):
+        def counting(*args, _build=getattr(scenario, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _build(*args)
+
+        monkeypatch.setattr(scenario, name, counting)
+    stimulus = {"time": "1s", "node": "n0", "stimulus": "timeout"}
+    cfg = _minimal(transmitters=[{**_TX, "id": "a"}, {**_TX, "id": "b"}],
+                   stimuli=[stimulus, stimulus])
+    cfg["nodes"].append({"id": "n1", "store": {"type": "battery", "capacity": "1J"}})
+    assert validate_scenario(cfg) == []
+    assert calls == {"_build_transmitter": 2, "_build_node": 2, "_build_stimulus": 2}
+
+
+def test_validate_reports_every_field_in_build_order():
+    cfg = _minimal(name=5, duration="0s", seed=-1,
+                   transmitters=[{**_TX, "power": "5kg"}])
+    assert _first_issue_is_raised(cfg) == [
+        "scenario.name: expected a string",
+        "scenario.duration: must be > 0",
+        "scenario.seed: must be >= 0, got -1",
+        "transmitters[0].power: unit 'kg' is not a power unit "
+        "(expected one of: W, kW, mW, uW, µW)",
+    ]
+
+
+def test_validate_reports_every_cross_reference():
+    cfg = _minimal(transmitters=[{**_TX, "targets": ["ghost"]}],
+                   stimuli=[{"time": "1s", "node": "phantom", "stimulus": "timeout"}])
+    assert _first_issue_is_raised(cfg) == [
+        "transmitters[0].targets: unknown node 'ghost'",
+        "stimuli[0].node: unknown node 'phantom'",
+    ]

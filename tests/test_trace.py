@@ -57,7 +57,6 @@ _ROWS = st.lists(st.tuples(_NUMBERS, st.text(), st.text(), st.text(),
 def test_csv_rows_follow_the_reference_rule(rows):
     expected = engine.CSV_HEADER + "".join([_csv_row(row) for row in rows])
     assert trace_to_csv(rows) == expected
-    assert trace_to_csv([dict(zip(engine.TRACE_FIELDS, row)) for row in rows]) == expected
 
 
 @pytest.fixture(autouse=True)
@@ -123,11 +122,12 @@ def test_null_sink_counts_rows_and_builds_none(monkeypatch):
     assert metrics.to_dict() == memory_metrics.to_dict()
 
 
-def test_memory_sink_is_the_default_and_holds_dict_rows():
+def test_memory_sink_is_the_default_and_holds_trace_rows():
     _, trace = engine.run(load_scenario(DEMO))
     assert isinstance(trace, MemorySink) and isinstance(trace, list)
-    assert list(trace[0]) == list(engine.TRACE_FIELDS)
-    assert trace[-1]["event_kind"] == "end"
+    assert all(type(row) is engine.TraceRow for row in trace)
+    assert trace[0]._fields == engine.TRACE_FIELDS
+    assert trace[-1].event_kind == "end"
 
 
 def _raise_on_slot(monkeypatch, after: int, exc_type: type):
