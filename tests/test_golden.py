@@ -8,7 +8,10 @@ dual_wavelength policies, which no bundled scenario runs; a third has
 several broadcast transmitters take turns over a protocol fleet, so
 links toggle and fades are redrawn on many nodes; a fourth redraws the
 fades of three turbulent links every 5 ms slot for 30 s, thousands of
-draws per link, two of the links naming the same random stream.  Each
+draws per link, two of the links naming the same random stream; a fifth
+aims transmitters at subsets of a protocol fleet, one listing its targets
+out of node order and one a dual-wavelength pair, with windows that
+overlap, so frames are decoded and records uplinked under both.  Each
 case is checked twice: serialized from the in-memory trace, and as
 `sliptsim run` streams it to its output directory.
 """
@@ -160,6 +163,51 @@ FAST_SLOTS_CFG = {
     }],
 }
 
+_TARGETED_IDS = ["n0", "n1", "n2", "n3"]
+
+
+def _targeted_tx(tx_id: str, on: str, off: str, **extra) -> dict:
+    return {"id": tx_id, **_BEAM, "water": "clear_ocean", "divergence": "20deg",
+            "receiver_radius": "35mm", "on": on, "off": off,
+            "distances": {nid: f"{0.3 + 0.01 * i:.2f}m" for i, nid in enumerate(_TARGETED_IDS)},
+            **extra}
+
+
+_DUAL_TX = _targeted_tx("tx2", "25s", "50s", targets=["n3", "n1"], turbulence={"sigma2": 0.2})
+del _DUAL_TX["wavelength"], _DUAL_TX["water"]
+_DUAL_TX["dual"] = {
+    "energy": {"power": "0.4W", "wavelength": "520nm", "water": "clear_ocean"},
+    "data": {"power": "0.1W", "wavelength": "450nm", "water": "clear_ocean",
+             "turbulence": {"sigma2": 0.5}},
+}
+
+# Transmitters aimed at subsets of a protocol fleet: tx1 lists its targets
+# out of node order and comes on before tx0, so n0 and n2 have two lit
+# links, the later one lit first; the dual tx2 wakes n3 at 25 s, which
+# decodes its frames through the data beam and uplinks a record; tx3
+# wakes n0 again at 40 s.
+TARGETED_PROTOCOL_CFG = {
+    "name": "golden_targeted_protocol",
+    "duration": "60s",
+    "seed": 15,
+    "policy": {"kind": "protocol"},
+    "transmitters": [
+        _targeted_tx("tx0", "8s", "20s", power="0.45W"),
+        _targeted_tx("tx1", "2s", "30s", power="0.25W", targets=["n2", "n0"],
+                     turbulence={"sigma2": 0.3}),
+        _DUAL_TX,
+        _targeted_tx("tx3", "40s", "55s", power="0.3W", targets=["n1", "n0", "n3"]),
+    ],
+    "nodes": [{
+        "id": nid,
+        "cell": {"efficiency": 0.2, "switch_latency": "5ms"},
+        "store": {"type": "battery", "capacity": "1J", "stored": stored},
+        "sensors": {"enabled": [1], "values": {"1": 20.0, "2": [[0, 1.0], [30, 2.0]]},
+                    "seconds_per_sensor": "2s"},
+        "commands": [{"op": "sensor_on", "sensor": 2}, {"op": "send_data"}],
+    } for nid, stored in zip(_TARGETED_IDS, ["0.45J", "0.52J", "0.6J", "0.49J"])],
+}
+
 GOLDEN = {
     "golden_broadcast_protocol": (
         "5e9faf5575b2210112e45cf6741ff4152437a3a7c8f05d3ad13d9766a31f5a58",
@@ -176,6 +224,10 @@ GOLDEN = {
     "golden_power_split": (
         "8e6f672415b77c0c28c747ac2c2674f389d0d4e0a623379f9c91c444a084ec4d",
         "f341ce9fde3fa4f6455dadb141c69254a7ff67f12ccf77e80e6dba4f7918d4ca",
+    ),
+    "golden_targeted_protocol": (
+        "9fab6ec4cf6eb870a191f5607d994e1a92e41ed3a444c638dc0bd891bda7e4d4",
+        "c1032ebc0be3dd0bf187a17716af1eede3e11ead3c3e3261bf643afd9da8c65a",
     ),
     "spatial_demo": (
         "edb90ab80d3da0b4ec0206852ad992757bf385e2248e2143ce48df37fa68b345",
@@ -198,7 +250,7 @@ GOLDEN = {
 
 INLINE = {cfg["name"]: cfg
           for cfg in (POWER_SPLIT_CFG, DUAL_WAVELENGTH_CFG, BROADCAST_PROTOCOL_CFG,
-                      FAST_SLOTS_CFG)}
+                      FAST_SLOTS_CFG, TARGETED_PROTOCOL_CFG)}
 
 
 def _sha256(data: bytes) -> str:
