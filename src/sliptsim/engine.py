@@ -10,10 +10,16 @@ timer events instead of being polled.
 
 Each node caches its light pools (harvest, decode and total optical
 power over its links).  They are summed again only after a link of the
-node goes on or off or has a fade redrawn, and that sum visits the
-links in their fixed order but skips the dark ones.  A dark link would
-add +0.0, and s + 0.0 == s bit for bit for every partial sum s >= 0, so
-the pools are the same floats as a sum over every link.
+node goes on or off or has a fade redrawn, and that sum visits only the
+node's lit links, kept in link order whenever a transmitter toggles.  A
+dark link would add +0.0, and s + 0.0 == s bit for bit for every partial
+sum s >= 0, so the pools are the same floats as a sum over every link.
+
+Whatever cannot change during a run is resolved when the Simulation is
+built: each transmitter's links (in node order, so a toggle touches only
+its own targets), each node's load watts, and the command each frame
+carries, which a frame hands to the node as built (the frame codec
+round-trips every command exactly).
 
 Randomness: every random stream is derived from the master seed as
 
@@ -44,30 +50,17 @@ import os
 import zlib
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Protocol
 
 from sliptsim.channel import LinkParams, attenuate, geometric_capture, sample_fading
 from sliptsim.energy_store import EnergyStore
 from sliptsim.errors import ConfigError
 from sliptsim.harvester import CellMode, SolarCell
-from sliptsim.node import (
-    Command,
-    NodeState,
-    Opcode,
-    Phase,
-    Stimulus,
-    decode_command,
-    encode_command,
-    load_power,
-)
-from sliptsim.policy import (  # noqa: F401 - bench/traced.py times engine.split
-    Policy,
-    TimeSwitchSchedule,
-    TxRole,
-    assign_spatial,
-    mode_at,
-    split,
-)
+from sliptsim.node import Command, NodeState, Opcode, Phase, Stimulus, load_power
+from sliptsim.node import decode_command, encode_command  # noqa: F401 - bench/traced.py times them
+from sliptsim.policy import Policy, TimeSwitchSchedule, TxRole, assign_spatial, mode_at
+from sliptsim.policy import split  # noqa: F401 - bench/traced.py times engine.split
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,6 +68,9 @@ if TYPE_CHECKING:
 FRAME_BITS = 32  # 4-byte command frame
 _FADE_BLOCK_CAP = 1024  # fades a turbulent link draws at once, at most
 _FULL_REL_TOL = 1e-12
+_node_id_of = attrgetter("node_id")
+# looked up once: reading an Enum member off its class costs a descriptor call
+_RESTING_PHASES = (Phase.SLEEP, Phase.HARVEST)
 
 TRACE_FIELDS = (
     "time",
@@ -275,6 +271,8 @@ class _NodeRuntime:
     state: NodeState
     metrics: NodeMetrics
     links: list[_LinkRuntime] = field(default_factory=list)
+    lit_links: list[_LinkRuntime] = field(default_factory=list)  # the active links, in links order
+    loads: tuple[float, float, float] = (0.0, 0.0, 0.0)  # (sleep, active, uplink) W
     schedule: TimeSwitchSchedule | None = None
     # (harvest_pool, decode_pool, total) optical W over the links; None once
     # a link's active or fade has changed, until _refresh sums them again
@@ -313,6 +311,13 @@ class Simulation:
         self.nodes: dict[str, _NodeRuntime] = {}
         self._build_nodes()
         self._build_links()
+        # each transmitter's links in node order; a dual transmitter's two
+        # links to a node sit next to each other
+        self._tx_links: dict[str, list[_LinkRuntime]] = {
+            tx.tx_id: [] for tx in scenario.transmitters}
+        for n in self.nodes.values():
+            for link in n.links:
+                self._tx_links[link.tx_id].append(link)
         self._prime_events()
 
     # -- construction --------------------------------------------------------
@@ -326,6 +331,8 @@ class Simulation:
                 state=NodeState(v_threshold=nd.v_threshold,
                                 enabled_sensors=set(nd.enabled_sensors)),
                 metrics=NodeMetrics(stored_initial_j=nd.store.stored),
+                loads=(load_power(nd.sleep_load), load_power(nd.active_load),
+                       load_power(nd.uplink_load)),
                 schedule=nd.policy.schedule,
             )
             self.metrics.nodes[nd.node_id] = n.metrics
@@ -448,18 +455,19 @@ class Simulation:
                 break
         return value
 
-    def _load_name(self, n: _NodeRuntime, t: float) -> str:
-        """The catalog row draining the store: a protocol node draws sleep_load
-        in Sleep and Harvest, uplink_load while it uplinks, and active_load in
-        the other awake phases (WakeCheck, SenseSave, CommandRx)."""
+    def _load(self, n: _NodeRuntime, t: float) -> float:
+        """Watts draining the store: a protocol node draws sleep_load in Sleep
+        and Harvest, uplink_load while it uplinks, and active_load in the
+        other awake phases (WakeCheck, SenseSave, CommandRx)."""
+        sleep_w, active_w, uplink_w = n.loads
         if not n.cfg.policy.protocol:
-            return n.cfg.active_load  # policy nodes draw one constant load
+            return active_w  # policy nodes draw one constant load
         phase = n.state.phase
-        if phase in (Phase.SLEEP, Phase.HARVEST):
-            return n.cfg.sleep_load
-        if phase is Phase.COMMAND_RX and t < n.uplink_until:
-            return n.cfg.uplink_load
-        return n.cfg.active_load
+        if phase in _RESTING_PHASES:
+            return sleep_w
+        if t < n.uplink_until and phase is Phase.COMMAND_RX:
+            return uplink_w
+        return active_w
 
     def _refresh(self, n: _NodeRuntime, t: float):
         """Recompute the piecewise-constant power snapshot at time t and
@@ -468,9 +476,7 @@ class Simulation:
             harvest_pool = 0.0
             decode_pool = 0.0
             total = 0.0
-            for link in n.links:
-                if not link.active:  # adds +0.0: see the module docstring
-                    continue
+            for link in n.lit_links:  # a dark link adds +0.0: see the module docstring
                 p = link.base_power * link.fade
                 total += p
                 if link.in_harvest:
@@ -486,7 +492,7 @@ class Simulation:
         harvest_opt, n.decode_in, n.decoding = n.cfg.policy.divide(
             harvest_pool, decode_pool, cell.mode, t >= cell.ready_at, n.state.phase)
         n.harvest_elec = cell.conversion_efficiency * harvest_opt
-        n.load_elec = load_power(self._load_name(n, t))
+        n.load_elec = self._load(n, t)
 
         # Arm the charge/depletion timer for the new power level, then handle
         # a not-full -> full transition.  Delivering FullCharge re-enters
@@ -546,7 +552,7 @@ class Simulation:
                 m.decoded_bits += n.cell.decode_rate * dt
             else:
                 m.outage_s += dt
-        phase = n.state.phase.value
+        phase = n.state.phase._value_  # skips Enum.value's Python-level descriptor
         m.phase_occupancy[phase] = m.phase_occupancy.get(phase, 0.0) + dt
 
     def _advance(self, n: _NodeRuntime, t: float):
@@ -600,36 +606,39 @@ class Simulation:
             return
         m = n.metrics
         store = n.store
-        sink.write(t, node_id, event_kind, n.state.phase.value, store.stored,
+        sink.write(t, node_id, event_kind, n.state.phase._value_, store.stored,
                    store.terminal_voltage(), m.harvested_j, m.decoded_bits)
 
     # -- event handlers -------------------------------------------------------
 
     def _strongest_decode_link(self, n: _NodeRuntime) -> _LinkRuntime | None:
         best = None
-        for link in n.links:
-            if link.in_decode and link.active:
+        for link in n.lit_links:
+            if link.in_decode:
                 if best is None or link.power_now() > best.power_now():
                     best = link
         return best
 
     def _handle_tx_power_change(self, t: float, tx_id: str, turn_on: bool):
-        for node_id, n in self.nodes.items():
-            touched = False
-            for link in n.links:
-                if link.tx_id != tx_id:
-                    continue
-                touched = True
-                link.active = turn_on
-                if turn_on and link.rng is not None:
-                    link.fade = link.draw_fade()
-            if not touched:
-                continue
+        links = self._tx_links[tx_id]
+        for link in links:  # each link owns its stream: the draw order moves no fade
+            link.active = turn_on
+            if turn_on and link.rng is not None:
+                link.fade = link.draw_fade()
+        kind = "timer_expiry:tx_on" if turn_on else "timer_expiry:tx_off"
+        # one group per node: a dual transmitter's two links to it sit together
+        for node_id, group in itertools.groupby(links, _node_id_of):
+            n = self.nodes[node_id]
+            if not turn_on:
+                n.lit_links = [lit for lit in n.lit_links if lit.active]
+            elif n.lit_links:
+                n.lit_links = [lit for lit in n.links if lit.active]
+            else:
+                n.lit_links = list(group)  # the node's only lit links, in order
             n.pools = None
             self._advance(n, t)
             was_lit = n.lit
             self._refresh(n, t)
-            kind = "timer_expiry:tx_on" if turn_on else "timer_expiry:tx_off"
             if (turn_on and not was_lit and n.lit
                     and n.cfg.policy.protocol
                     and n.state.phase is Phase.SLEEP):
@@ -641,8 +650,8 @@ class Simulation:
         n = self.nodes[node_id]
         self._advance(n, t)
         self._switch_cell(n, mode_at(n.schedule, t), t)
-        for link in n.links:  # fading coherence is tied to the slot length
-            if link.active and link.rng is not None:
+        for link in n.lit_links:  # fading coherence is tied to the slot length
+            if link.rng is not None:
                 link.fade = link.draw_fade()
                 n.pools = None
         self._refresh(n, t)
@@ -683,7 +692,7 @@ class Simulation:
             self.metrics.frame_errors[key] = self.metrics.frame_errors.get(key, 0) + 1
             kind = "frame_arrival:error"
         else:
-            cmd = decode_command(encode_command(n.cfg.commands[index]))
+            cmd = n.cfg.commands[index]
             batch = n.state.execute_command(cmd)
             if batch and cmd.opcode in (Opcode.SEND_DATA, Opcode.RETRANSMIT):
                 tx_s = len(batch) * n.cfg.record_bits / n.cfg.uplink_rate

@@ -412,7 +412,9 @@ def _build_node(obj, index: int, default_policy: Policy) -> NodeDef:
               if "policy" in obj else default_policy)
     enabled, values, per = _build_sensors(obj.get("sensors"), f"{path}.sensors")
 
-    uplink = obj.get("uplink") or {}
+    uplink = obj.get("uplink")
+    if uplink is None:
+        uplink = {}
     _check_keys(uplink, _UPLINK_KEYS, f"{path}.uplink")
     record_bits = uplink.get("record_bits", 128)
     if isinstance(record_bits, bool) or not isinstance(record_bits, int) or record_bits <= 0:

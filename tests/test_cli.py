@@ -274,6 +274,11 @@ def test_negative_distance_override_exits_1_with_its_path(tmp_path, capsys):
                 in capsys.readouterr().err)
 
 
+def test_null_uplink_takes_the_defaults(tmp_path, capsys):
+    ok = _variant(tmp_path, TANK, lambda cfg: cfg["nodes"][0].update(uplink=None))
+    assert main(["validate", "--scenario", ok]) == 0
+
+
 def _make_dual(tx):
     beam = {"wavelength": "450nm", "water": tx.pop("water")}
     tx["dual"] = {"energy": {**beam, "power": "5W", "wavelength": "520nm"},
@@ -300,12 +305,15 @@ def _make_dual(tx):
      "transmitters[2].dual: spatial assignment aims one beam per transmitter"),
     (TANK, lambda cfg: cfg["nodes"][0].update(active_load="soc_mcu_3mhz"),
      "nodes[0]: unknown key(s) active_load"),  # "load" is the one key for it
+    *[(TANK, lambda cfg, v=value: cfg["nodes"][0].update(uplink=v),
+       f"nodes[0].uplink: expected an object, got {got}")
+      for value, got in (([], "list"), (0, "int"), (False, "bool"), ("", "str"))],
 ], ids=["distances_list", "values_list", "divergence_100deg", "divergence_90deg",
         "zero_decode_rate", "zero_uplink_rate", "negative_sensing_time", "dual_under_spatial",
-        "active_load_key"])
+        "active_load_key", "uplink_list", "uplink_0", "uplink_false", "uplink_empty_string"])
 def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit, message):
     # before these checks, the list edits died with a traceback; the others
-    # validated, and a run divided by the zero rate once it timed a frame or
+    # validated (a falsy uplink was taken as the defaults), and a run divided by the zero rate once it timed a frame or
     # an uplink, or ran on a negative beam radius, at negative event times
     # or with the energy beam carrying data
     bad = _variant(tmp_path, base, edit)

@@ -85,6 +85,27 @@ def test_simulation_requires_a_seed():
     assert metrics.seed == 7
 
 
+@pytest.mark.parametrize("key", ["sleep_load", "active_load", "uplink_load"])
+def test_unknown_load_fails_when_the_simulation_is_built(key):
+    # the loader refuses an unknown load name; a hand-built NodeDef used to
+    # pass until the node first drew that load (its uplink, for uplink_load)
+    sc = build_scenario({"duration": "1s", "seed": 1, "policy": {"kind": "protocol"},
+                         "nodes": [{"id": "n0", "store": _battery("1J", "0.5J")}]})
+    sc.nodes = [replace(sc.nodes[0], **{key: "toaster"})]
+    with pytest.raises(ConfigError) as err:
+        Simulation(sc)
+    assert err.value.path == "load:toaster"
+
+
+def test_loads_are_resolved_to_watts_at_build():
+    sc = build_scenario({"duration": "1s", "seed": 1, "policy": {"kind": "protocol"},
+                         "nodes": [{"id": "n0", "store": _battery("1J", "0.5J"),
+                                    "load": "soc_mcu_3mhz",
+                                    "uplink": {"load": "wifi_bluetooth"}}]})
+    n = Simulation(sc).nodes["n0"]
+    assert n.loads == (0.0, 3.7 * 11e-3, 3.7 * 102e-3)
+
+
 def test_timeout_while_asleep_is_a_protocol_error():
     cfg = {
         "duration": "2s",

@@ -17,11 +17,14 @@ case is checked twice: serialized from the in-memory trace, and as
 """
 
 import hashlib
+import heapq
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import sliptsim.engine as engine
 from sliptsim.cli import main
 from sliptsim.channel import sample_fading
 from sliptsim.engine import (
@@ -332,6 +335,62 @@ def test_cached_light_pools_equal_a_sum_over_all_links(name):
     assert _digests_of(*sim.run()) == GOLDEN[name]
     # in turbulent_demo every refresh follows a fade redraw, so none reuses
     assert (sim.hits > 0) is (name != "turbulent_demo")
+
+
+class _CheckedToggles(Simulation):
+    """Checks that each transmitter toggle emits one row for every node
+    with a link of that transmitter and none for any other node."""
+
+    def __init__(self, scenario):
+        self.emitted = []
+        self.toggles = 0
+        super().__init__(scenario)
+
+    def _emit(self, t, node_id, event_kind, n):
+        self.emitted.append(node_id)
+        super()._emit(t, node_id, event_kind, n)
+
+    def _handle_tx_power_change(self, t, tx_id, turn_on):
+        start = len(self.emitted)
+        super()._handle_tx_power_change(t, tx_id, turn_on)
+        targets = [node_id for node_id, n in self.nodes.items()
+                   if any(link.tx_id == tx_id for link in n.links)]
+        assert sorted(self.emitted[start:]) == sorted(targets), (tx_id, t)
+        self.toggles += 1
+
+
+def _assert_lit_links_are_the_active_links(sim):
+    for n in sim.nodes.values():
+        active = [link for link in n.links if link.active]
+        assert len(n.lit_links) == len(active), (n.cfg.node_id, sim.now)
+        assert all(a is b for a, b in zip(n.lit_links, active)), (n.cfg.node_id, sim.now)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_lit_links_and_the_transmitter_index(name, monkeypatch):
+    sim = _CheckedToggles(_scenario(name))
+    # each transmitter's links, in node order and then link order
+    for tx in sim.scenario.transmitters:
+        expected = [link for n in sim.nodes.values() for link in n.links
+                    if link.tx_id == tx.tx_id]
+        assert [id(link) for link in sim._tx_links[tx.tx_id]] == list(map(id, expected))
+    pops = []
+
+    def checking_pop(heap):
+        _assert_lit_links_are_the_active_links(sim)  # after the event before
+        pops.append(None)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(engine, "heapq", SimpleNamespace(heappush=heapq.heappush,
+                                                         heappop=checking_pop))
+    assert _digests_of(*sim.run()) == GOLDEN[name]
+    _assert_lit_links_are_the_active_links(sim)
+    assert len(pops) >= sim.metrics.events_processed > 0
+    assert sim.toggles > 0
+    if name == "golden_targeted_protocol":
+        assert [link.node_id for link in sim._tx_links["tx1"]] == ["n0", "n2"]
+        assert [(link.node_id, link.in_harvest) for link in sim._tx_links["tx2"]] == [
+            ("n1", True), ("n1", False), ("n3", True), ("n3", False)]
 
 
 @pytest.mark.parametrize("name", ["golden_fast_slots", "turbulent_demo"])

@@ -4,7 +4,9 @@ Every name a module of src/sliptsim imports must be used in that module
 (string annotations count), unless its import statement carries
 `# noqa: F401`; the package's __all__ counts as a use of what
 __init__.py re-exports.  Every name in sliptsim.__all__ must resolve,
-once.
+once.  The engine keeps a few imports it does not use only so that
+bench/traced.py can time them as `engine.<name>`; each of those must
+still be in traced.py's TIMED table.
 """
 
 import ast
@@ -15,16 +17,18 @@ import pytest
 import sliptsim
 
 PACKAGE = Path(sliptsim.__file__).resolve().parent
+TRACED = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
-def _imported(tree: ast.Module, lines: list[str]) -> dict[str, int]:
-    """Name bound by each import outside a `# noqa: F401` statement -> line."""
+def _imported(tree: ast.Module, lines: list[str], noqa: bool = False) -> dict[str, int]:
+    """Name bound by each import outside (or, with noqa, inside) a
+    `# noqa: F401` statement -> line."""
     names = {}
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        if "noqa: F401" in lines[node.lineno - 1]:
+        if ("noqa: F401" in lines[node.lineno - 1]) is not noqa:
             continue
         for alias in node.names:
             names[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -72,3 +76,20 @@ def test_all_resolves_without_duplicates():
     assert len(exported) == len(set(exported))
     missing = [name for name in exported if not hasattr(sliptsim, name)]
     assert missing == []
+
+
+def _timed_names() -> set[str]:
+    tree = ast.parse(TRACED.read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TIMED" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("bench/traced.py has no TIMED table")
+
+
+def test_engine_noqa_imports_are_the_ones_the_bench_times():
+    path = PACKAGE / "engine.py"
+    text = path.read_text()
+    kept = _imported(ast.parse(text), text.splitlines(), noqa=True)
+    untimed = sorted(name for name in kept if f"engine.{name}" not in _timed_names())
+    assert not untimed, f"engine.py keeps imports bench/traced.py does not time: {untimed}"
