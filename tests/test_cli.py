@@ -274,7 +274,7 @@ def test_negative_distance_override_exits_1_with_its_path(tmp_path, capsys):
                 in capsys.readouterr().err)
 
 
-def test_null_uplink_takes_the_defaults(tmp_path, capsys):
+def test_null_uplink_takes_the_defaults(tmp_path):
     ok = _variant(tmp_path, TANK, lambda cfg: cfg["nodes"][0].update(uplink=None))
     assert main(["validate", "--scenario", ok]) == 0
 
@@ -313,9 +313,10 @@ def _make_dual(tx):
         "active_load_key", "uplink_list", "uplink_0", "uplink_false", "uplink_empty_string"])
 def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit, message):
     # before these checks, the list edits died with a traceback; the others
-    # validated (a falsy uplink was taken as the defaults), and a run divided by the zero rate once it timed a frame or
-    # an uplink, or ran on a negative beam radius, at negative event times
-    # or with the energy beam carrying data
+    # validated (a falsy uplink was taken as the defaults), and a run divided
+    # by the zero rate once it timed a frame or an uplink, or ran on a
+    # negative beam radius, at negative event times or with the energy beam
+    # carrying data
     bad = _variant(tmp_path, base, edit)
     for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
         assert main(argv) == 1
