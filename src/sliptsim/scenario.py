@@ -529,21 +529,25 @@ def _build(cfg, default_name: str, issues: list[ConfigError]) -> Scenario | None
     tx_ids = [t.tx_id for t in transmitters]
     if len(set(tx_ids)) != len(tx_ids):
         refuse("scenario.transmitters", "duplicate transmitter ids")
-    known = set(node_ids)
+    by_id = {n.node_id: n for n in nodes}
     spatial = any(n.policy.spatial for n in nodes)
     for i, tx in enumerate(transmitters):
         for target in tx.targets or []:
-            if target not in known:
+            if target not in by_id:
                 refuse(f"transmitters[{i}].targets", f"unknown node {target!r}")
         for node_id in tx.distances:
-            if node_id not in known:
+            if node_id not in by_id:
                 refuse(f"transmitters[{i}].distances", f"unknown node {node_id!r}")
         if spatial and tx.dual_energy is not None:
             refuse(f"transmitters[{i}].dual",
                    "spatial assignment aims one beam per transmitter, not a dual pair")
     for i, st in enumerate(stimuli):
-        if st.node_id not in known:
+        node = by_id.get(st.node_id)
+        if node is None:
             refuse(f"stimuli[{i}].node", f"unknown node {st.node_id!r}")
+        elif not node.policy.protocol:
+            refuse(f"stimuli[{i}].node", "a stimulus drives the protocol state machine, "
+                                         f"which node {st.node_id!r} does not run")
         if st.time > duration:
             refuse(f"stimuli[{i}].time",
                    f"must be <= duration ({duration} s), got {st.time} s")

@@ -220,14 +220,18 @@ def test_negative_phase_offset_exits_1_with_its_path(tmp_path, capsys, policy_pa
         assert "Traceback" not in err
 
 
+def _wake_buoy_at(time):
+    def edit(cfg):
+        cfg["nodes"][0]["policy"] = {"kind": "protocol"}  # a stimulus needs a protocol node
+        cfg["stimuli"] = [{"time": time, "node": "buoy", "stimulus": "light_detected"}]
+
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda cfg: cfg["transmitters"][0].update(on="-2s"), "transmitters[0].on: must be >= 0"),
-    (lambda cfg: cfg.update(stimuli=[{"time": "-1s", "node": "buoy",
-                                      "stimulus": "light_detected"}]),
-     "stimuli[0].time: must be >= 0"),
-    (lambda cfg: cfg.update(stimuli=[{"time": "61s", "node": "buoy",
-                                      "stimulus": "light_detected"}]),
-     "stimuli[0].time: must be <= duration (60.0 s)"),
+    (_wake_buoy_at("-1s"), "stimuli[0].time: must be >= 0"),
+    (_wake_buoy_at("61s"), "stimuli[0].time: must be <= duration (60.0 s)"),
 ], ids=["tx_on_negative", "stimulus_negative", "stimulus_after_duration"])
 def test_event_times_outside_the_run_exit_1_with_their_path(tmp_path, capsys, edit, message):
     # before the check, a -1 s stimulus wrote rows at t = -1.0 and 61 s of
@@ -308,15 +312,20 @@ def _make_dual(tx):
     *[(TANK, lambda cfg, v=value: cfg["nodes"][0].update(uplink=v),
        f"nodes[0].uplink: expected an object, got {got}")
       for value, got in (([], "list"), (0, "int"), (False, "bool"), ("", "str"))],
+    (DEMO, lambda cfg: cfg.update(stimuli=[{"time": "3s", "node": "buoy",
+                                            "stimulus": "light_detected"}]),
+     "stimuli[0].node: a stimulus drives the protocol state machine, "
+     "which node 'buoy' does not run"),
 ], ids=["distances_list", "values_list", "divergence_100deg", "divergence_90deg",
         "zero_decode_rate", "zero_uplink_rate", "negative_sensing_time", "dual_under_spatial",
-        "active_load_key", "uplink_list", "uplink_0", "uplink_false", "uplink_empty_string"])
+        "active_load_key", "uplink_list", "uplink_0", "uplink_false", "uplink_empty_string",
+        "stimulus_on_time_switch_node"])
 def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit, message):
     # before these checks, the list edits died with a traceback; the others
     # validated (a falsy uplink was taken as the defaults), and a run divided
     # by the zero rate once it timed a frame or an uplink, or ran on a
-    # negative beam radius, at negative event times or with the energy beam
-    # carrying data
+    # negative beam radius, at negative event times, with the energy beam
+    # carrying data, or with a time_switch node walked through protocol phases
     bad = _variant(tmp_path, base, edit)
     for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
         assert main(argv) == 1

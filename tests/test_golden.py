@@ -63,11 +63,6 @@ POWER_SPLIT_CFG = {
                                "rated_voltage": "5V", "stored": "0.5J"},
          "load": "sense_and_save"},
     ],
-    "stimuli": [
-        {"time": "3s", "node": "n0", "stimulus": "light_detected"},
-        {"time": "3s", "node": "n0", "stimulus": "light_detected"},
-        {"time": "30s", "node": "n1", "stimulus": "full_charge"},
-    ],
 }
 
 DUAL_WAVELENGTH_CFG = {
@@ -94,10 +89,6 @@ DUAL_WAVELENGTH_CFG = {
         "load": "sense_and_save",
         "commands": [{"op": "send_data"}],
     }],
-    "stimuli": [
-        {"time": "10s", "node": "n0", "stimulus": "light_detected"},
-        {"time": "10s", "node": "n0", "stimulus": "light_detected"},
-    ],
 }
 
 _SLOT_BEAM = {
@@ -217,16 +208,16 @@ GOLDEN = {
         "cef3641f822175e739880b2b20c2d408c86791afaec845f5b36f1e3354b31fd6",
     ),
     "golden_dual_wavelength": (
-        "ef2fc73316b92d2862c64895511f8f09440f5274ddd5f1a6d2eb29ffe3c75355",
-        "ee6f9d956c6f13b4a27c179bc39c17ef409e4fa2e6dd579182711c04605659da",
+        "cba4614e84c7a2ab4b3780dc19b2a6e43fffb80817d0d93b919f3cb80322fe69",
+        "0c950adf260b2029d34ba016dd101772c408cd86ddc26a4a8510d8fe4b6bcfef",
     ),
     "golden_fast_slots": (
         "3943d388c8a30d0c441d6f09ec175fe987989b0e0f3f6a56191651bf05c96951",
         "e0d24acd4969a796f7c90c7ba0af9beca4c7a283683acdf672694e6f804fc444",
     ),
     "golden_power_split": (
-        "8e6f672415b77c0c28c747ac2c2674f389d0d4e0a623379f9c91c444a084ec4d",
-        "f341ce9fde3fa4f6455dadb141c69254a7ff67f12ccf77e80e6dba4f7918d4ca",
+        "e97c572f3632df5bfa8a7b1cd850277d54d28c0d8428966d0d0f6d02795d0873",
+        "18a0b8b52b002a55ab15bfd10a928f4b4e1d6e332db30c37e50689dfcf8a4919",
     ),
     "golden_targeted_protocol": (
         "9fab6ec4cf6eb870a191f5607d994e1a92e41ed3a444c638dc0bd891bda7e4d4",
