@@ -89,9 +89,11 @@ class BeamGeometry:
         if self.half_angle_divergence >= math.pi / 2:  # tan would be negative or infinite
             raise DomainError("half_angle_divergence must be < 90 deg")
 
-    def radius_at_receiver(self) -> float:
-        """Beam radius after diverging over the link distance [m]."""
-        return self.initial_radius + self.distance * math.tan(self.half_angle_divergence)
+    def radius_at_receiver(self, distance: float | None = None) -> float:
+        """Beam radius after diverging over the link distance, or `distance` [m]."""
+        if distance is None:
+            distance = self.distance
+        return self.initial_radius + distance * math.tan(self.half_angle_divergence)
 
 
 @dataclass(frozen=True)
@@ -142,14 +144,15 @@ def attenuate(intensity_in: float, alpha: float, distance: float) -> float:
     return intensity_in * math.exp(-alpha * distance)
 
 
-def geometric_capture(geometry: BeamGeometry) -> float:
-    """Fraction of beam power collected by the receiver aperture.
+def geometric_capture(geometry: BeamGeometry, distance: float | None = None) -> float:
+    """Fraction of beam power collected by the receiver aperture at the
+    geometry's distance, or at `distance` when given.
 
     The beam is modeled as a uniform (top-hat) disc of radius
     w(z) = w0 + z*tan(theta); the captured fraction is the aperture/beam
     area ratio, clipped at 1 when the aperture covers the whole disc.
     """
-    w = geometry.radius_at_receiver()
+    w = geometry.radius_at_receiver(distance)
     if w == 0.0:
         raise GeometryError("zero-width beam: its radius at the receiver is zero")
     ratio = geometry.receiver_aperture_radius / w

@@ -16,10 +16,12 @@ dark link would add +0.0, and s + 0.0 == s bit for bit for every partial
 sum s >= 0, so the pools are the same floats as a sum over every link.
 
 Whatever cannot change during a run is resolved when the Simulation is
-built: each transmitter's links (in node order, so a toggle touches only
-its own targets), each node's load watts, and the command each frame
-carries, which a frame hands to the node as built (the frame codec
-round-trips every command exactly).
+built: each link's mean power, from its transmitter's own beam over the
+link's distance (a `distances` entry changes only that range), each
+transmitter's links (in node order, so a toggle touches only its own
+targets), each node's load watts, and the command each frame carries,
+which a frame hands to the node as built (the frame codec round-trips
+every command exactly).
 
 Randomness: every random stream is derived from the master seed as
 
@@ -53,7 +55,8 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import TYPE_CHECKING, Protocol
 
-from sliptsim.channel import LinkParams, attenuate, geometric_capture, sample_fading
+from sliptsim.channel import (LinkParams, TurbulenceModel, attenuate, geometric_capture,
+                              sample_fading)
 from sliptsim.energy_store import EnergyStore
 from sliptsim.errors import ConfigError
 from sliptsim.harvester import CellMode, SolarCell
@@ -93,10 +96,11 @@ def rng_stream(master_seed: int, purpose: str) -> "np.random.Generator":
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(key,)))
 
 
-def _mean_power(beam: LinkParams) -> float:
-    """A link's optical power with the fade excluded: P_t * capture * exp(-alpha z)."""
+def _mean_power(beam: LinkParams, distance: float) -> float:
+    """A link's optical power at `distance` with the fade excluded:
+    P_t * capture * exp(-alpha z)."""
     return attenuate(beam.tx_power, beam.water.total_attenuation,
-                     beam.geometry.distance) * geometric_capture(beam.geometry)
+                     distance) * geometric_capture(beam.geometry, distance)
 
 
 def _is_full(store: EnergyStore) -> bool:
@@ -122,13 +126,7 @@ class TransmitterDef:
     targets: list[str] | None = None  # None = every node
     dual_energy: LinkParams | None = None
     dual_data: LinkParams | None = None
-    distances: dict[str, float] = field(default_factory=dict)  # per-node override [m]
-
-    def beam_for(self, beam: LinkParams, node_id: str) -> LinkParams:
-        d = self.distances.get(node_id)
-        if d is None:
-            return beam
-        return replace(beam, geometry=replace(beam.geometry, distance=d))
+    distances: dict[str, float] = field(default_factory=dict)  # per-node range [m]
 
 
 @dataclass
@@ -232,7 +230,6 @@ class Metrics:
 class _LinkRuntime:
     tx_id: str
     node_id: str
-    params: LinkParams
     in_harvest: bool = True  # contributes to the harvest pool
     in_decode: bool = True  # contributes to the decode pool
     active: bool = False
@@ -251,12 +248,13 @@ class _TurbulentLink(_LinkRuntime):
     pops off the end (see the module docstring).  Calm links are plain
     _LinkRuntime and carry no buffer."""
 
+    turbulence: TurbulenceModel = field(kw_only=True)
     fades: list[float] = field(default_factory=list)
     block: int = 1  # size of the next block drawn
 
     def draw_fade(self) -> float:
         if not self.fades:
-            fades = sample_fading(self.params.turbulence, self.rng, self.block)
+            fades = sample_fading(self.turbulence, self.rng, self.block)
             fades.reverse()
             self.fades = fades
             self.block = min(2 * self.block, _FADE_BLOCK_CAP)
@@ -340,15 +338,15 @@ class Simulation:
 
     def _link_for(self, tx: TransmitterDef, node_id: str, beam: LinkParams,
                   tag: str, in_harvest: bool, in_decode: bool) -> _LinkRuntime:
-        beam = tx.beam_for(beam, node_id)
         turbulence = beam.turbulence
         if turbulence.scintillation_index > 0.0:
             # streams are keyed by name, so skipping calm links moves no draw
             rng = rng_stream(self.seed, turbulence.rng_stream_id or f"fading:{tag}:{node_id}")
-            link = _TurbulentLink(tx.tx_id, node_id, beam, in_harvest, in_decode, rng=rng)
+            link = _TurbulentLink(tx.tx_id, node_id, in_harvest, in_decode, rng=rng,
+                                  turbulence=turbulence)
         else:
-            link = _LinkRuntime(tx.tx_id, node_id, beam, in_harvest, in_decode)
-        link.base_power = _mean_power(beam)
+            link = _LinkRuntime(tx.tx_id, node_id, in_harvest, in_decode)
+        link.base_power = _mean_power(beam, tx.distances.get(node_id, beam.geometry.distance))
         return link
 
     def _build_links(self):
@@ -375,22 +373,18 @@ class Simulation:
         transmitter to the receiver its beam is pointed at."""
         tx_ids = [tx.tx_id for tx in self.scenario.transmitters]
         node_ids = list(self.nodes)
-        link_power: dict[tuple[str, str], float] = {}
-        beams: dict[tuple[str, str], LinkParams] = {}
-        for tx in self.scenario.transmitters:
-            for node_id in node_ids:
-                beam = tx.beam_for(tx.beam, node_id)
-                link_power[(tx.tx_id, node_id)] = _mean_power(beam)
-                beams[(tx.tx_id, node_id)] = beam
+        link_power = {(tx.tx_id, node_id): _mean_power(
+                          tx.beam, tx.distances.get(node_id, tx.beam.geometry.distance))
+                      for tx in self.scenario.transmitters for node_id in node_ids}
         demands = {nid: self.nodes[nid].cfg.data_demand for nid in node_ids}
         sensitivity = {nid: self.nodes[nid].cell.sensitivity for nid in node_ids}
         assignment = assign_spatial(tx_ids, node_ids, demands, link_power, sensitivity)
         tx_by_id = {tx.tx_id: tx for tx in self.scenario.transmitters}
         for tx_id, rx_id in assignment.target.items():
             is_data = assignment.roles[tx_id] is TxRole.DATA
+            tx = tx_by_id[tx_id]
             self.nodes[rx_id].links.append(self._link_for(
-                tx_by_id[tx_id], rx_id, beams[(tx_id, rx_id)], tx_id,
-                in_harvest=True, in_decode=is_data))
+                tx, rx_id, tx.beam, tx_id, in_harvest=True, in_decode=is_data))
         self.metrics.spatial_assignment = {
             "roles": {t: r.value for t, r in sorted(assignment.roles.items())},
             "target": dict(sorted(assignment.target.items())),

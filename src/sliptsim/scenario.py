@@ -13,7 +13,6 @@ and Infinity literals are refused when the file is read.
 import hashlib
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 from sliptsim.channel import (BeamGeometry, LinkParams, TurbulenceModel, WaterProperties,
@@ -266,13 +265,15 @@ def _build_transmitter(obj, index: int) -> TransmitterDef:
 
     distances = {}
     for node_id, d in _mapping(obj, "distances", path, "node id -> distance").items():
-        distances[node_id] = parse_quantity(d, "length", f"{path}.distances.{node_id}")
+        d = distances[node_id] = parse_quantity(d, "length", f"{path}.distances.{node_id}")
+        if d < 0:
+            raise ConfigError(f"{path}.distances.{node_id}", "distance must be >= 0")
     # BeamGeometry refuses a divergence of 90 deg or more, so every accepted
     # beam widens with distance: a zero-width check at the nearest is exact
     if distances:
         nearest = min(distances, key=distances.get)
         try:
-            geometric_capture(replace(geometry, distance=distances[nearest]))
+            geometric_capture(geometry, distances[nearest])
         except DomainError as e:
             raise ConfigError(f"{path}.distances.{nearest}", str(e)) from None
 

@@ -404,7 +404,7 @@ def test_block_drawn_fades_equal_one_scalar_draw_per_fade(name, monkeypatch):
     by_tx = {}
     for link in links:
         fades = by_tx[link.tx_id] = taken[id(link)]
-        turbulence = link.params.turbulence
+        turbulence = link.turbulence
         rng = rng_stream(sim.seed, turbulence.rng_stream_id
                          or f"fading:{link.tx_id}:{link.node_id}")
         assert fades == [sample_fading(turbulence, rng) for _ in fades]
