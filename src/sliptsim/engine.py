@@ -72,8 +72,15 @@ FRAME_BITS = 32  # 4-byte command frame
 _FADE_BLOCK_CAP = 1024  # fades a turbulent link draws at once, at most
 _FULL_REL_TOL = 1e-12
 _node_id_of = attrgetter("node_id")
-# looked up once: reading an Enum member off its class costs a descriptor call
-_RESTING_PHASES = (Phase.SLEEP, Phase.HARVEST)
+# Enum members the event handlers read, looked up once: reading a member
+# off its class costs a descriptor call, about ten times a global name
+_SLEEP, _HARVEST, _COMMAND_RX = Phase.SLEEP, Phase.HARVEST, Phase.COMMAND_RX
+_WAKE_CHECK, _SENSE_SAVE = Phase.WAKE_CHECK, Phase.SENSE_SAVE
+_LIGHT_DETECTED, _SENSE_COMPLETE = Stimulus.LIGHT_DETECTED, Stimulus.SENSE_COMPLETE
+_COMMANDS_COMPLETE, _FULL_CHARGE = Stimulus.COMMANDS_COMPLETE, Stimulus.FULL_CHARGE
+_RESTING_PHASES = (_SLEEP, _HARVEST)
+_UPLINK_OPCODES = (Opcode.SEND_DATA, Opcode.RETRANSMIT)
+_FRAME_KINDS = {op: f"frame_arrival:{op.name.lower()}" for op in Opcode}
 
 TRACE_FIELDS = (
     "time",
@@ -459,7 +466,7 @@ class Simulation:
         phase = n.state.phase
         if phase in _RESTING_PHASES:
             return sleep_w
-        if t < n.uplink_until and phase is Phase.COMMAND_RX:
+        if t < n.uplink_until and phase is _COMMAND_RX:
             return uplink_w
         return active_w
 
@@ -510,8 +517,8 @@ class Simulation:
         if is_full and not n.was_full:
             n.was_full = True
             n.metrics.charge_completions.append(t)
-            if n.cfg.policy.protocol and n.state.phase is Phase.HARVEST:
-                self._deliver(n, Stimulus.FULL_CHARGE, t)
+            if n.cfg.policy.protocol and n.state.phase is _HARVEST:
+                self._deliver(n, _FULL_CHARGE, t)
                 self._refresh(n, t)
         else:
             n.was_full = is_full
@@ -558,7 +565,7 @@ class Simulation:
     def _deliver(self, n: _NodeRuntime, stimulus: Stimulus, t: float):
         v_b = n.store.terminal_voltage()
         actions = n.state.step(stimulus, v_b)
-        if stimulus is Stimulus.LIGHT_DETECTED and n.state.phase is Phase.WAKE_CHECK:
+        if stimulus is _LIGHT_DETECTED and n.state.phase is _WAKE_CHECK:
             actions += n.state.step(stimulus, v_b)
         for action in actions:
             self._apply_action(n, action, t)
@@ -635,8 +642,8 @@ class Simulation:
             self._refresh(n, t)
             if (turn_on and not was_lit and n.lit
                     and n.cfg.policy.protocol
-                    and n.state.phase is Phase.SLEEP):
-                self._deliver(n, Stimulus.LIGHT_DETECTED, t)
+                    and n.state.phase is _SLEEP):
+                self._deliver(n, _LIGHT_DETECTED, t)
                 self._refresh(n, t)
             self._emit(t, node_id, kind, n)
 
@@ -669,8 +676,8 @@ class Simulation:
             n.state.record_sensor(sensor_id, value, t)
             kind = f"sense_tick:{sensor_id}"
         else:
-            if n.state.phase is Phase.SENSE_SAVE:
-                self._deliver(n, Stimulus.SENSE_COMPLETE, t)
+            if n.state.phase is _SENSE_SAVE:
+                self._deliver(n, _SENSE_COMPLETE, t)
             kind = "sense_tick:complete"
         self._refresh(n, t)
         self._emit(t, node_id, kind, n)
@@ -678,7 +685,7 @@ class Simulation:
     def _handle_frame_arrival(self, t: float, node_id: str, index: int):
         n = self.nodes[node_id]
         self._advance(n, t)
-        ok = (n.state.phase is Phase.COMMAND_RX
+        ok = (n.state.phase is _COMMAND_RX
               and n.decoding and n.decode_in >= n.cell.sensitivity)
         if not ok:
             link = self._strongest_decode_link(n)
@@ -688,12 +695,12 @@ class Simulation:
         else:
             cmd = n.cfg.commands[index]
             batch = n.state.execute_command(cmd)
-            if batch and cmd.opcode in (Opcode.SEND_DATA, Opcode.RETRANSMIT):
+            if batch and cmd.opcode in _UPLINK_OPCODES:
                 tx_s = len(batch) * n.cfg.record_bits / n.cfg.uplink_rate
                 start = max(t, n.uplink_until)
                 n.uplink_until = start + tx_s
                 self._schedule(n.uplink_until, "_handle_timer", "uplink_done", node_id, batch)
-            kind = f"frame_arrival:{cmd.opcode.name.lower()}"
+            kind = _FRAME_KINDS[cmd.opcode]
         if index == len(n.cfg.commands) - 1:
             done = max(t, n.uplink_until)
             self._schedule(done, "_handle_timer", "commands_complete", node_id)
@@ -709,8 +716,8 @@ class Simulation:
         n = self.nodes[target_id]
         self._advance(n, t)
         if action == "commands_complete":
-            if n.state.phase is Phase.COMMAND_RX:
-                self._deliver(n, Stimulus.COMMANDS_COMPLETE, t)
+            if n.state.phase is _COMMAND_RX:
+                self._deliver(n, _COMMANDS_COMPLETE, t)
         elif action == "uplink_done":
             n.state.ack_transmission(batch)
             n.metrics.delivered_records += len(batch)

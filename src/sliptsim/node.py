@@ -48,6 +48,16 @@ class Opcode(enum.Enum):
     RETRANSMIT = 0x04
 
 
+# Enum members NodeState reads, looked up once: reading a member off its
+# class costs a descriptor call, about ten times a global name
+_SLEEP, _WAKE_CHECK, _SENSE_SAVE = Phase.SLEEP, Phase.WAKE_CHECK, Phase.SENSE_SAVE
+_COMMAND_RX, _HARVEST = Phase.COMMAND_RX, Phase.HARVEST
+_LIGHT_DETECTED, _SENSE_COMPLETE = Stimulus.LIGHT_DETECTED, Stimulus.SENSE_COMPLETE
+_COMMANDS_COMPLETE, _FULL_CHARGE = Stimulus.COMMANDS_COMPLETE, Stimulus.FULL_CHARGE
+_PV, _PC = CellMode.PHOTOVOLTAIC, CellMode.PHOTOCONDUCTIVE
+_SENSOR_ON, _SENSOR_OFF, _SEND_DATA = Opcode.SENSOR_ON, Opcode.SENSOR_OFF, Opcode.SEND_DATA
+
+
 @dataclass(frozen=True)
 class Command:
     """One node command; sensor_id doubles as the raw payload byte."""
@@ -196,29 +206,29 @@ class NodeState:
         yields a single protocol_error action for the trace.
         """
         phase = self.phase
-        if stimulus is Stimulus.LIGHT_DETECTED:
-            if phase is Phase.SLEEP:
-                self.phase = Phase.WAKE_CHECK
+        if stimulus is _LIGHT_DETECTED:
+            if phase is _SLEEP:
+                self.phase = _WAKE_CHECK
                 return []
-            if phase is Phase.WAKE_CHECK:
+            if phase is _WAKE_CHECK:
                 if v_b is None:
                     raise DomainError("LightDetected in WakeCheck requires v_b")
                 if v_b >= self.v_threshold:
-                    self.phase = Phase.COMMAND_RX
+                    self.phase = _COMMAND_RX
                     return [
-                        Action("switch_cell_mode", CellMode.PHOTOCONDUCTIVE),
+                        Action("switch_cell_mode", _PC),
                         Action("start_command_rx"),
                     ]
-                self.phase = Phase.SENSE_SAVE
+                self.phase = _SENSE_SAVE
                 return [Action("start_sensing", tuple(sorted(self.enabled_sensors)))]
-        elif stimulus is Stimulus.SENSE_COMPLETE and phase is Phase.SENSE_SAVE:
-            self.phase = Phase.SLEEP
+        elif stimulus is _SENSE_COMPLETE and phase is _SENSE_SAVE:
+            self.phase = _SLEEP
             return []
-        elif stimulus is Stimulus.COMMANDS_COMPLETE and phase is Phase.COMMAND_RX:
-            self.phase = Phase.HARVEST
-            return [Action("switch_cell_mode", CellMode.PHOTOVOLTAIC)]
-        elif stimulus is Stimulus.FULL_CHARGE and phase is Phase.HARVEST:
-            self.phase = Phase.SLEEP
+        elif stimulus is _COMMANDS_COMPLETE and phase is _COMMAND_RX:
+            self.phase = _HARVEST
+            return [Action("switch_cell_mode", _PV)]
+        elif stimulus is _FULL_CHARGE and phase is _HARVEST:
+            self.phase = _SLEEP
             return []
         return [
             Action(
@@ -243,13 +253,13 @@ class NodeState:
         acknowledges the transmission via ack_transmission); Retransmit
         hands over the last transmitted batch again.
         """
-        if cmd.opcode is Opcode.SENSOR_ON:
+        if cmd.opcode is _SENSOR_ON:
             self.enabled_sensors.add(cmd.sensor_id)
             return []
-        if cmd.opcode is Opcode.SENSOR_OFF:
+        if cmd.opcode is _SENSOR_OFF:
             self.enabled_sensors.discard(cmd.sensor_id)
             return []
-        if cmd.opcode is Opcode.SEND_DATA:
+        if cmd.opcode is _SEND_DATA:
             return list(self.storage)
         return list(self.last_sent)  # RETRANSMIT
 

@@ -18,6 +18,10 @@ from sliptsim.errors import ConfigError, DomainError
 from sliptsim.harvester import CellMode
 from sliptsim.node import Phase
 
+# looked up once: reading an Enum member off its class costs a descriptor call
+_PV, _PC = CellMode.PHOTOVOLTAIC, CellMode.PHOTOCONDUCTIVE
+_COMMAND_RX = Phase.COMMAND_RX
+
 
 class Policy:
     """What the engine asks of a node's policy.
@@ -41,9 +45,9 @@ class Policy:
         """
         if not ready:
             return 0.0, 0.0, False
-        if mode is CellMode.PHOTOVOLTAIC:
+        if mode is _PV:
             return harvest_pool, 0.0, False
-        return 0.0, decode_pool, not self.protocol or phase is Phase.COMMAND_RX
+        return 0.0, decode_pool, not self.protocol or phase is _COMMAND_RX
 
 
 @dataclass(frozen=True)
@@ -92,11 +96,11 @@ def mode_at(schedule: TimeSwitchSchedule, t: float) -> CellMode:
     if t < 0:
         raise DomainError("t must be >= 0")
     if schedule.t2 == 0:
-        return CellMode.PHOTOVOLTAIC
+        return _PV
     if schedule.t1 == 0:
-        return CellMode.PHOTOCONDUCTIVE
+        return _PC
     local = (t - schedule.phase_offset) % schedule.period
-    return CellMode.PHOTOVOLTAIC if local < schedule.t1 else CellMode.PHOTOCONDUCTIVE
+    return _PV if local < schedule.t1 else _PC
 
 
 @dataclass(frozen=True)
