@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,6 +99,30 @@ def test_capture_zero_width_beam():
 def test_capture_is_a_fraction(w0, theta, r_rx, z):
     capture = geometric_capture(BeamGeometry(w0, theta, r_rx, z))
     assert 0.0 <= capture <= 1.0
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(0.0, 0.1),
+    st.floats(0.0, math.pi / 2, exclude_max=True),
+    st.floats(0.0, 0.5),
+    st.floats(0.0, 100.0),
+    st.floats(0.0, 100.0),
+)
+def test_capture_at_a_distance_equals_capture_of_the_moved_geometry(w0, theta, r_rx, z, d):
+    # the engine evaluates a link at its own distance without building a
+    # geometry for it: the capture must be the same float
+    def capture(*args):
+        try:
+            return geometric_capture(*args)
+        except GeometryError:  # a zero-width beam, refused either way
+            return "zero-width"
+
+    g = BeamGeometry(w0, theta, r_rx, z)
+    moved = replace(g, distance=d)
+    assert g.radius_at_receiver(d) == moved.radius_at_receiver()
+    assert capture(g, d) == capture(moved)
+    assert capture(g, z) == capture(g)
 
 
 def test_fading_calm_channel_is_exactly_one():

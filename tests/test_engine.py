@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import sliptsim.engine as engine
+from sliptsim.channel import BeamGeometry, LinkParams, attenuate, geometric_capture
 from sliptsim.engine import (
     FRAME_BITS,
     Simulation,
@@ -21,6 +22,8 @@ from sliptsim.errors import ConfigError
 from sliptsim.node import Phase
 from sliptsim.policy import TimeSwitchSchedule
 from sliptsim.scenario import build_scenario, load_scenario
+
+from test_golden import GOLDEN, INLINE, _scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -390,3 +393,65 @@ def test_catch_up_lands_on_the_first_boundary_after_now(phase_offset, t1, t2, no
     assert (handler, args) == ("_handle_slot_boundary", (n.cfg.node_id,))
     assert t == engine._boundary_time(n.schedule, k) > now
     assert engine._boundary_time(n.schedule, k - 1) <= now
+
+
+def _moved_beam_power(beam: LinkParams, d: float) -> float:
+    """The link power as links were once built: the beam moved to the
+    link's distance (a new geometry and LinkParams), then evaluated at it."""
+    moved = replace(beam, geometry=replace(beam.geometry, distance=d))
+    return (attenuate(moved.tx_power, moved.water.total_attenuation, moved.geometry.distance)
+            * geometric_capture(moved.geometry))
+
+
+def _reference_powers(tx, node_id: str) -> list[float]:
+    beams = (tx.dual_energy, tx.dual_data) if tx.dual_energy is not None else (tx.beam,)
+    return [_moved_beam_power(b, tx.distances.get(node_id, b.geometry.distance))
+            for b in beams]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_link_power_equals_the_beam_moved_to_its_distance(name, monkeypatch):
+    link_power = {}
+    assign_spatial = engine.assign_spatial
+
+    def recording(tx_ids, node_ids, demands, powers, sensitivity):
+        link_power.update(powers)
+        return assign_spatial(tx_ids, node_ids, demands, powers, sensitivity)
+
+    monkeypatch.setattr(engine, "assign_spatial", recording)
+    sc = _scenario(name)
+    sim = Simulation(sc)
+    checked = 0
+    for tx in sc.transmitters:
+        for node_id, n in sim.nodes.items():
+            expected = _reference_powers(tx, node_id)
+            built = [link.base_power for link in n.links if link.tx_id == tx.tx_id]
+            if built:
+                assert built == expected, (tx.tx_id, node_id)
+                checked += 1
+            if link_power:  # the spatial role assignment weighs every pair
+                assert link_power[(tx.tx_id, node_id)] == expected[0], (tx.tx_id, node_id)
+    assert checked > 0
+    if name == "golden_targeted_protocol":  # a dual pair at overridden ranges
+        assert sc.transmitters[2].dual_energy is not None and sc.transmitters[2].distances
+    if name == "spatial_demo":  # every pair weighed, some at overridden ranges
+        assert len(link_power) == 6 and sc.transmitters[0].distances
+
+
+def test_building_a_simulation_constructs_no_link_params_or_geometry(monkeypatch):
+    scenarios = [_scenario(name) for name in sorted(GOLDEN)]
+    constructed = []
+    for cls in (LinkParams, BeamGeometry):
+        post_init = cls.__post_init__
+
+        def counting(self, _post_init=post_init):
+            constructed.append(type(self).__name__)
+            _post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    build_scenario(INLINE["golden_targeted_protocol"])
+    assert constructed  # the counter sees what the loader builds
+    constructed.clear()
+    for sc in scenarios:
+        Simulation(sc)
+    assert constructed == []
