@@ -314,7 +314,8 @@ def test_depletion_timer_lands_after_now_for_a_tiny_residue():
     assert armed[0][0] > 300.0
 
 
-@pytest.mark.parametrize("name", ["tank_1m5", "vertical_supercap", "spatial_demo"])
+@pytest.mark.parametrize("name", ["tank_1m5", "vertical_supercap", "spatial_demo",
+                                  "protocol_demo"])
 def test_calm_links_build_no_random_stream(monkeypatch, name):
     calls = []
     monkeypatch.setattr(engine, "rng_stream", lambda *args: calls.append(args))

@@ -11,9 +11,10 @@ fades of three turbulent links every 5 ms slot for 30 s, thousands of
 draws per link, two of the links naming the same random stream; a fifth
 aims transmitters at subsets of a protocol fleet, one listing its targets
 out of node order and one a dual-wavelength pair, with windows that
-overlap, so frames are decoded and records uplinked under both.  Each
-case is checked twice: serialized from the in-memory trace, and as
-`sliptsim run` streams it to its output directory.
+overlap, so frames are decoded and records uplinked under both.  Every
+file in scenarios/ is pinned too.  Each case is checked twice:
+serialized from the in-memory trace, and as `sliptsim run` streams it
+to its output directory.
 """
 
 import hashlib
@@ -223,6 +224,10 @@ GOLDEN = {
         "9fab6ec4cf6eb870a191f5607d994e1a92e41ed3a444c638dc0bd891bda7e4d4",
         "c1032ebc0be3dd0bf187a17716af1eede3e11ead3c3e3261bf643afd9da8c65a",
     ),
+    "protocol_demo": (
+        "56fa9b29889fb2efab33d3a71d7e525f56f6700d2f36197972c036d44de9d61f",
+        "26e4c2d893e4254ceffb7ecaaf9e39a9a4af3a55f45b4df1f270da9d50828092",
+    ),
     "spatial_demo": (
         "edb90ab80d3da0b4ec0206852ad992757bf385e2248e2143ce48df37fa68b345",
         "84dacd1e9867552f8573d95d8b5d9c0d73848d782a22549c58220edba5b4364f",
@@ -279,6 +284,28 @@ def digests(name: str) -> tuple[str, str]:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digests(name):
     assert digests(name) == GOLDEN[name]
+
+
+def test_every_bundled_scenario_is_pinned():
+    bundled = {path.stem for path in SCENARIOS.glob("*.json")}
+    assert len(bundled) >= 5
+    assert sorted(bundled - set(GOLDEN)) == []
+
+
+def test_protocol_demo_walks_the_whole_protocol():
+    # near senses on its first wake, charges past 3.6 V while lit, and on
+    # the second wake takes both commands and uplinks its record; far,
+    # farther from the LEDs, stays below the threshold and senses twice
+    metrics, trace = run(_scenario("protocol_demo"))
+    near, far = metrics.nodes["near"], metrics.nodes["far"]
+    assert near.decoded_bits > 0 and near.delivered_records == 1
+    assert near.phase_occupancy.keys() == {"sleep", "sense_save", "command_rx", "harvest"}
+    assert len(near.charge_completions) == 1
+    assert far.decoded_bits == 0 and far.phase_occupancy.keys() == {"sleep", "sense_save"}
+    kinds = {(r.node_id, r.event_kind) for r in trace}
+    assert {("near", "frame_arrival:sensor_on"), ("near", "frame_arrival:send_data"),
+            ("near", "timer_expiry:uplink_done"), ("near", "timer_expiry:tx_off")} <= kinds
+    assert [r.event_kind for r in trace if r.node_id == "far"].count("sense_tick:complete") == 2
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

@@ -29,9 +29,7 @@ def _minimal(**over):
     return cfg
 
 
-@pytest.mark.parametrize("name", [
-    "tank_1m5", "vertical_supercap", "turbulent_demo", "spatial_demo",
-])
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
 def test_bundled_scenarios_load_and_validate(name):
     path = SCENARIOS / f"{name}.json"
     sc = load_scenario(path)
