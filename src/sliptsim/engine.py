@@ -60,7 +60,10 @@ from sliptsim.channel import (LinkParams, TurbulenceModel, attenuate, geometric_
 from sliptsim.energy_store import EnergyStore
 from sliptsim.errors import ConfigError
 from sliptsim.harvester import CellMode, SolarCell
-from sliptsim.node import Command, NodeState, Opcode, Phase, Stimulus, load_power
+from sliptsim.node import Command, NodeState, Opcode, Stimulus, load_power
+from sliptsim.node import (_COMMAND_RX, _COMMANDS_COMPLETE,  # members as globals: see node.py
+                           _FULL_CHARGE, _HARVEST, _LIGHT_DETECTED, _SENSE_COMPLETE,
+                           _SENSE_SAVE, _SLEEP, _WAKE_CHECK)
 from sliptsim.node import decode_command, encode_command  # noqa: F401 - bench/traced.py times them
 from sliptsim.policy import Policy, TimeSwitchSchedule, TxRole, assign_spatial, mode_at
 from sliptsim.policy import split  # noqa: F401 - bench/traced.py times engine.split
@@ -72,14 +75,8 @@ FRAME_BITS = 32  # 4-byte command frame
 _FADE_BLOCK_CAP = 1024  # fades a turbulent link draws at once, at most
 _FULL_REL_TOL = 1e-12
 _node_id_of = attrgetter("node_id")
-# Enum members the event handlers read, looked up once: reading a member
-# off its class costs a descriptor call, about ten times a global name
-_SLEEP, _HARVEST, _COMMAND_RX = Phase.SLEEP, Phase.HARVEST, Phase.COMMAND_RX
-_WAKE_CHECK, _SENSE_SAVE = Phase.WAKE_CHECK, Phase.SENSE_SAVE
-_LIGHT_DETECTED, _SENSE_COMPLETE = Stimulus.LIGHT_DETECTED, Stimulus.SENSE_COMPLETE
-_COMMANDS_COMPLETE, _FULL_CHARGE = Stimulus.COMMANDS_COMPLETE, Stimulus.FULL_CHARGE
 _RESTING_PHASES = (_SLEEP, _HARVEST)
-_UPLINK_OPCODES = (Opcode.SEND_DATA, Opcode.RETRANSMIT)
+_UPLINK_OPCODES = (Opcode.SEND_DATA, Opcode.RETRANSMIT)  # looked up once, as node.py's
 _FRAME_KINDS = {op: f"frame_arrival:{op.name.lower()}" for op in Opcode}
 
 TRACE_FIELDS = (

@@ -48,8 +48,9 @@ class Opcode(enum.Enum):
     RETRANSMIT = 0x04
 
 
-# Enum members NodeState reads, looked up once: reading a member off its
-# class costs a descriptor call, about ten times a global name
+# Enum members read on every event, here and in the policy and engine
+# modules, bound once as globals: reading a member off its class costs a
+# descriptor call, about ten times a global name
 _SLEEP, _WAKE_CHECK, _SENSE_SAVE = Phase.SLEEP, Phase.WAKE_CHECK, Phase.SENSE_SAVE
 _COMMAND_RX, _HARVEST = Phase.COMMAND_RX, Phase.HARVEST
 _LIGHT_DETECTED, _SENSE_COMPLETE = Stimulus.LIGHT_DETECTED, Stimulus.SENSE_COMPLETE

@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 
 from sliptsim.errors import ConfigError, DomainError
 from sliptsim.harvester import CellMode
-from sliptsim.node import Phase
-
-# looked up once: reading an Enum member off its class costs a descriptor call
-_PV, _PC = CellMode.PHOTOVOLTAIC, CellMode.PHOTOCONDUCTIVE
-_COMMAND_RX = Phase.COMMAND_RX
+from sliptsim.node import _COMMAND_RX, _PC, _PV, Phase  # members as globals: see node.py
 
 
 class Policy:
