@@ -411,6 +411,12 @@ def _build_node(obj, index: int, default_policy: Policy) -> NodeDef:
     node_id = _str_field(obj, "id", path, f"node{index}")
     policy = (_build_policy(obj["policy"], f"{path}.policy")
               if "policy" in obj else default_policy)
+    if not policy.protocol:
+        for key, phase in (("sensors", "SenseSave"), ("commands", "CommandRx")):
+            if key in obj:
+                raise ConfigError(f"{path}.{key}",
+                                  f"{key} are used only in the protocol's {phase} phase, "
+                                  f"which node {node_id!r} does not run")
     enabled, values, per = _build_sensors(obj.get("sensors"), f"{path}.sensors")
 
     uplink = obj.get("uplink")

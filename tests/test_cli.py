@@ -316,16 +316,24 @@ def _make_dual(tx):
                                             "stimulus": "light_detected"}]),
      "stimuli[0].node: a stimulus drives the protocol state machine, "
      "which node 'buoy' does not run"),
+    (DEMO, lambda cfg: cfg["nodes"][0].update(commands=[{"op": "send_data"}]),
+     "nodes[0].commands: commands are used only in the protocol's CommandRx phase, "
+     "which node 'buoy' does not run"),
+    (DEMO, lambda cfg: cfg["nodes"][0].update(sensors={"enabled": [1]}),
+     "nodes[0].sensors: sensors are used only in the protocol's SenseSave phase, "
+     "which node 'buoy' does not run"),
 ], ids=["distances_list", "values_list", "divergence_100deg", "divergence_90deg",
         "zero_decode_rate", "zero_uplink_rate", "negative_sensing_time", "dual_under_spatial",
         "active_load_key", "uplink_list", "uplink_0", "uplink_false", "uplink_empty_string",
-        "stimulus_on_time_switch_node"])
+        "stimulus_on_time_switch_node", "commands_on_time_switch_node",
+        "sensors_on_time_switch_node"])
 def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit, message):
     # before these checks, the list edits died with a traceback; the others
     # validated (a falsy uplink was taken as the defaults), and a run divided
     # by the zero rate once it timed a frame or an uplink, or ran on a
     # negative beam radius, at negative event times, with the energy beam
-    # carrying data, or with a time_switch node walked through protocol phases
+    # carrying data, or with a time_switch node walked through protocol phases;
+    # commands and sensors on a time_switch node validated and were never used
     bad = _variant(tmp_path, base, edit)
     for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
         assert main(argv) == 1

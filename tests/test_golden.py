@@ -59,7 +59,7 @@ POWER_SPLIT_CFG = {
     "nodes": [
         {"id": "n0", "cell": {"sensitivity": "50mW"},
          "store": {"type": "battery", "capacity": "2J", "stored": "1J"},
-         "load": "sense_and_save", "sensors": {"enabled": [1], "values": {"1": 4.5}}},
+         "load": "sense_and_save"},
         {"id": "n1", "store": {"type": "supercapacitor", "capacitance": "0.1F",
                                "rated_voltage": "5V", "stored": "0.5J"},
          "load": "sense_and_save"},
@@ -88,7 +88,6 @@ DUAL_WAVELENGTH_CFG = {
         "cell": {"sensitivity": "30mW"},
         "store": {"type": "battery", "capacity": "3J", "stored": "0.2J"},
         "load": "sense_and_save",
-        "commands": [{"op": "send_data"}],
     }],
 }
 
@@ -210,7 +209,7 @@ GOLDEN = {
     ),
     "golden_dual_wavelength": (
         "cba4614e84c7a2ab4b3780dc19b2a6e43fffb80817d0d93b919f3cb80322fe69",
-        "0c950adf260b2029d34ba016dd101772c408cd86ddc26a4a8510d8fe4b6bcfef",
+        "da734d3f234a5b816a834017926152bdfc93ebcde207ce1326e97625fadc4dbc",
     ),
     "golden_fast_slots": (
         "3943d388c8a30d0c441d6f09ec175fe987989b0e0f3f6a56191651bf05c96951",
@@ -218,7 +217,7 @@ GOLDEN = {
     ),
     "golden_power_split": (
         "e97c572f3632df5bfa8a7b1cd850277d54d28c0d8428966d0d0f6d02795d0873",
-        "18a0b8b52b002a55ab15bfd10a928f4b4e1d6e332db30c37e50689dfcf8a4919",
+        "43500a9a84a17f787a54008a21a7b6cd1226989bb08b65c02ce0e163a536e1a9",
     ),
     "golden_targeted_protocol": (
         "9fab6ec4cf6eb870a191f5607d994e1a92e41ed3a444c638dc0bd891bda7e4d4",
