@@ -62,8 +62,8 @@ from sliptsim.errors import ConfigError
 from sliptsim.harvester import CellMode, SolarCell
 from sliptsim.node import Command, NodeState, Opcode, Stimulus, load_power
 from sliptsim.node import (_COMMAND_RX, _COMMANDS_COMPLETE,  # members as globals: see node.py
-                           _FULL_CHARGE, _HARVEST, _LIGHT_DETECTED, _SENSE_COMPLETE,
-                           _SENSE_SAVE, _SLEEP, _WAKE_CHECK)
+                           _FULL_CHARGE, _HARVEST, _LIGHT_DETECTED, _PC, _PV,
+                           _SENSE_COMPLETE, _SENSE_SAVE, _SLEEP)
 from sliptsim.node import decode_command, encode_command  # noqa: F401 - bench/traced.py times them
 from sliptsim.policy import Policy, TimeSwitchSchedule, TxRole, assign_spatial, mode_at
 from sliptsim.policy import split  # noqa: F401 - bench/traced.py times engine.split
@@ -76,7 +76,6 @@ _FADE_BLOCK_CAP = 1024  # fades a turbulent link draws at once, at most
 _FULL_REL_TOL = 1e-12
 _node_id_of = attrgetter("node_id")
 _RESTING_PHASES = (_SLEEP, _HARVEST)
-_UPLINK_OPCODES = (Opcode.SEND_DATA, Opcode.RETRANSMIT)  # looked up once, as node.py's
 _FRAME_KINDS = {op: f"frame_arrival:{op.name.lower()}" for op in Opcode}
 
 TRACE_FIELDS = (
@@ -456,7 +455,7 @@ class Simulation:
     def _load(self, n: _NodeRuntime, t: float) -> float:
         """Watts draining the store: a protocol node draws sleep_load in Sleep
         and Harvest, uplink_load while it uplinks, and active_load in the
-        other awake phases (WakeCheck, SenseSave, CommandRx)."""
+        other awake phases (SenseSave, CommandRx)."""
         sleep_w, active_w, uplink_w = n.loads
         if not n.cfg.policy.protocol:
             return active_w  # policy nodes draw one constant load
@@ -560,34 +559,30 @@ class Simulation:
     # -- stimulus delivery ----------------------------------------------------
 
     def _deliver(self, n: _NodeRuntime, stimulus: Stimulus, t: float):
-        v_b = n.store.terminal_voltage()
-        actions = n.state.step(stimulus, v_b)
-        if stimulus is _LIGHT_DETECTED and n.state.phase is _WAKE_CHECK:
-            actions += n.state.step(stimulus, v_b)
-        for action in actions:
-            self._apply_action(n, action, t)
-
-    def _apply_action(self, n: _NodeRuntime, action, t: float):
+        """Step the node's protocol, then start what the entered phase does;
+        a stimulus the phase has no transition for is a protocol error."""
         node_id = n.cfg.node_id
-        if action.kind == "switch_cell_mode":
-            self._switch_cell(n, action.arg, t)
-        elif action.kind == "start_sensing":
-            sensors = action.arg
+        if not n.state.step(stimulus, n.store.terminal_voltage()):
+            n.metrics.protocol_errors += 1
+            self._emit(t, node_id, "protocol_error", n)
+            return
+        phase = n.state.phase
+        if phase is _SENSE_SAVE:
+            sensors = sorted(n.state.enabled_sensors)
             per = n.cfg.sense_seconds_per_sensor
             for i, sensor_id in enumerate(sensors):
                 self._schedule(t + (i + 1) * per, "_handle_sense_tick", node_id, sensor_id)
             self._schedule(t + len(sensors) * per, "_handle_sense_tick", node_id, None)
-        elif action.kind == "start_command_rx":
+        elif phase is _COMMAND_RX:
+            self._switch_cell(n, _PC, t)
             start = max(t, n.cell.ready_at)
             if not n.cfg.commands:
                 self._schedule(start, "_handle_timer", "commands_complete", node_id)
-                return
             frame_s = FRAME_BITS / n.cell.decode_rate
             for i in range(len(n.cfg.commands)):
                 self._schedule(start + (i + 1) * frame_s, "_handle_frame_arrival", node_id, i)
-        elif action.kind == "protocol_error":
-            n.metrics.protocol_errors += 1
-            self._emit(t, n.cfg.node_id, "protocol_error", n)
+        elif phase is _HARVEST:
+            self._switch_cell(n, _PV, t)
 
     def _switch_cell(self, n: _NodeRuntime, target: CellMode, t: float):
         """Switch the cell; while its relay settles, arm cell_ready."""
@@ -692,7 +687,7 @@ class Simulation:
         else:
             cmd = n.cfg.commands[index]
             batch = n.state.execute_command(cmd)
-            if batch and cmd.opcode in _UPLINK_OPCODES:
+            if batch:  # only send_data and retransmit hand over records
                 tx_s = len(batch) * n.cfg.record_bits / n.cfg.uplink_rate
                 start = max(t, n.uplink_until)
                 n.uplink_until = start + tx_s

@@ -7,6 +7,10 @@ sleep; at or above it, the panel switches to receiver mode to accept
 commands (sensor on/off, send/retransmit saved data), then returns to
 harvesting until the store is full, and finally sleeps.
 
+NodeState.step only moves the phase, and light in Sleep runs the voltage
+check in the same step.  The engine starts what a phase does (sense
+ticks, command frames, the panel switch) when the node enters it.
+
 Command frames are 4 bytes on the wire:
 
     SYNC(0xAA) | OPCODE | PAYLOAD | CRC8(opcode, payload)
@@ -27,7 +31,6 @@ CRC8_POLY = 0x07
 
 class Phase(enum.Enum):
     SLEEP = "sleep"
-    WAKE_CHECK = "wake_check"
     SENSE_SAVE = "sense_save"
     COMMAND_RX = "command_rx"
     HARVEST = "harvest"
@@ -51,8 +54,8 @@ class Opcode(enum.Enum):
 # Enum members read on every event, here and in the policy and engine
 # modules, bound once as globals: reading a member off its class costs a
 # descriptor call, about ten times a global name
-_SLEEP, _WAKE_CHECK, _SENSE_SAVE = Phase.SLEEP, Phase.WAKE_CHECK, Phase.SENSE_SAVE
-_COMMAND_RX, _HARVEST = Phase.COMMAND_RX, Phase.HARVEST
+_SLEEP, _SENSE_SAVE, _COMMAND_RX, _HARVEST = (Phase.SLEEP, Phase.SENSE_SAVE,
+                                              Phase.COMMAND_RX, Phase.HARVEST)
 _LIGHT_DETECTED, _SENSE_COMPLETE = Stimulus.LIGHT_DETECTED, Stimulus.SENSE_COMPLETE
 _COMMANDS_COMPLETE, _FULL_CHARGE = Stimulus.COMMANDS_COMPLETE, Stimulus.FULL_CHARGE
 _PV, _PC = CellMode.PHOTOVOLTAIC, CellMode.PHOTOCONDUCTIVE
@@ -169,21 +172,6 @@ def decode_command(frame: bytes) -> Command:
 # -- Protocol state machine --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Action:
-    """Side effect requested by a state transition, executed by the engine.
-
-    kinds:
-        switch_cell_mode  arg: CellMode target
-        start_sensing     arg: tuple of enabled sensor ids
-        start_command_rx  arg: None (begin accepting command frames)
-        protocol_error    arg: human-readable description
-    """
-
-    kind: str
-    arg: object = None
-
-
 @dataclass
 class NodeState:
     """Protocol state of one node.
@@ -198,45 +186,24 @@ class NodeState:
     enabled_sensors: set[int] = field(default_factory=set)
     last_sent: list[SensorRecord] = field(default_factory=list)
 
-    def step(self, stimulus: Stimulus, v_b: float | None = None) -> list[Action]:
-        """Deterministic transition on one stimulus; returns actions.
-
-        v_b is the store terminal voltage observed with the stimulus
-        (meaningful for LightDetected).  A stimulus with no transition
-        defined for the current phase leaves the phase unchanged and
-        yields a single protocol_error action for the trace.
-        """
+    def step(self, stimulus: Stimulus, v_b: float | None = None) -> bool:
+        """Move the phase on one stimulus; False, phase unchanged, if the
+        current phase has no transition for it.  LightDetected in Sleep goes
+        to CommandRx when the store voltage v_b >= v_threshold, else SenseSave."""
         phase = self.phase
-        if stimulus is _LIGHT_DETECTED:
-            if phase is _SLEEP:
-                self.phase = _WAKE_CHECK
-                return []
-            if phase is _WAKE_CHECK:
-                if v_b is None:
-                    raise DomainError("LightDetected in WakeCheck requires v_b")
-                if v_b >= self.v_threshold:
-                    self.phase = _COMMAND_RX
-                    return [
-                        Action("switch_cell_mode", _PC),
-                        Action("start_command_rx"),
-                    ]
-                self.phase = _SENSE_SAVE
-                return [Action("start_sensing", tuple(sorted(self.enabled_sensors)))]
+        if stimulus is _LIGHT_DETECTED and phase is _SLEEP:
+            if v_b is None:
+                raise DomainError("LightDetected in Sleep requires v_b")
+            self.phase = _COMMAND_RX if v_b >= self.v_threshold else _SENSE_SAVE
         elif stimulus is _SENSE_COMPLETE and phase is _SENSE_SAVE:
             self.phase = _SLEEP
-            return []
         elif stimulus is _COMMANDS_COMPLETE and phase is _COMMAND_RX:
             self.phase = _HARVEST
-            return [Action("switch_cell_mode", _PV)]
         elif stimulus is _FULL_CHARGE and phase is _HARVEST:
             self.phase = _SLEEP
-            return []
-        return [
-            Action(
-                "protocol_error",
-                f"stimulus {stimulus.value} invalid in phase {phase.value}",
-            )
-        ]
+        else:
+            return False
+        return True
 
     def record_sensor(self, sensor_id: int, value: float, timestamp: float) -> bool:
         """Append one measurement; returns False (no-op) for a disabled sensor."""

@@ -166,8 +166,6 @@ def test_ac08_protocol_invariants():
             v_b = store.terminal_voltage()
             before = state.phase
             state.step(stim, v_b)
-            if stim is Stimulus.LIGHT_DETECTED and state.phase is Phase.WAKE_CHECK:
-                state.step(stim, v_b)  # the engine's wake double-step
             if state.phase is Phase.COMMAND_RX and before is not Phase.COMMAND_RX:
                 assert v_b >= state.v_threshold, "entered CommandRx undercharged"
                 rx_entries += 1

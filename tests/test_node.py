@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sliptsim.errors import ConfigError, DomainError, FrameError
-from sliptsim.harvester import CellMode
 from sliptsim.node import (
     LOAD_CATALOG,
     SYNC_BYTE,
@@ -105,48 +104,42 @@ def test_unknown_load_profile():
 # -- protocol state machine ---------------------------------------------------
 
 
-def wake(state, v_b):
-    """Drive the light-detected wake sequence the way the engine does."""
-    actions = state.step(Stimulus.LIGHT_DETECTED, v_b)
-    if state.phase is Phase.WAKE_CHECK:
-        actions += state.step(Stimulus.LIGHT_DETECTED, v_b)
-    return actions
-
-
 def test_low_voltage_wake_goes_sensing():
     s = NodeState(enabled_sensors={1, 3})
-    actions = wake(s, 3.2)
+    assert s.step(Stimulus.LIGHT_DETECTED, 3.2)  # one step checks the voltage
     assert s.phase is Phase.SENSE_SAVE
-    assert [a.kind for a in actions] == ["start_sensing"]
-    assert actions[0].arg == (1, 3)
-    s.step(Stimulus.SENSE_COMPLETE)
+    assert s.step(Stimulus.SENSE_COMPLETE)
     assert s.phase is Phase.SLEEP
 
 
 def test_charged_wake_goes_command_rx():
     s = NodeState()
-    actions = wake(s, 3.6)  # boundary: >= threshold qualifies
+    assert s.step(Stimulus.LIGHT_DETECTED, 3.6)  # boundary: >= threshold qualifies
     assert s.phase is Phase.COMMAND_RX
-    assert [a.kind for a in actions] == ["switch_cell_mode", "start_command_rx"]
-    assert actions[0].arg is CellMode.PHOTOCONDUCTIVE
-    actions = s.step(Stimulus.COMMANDS_COMPLETE)
+    assert s.step(Stimulus.COMMANDS_COMPLETE)
     assert s.phase is Phase.HARVEST
-    assert actions[0].arg is CellMode.PHOTOVOLTAIC
-    s.step(Stimulus.FULL_CHARGE)
+    assert s.step(Stimulus.FULL_CHARGE)
+    assert s.phase is Phase.SLEEP
+
+
+def test_wake_needs_the_store_voltage():
+    s = NodeState()
+    with pytest.raises(DomainError):
+        s.step(Stimulus.LIGHT_DETECTED)
     assert s.phase is Phase.SLEEP
 
 
 def test_invalid_stimulus_is_an_error_and_keeps_phase():
     s = NodeState()
-    actions = s.step(Stimulus.FULL_CHARGE)
+    assert not s.step(Stimulus.FULL_CHARGE)
     assert s.phase is Phase.SLEEP
-    assert [a.kind for a in actions] == ["protocol_error"]
-    actions = s.step(Stimulus.TIMEOUT)
-    assert [a.kind for a in actions] == ["protocol_error"]
-    wake(s, 3.0)
-    actions = s.step(Stimulus.COMMANDS_COMPLETE)  # not in CommandRx
+    assert not s.step(Stimulus.TIMEOUT)
+    assert s.phase is Phase.SLEEP
+    assert s.step(Stimulus.LIGHT_DETECTED, 3.0)
+    assert not s.step(Stimulus.COMMANDS_COMPLETE)  # not in CommandRx
     assert s.phase is Phase.SENSE_SAVE
-    assert actions[0].kind == "protocol_error"
+    assert not s.step(Stimulus.LIGHT_DETECTED, 4.0)  # light wakes only a sleeping node
+    assert s.phase is Phase.SENSE_SAVE
 
 
 def test_sensor_commands_mutate_enabled_set():
