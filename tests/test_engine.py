@@ -19,7 +19,8 @@ from sliptsim.engine import (
 )
 from sliptsim.engine import run as run_scenario
 from sliptsim.errors import ConfigError
-from sliptsim.node import Phase
+from sliptsim.harvester import CellMode
+from sliptsim.node import Phase, Stimulus
 from sliptsim.policy import TimeSwitchSchedule
 from sliptsim.scenario import build_scenario, load_scenario
 
@@ -122,6 +123,74 @@ def test_timeout_while_asleep_is_a_protocol_error():
     assert "protocol_error" in kinds
     assert "custom:timeout" in kinds
     assert all(r.phase == "sleep" for r in trace)
+
+
+def _protocol_node(stored: str, **node):
+    """A built one-node protocol Simulation with an empty event queue."""
+    cfg = {"duration": "100s", "seed": 1,
+           "nodes": [{"id": "n0", "cell": {"switch_latency": "5ms"},
+                      "store": _battery("20J", stored), **node}]}
+    sim = Simulation(build_scenario(cfg))
+    sim._heap.clear()
+    return sim, sim.nodes["n0"]
+
+
+def _queued(sim):
+    return [(t, handler, args) for t, _, handler, args in sorted(sim._heap)]
+
+
+def test_a_charged_wake_switches_the_cell_and_times_frames_from_ready_at():
+    # 15 J of 20 J reads 3.9 V, at or above the 3.6 V threshold
+    sim, n = _protocol_node("15J", commands=[{"op": "sensor_on", "sensor": 3},
+                                             {"op": "send_data"}])
+    sim._deliver(n, Stimulus.LIGHT_DETECTED, 10.0)
+    assert n.state.phase is Phase.COMMAND_RX
+    assert n.cell.mode is CellMode.PHOTOCONDUCTIVE
+    ready = n.cell.ready_at
+    assert ready > 10.0
+    frame_s = FRAME_BITS / n.cell.decode_rate
+    assert _queued(sim) == [(ready, "_handle_timer", ("cell_ready", "n0")),
+                            (ready + frame_s, "_handle_frame_arrival", ("n0", 0)),
+                            (ready + 2 * frame_s, "_handle_frame_arrival", ("n0", 1))]
+
+    sim, n = _protocol_node("15J")  # no commands: the session ends once the cell is ready
+    sim._deliver(n, Stimulus.LIGHT_DETECTED, 10.0)
+    ready = n.cell.ready_at
+    assert _queued(sim) == [(ready, "_handle_timer", ("cell_ready", "n0")),
+                            (ready, "_handle_timer", ("commands_complete", "n0"))]
+
+
+def test_a_low_wake_schedules_sense_ticks_in_sorted_sensor_order():
+    # 2 J of 20 J reads 3.12 V; the set {9, 1} iterates as 9, 1
+    sim, n = _protocol_node("2J", sensors={"enabled": [9, 1], "seconds_per_sensor": "1.5s"})
+    sim._deliver(n, Stimulus.LIGHT_DETECTED, 10.0)
+    assert n.state.phase is Phase.SENSE_SAVE
+    assert n.cell.mode is CellMode.PHOTOVOLTAIC
+    assert _queued(sim) == [(11.5, "_handle_sense_tick", ("n0", 1)),
+                            (13.0, "_handle_sense_tick", ("n0", 9)),
+                            (13.0, "_handle_sense_tick", ("n0", None))]
+
+
+def test_commands_complete_switches_the_cell_back_to_harvest():
+    sim, n = _protocol_node("15J")
+    sim._deliver(n, Stimulus.LIGHT_DETECTED, 10.0)
+    sim._heap.clear()
+    sim._deliver(n, Stimulus.COMMANDS_COMPLETE, 20.0)
+    assert n.state.phase is Phase.HARVEST
+    assert n.cell.mode is CellMode.PHOTOVOLTAIC
+    assert _queued(sim) == [(n.cell.ready_at, "_handle_timer", ("cell_ready", "n0"))]
+    assert n.cell.ready_at > 20.0
+
+
+def test_an_invalid_stimulus_keeps_the_phase_and_writes_one_error_row():
+    sim, n = _protocol_node("15J")
+    rows = len(sim.trace)
+    sim._deliver(n, Stimulus.FULL_CHARGE, 10.0)
+    assert n.state.phase is Phase.SLEEP
+    assert n.metrics.protocol_errors == 1
+    assert [(r.time, r.event_kind, r.phase) for r in sim.trace[rows:]] == [
+        (10.0, "protocol_error", "sleep")]
+    assert sim._heap == []
 
 
 def test_protocol_walk_end_to_end():
