@@ -6,7 +6,9 @@ Every name a module of src/sliptsim imports must be used in that module
 __init__.py re-exports.  Every name in sliptsim.__all__ must resolve,
 once.  The engine keeps a few imports it does not use only so that
 bench/traced.py can time them as `engine.<name>`; each of those must
-still be in traced.py's TIMED table.
+still be in traced.py's TIMED table.  A private module-level name (an
+assignment, function or class named `_x`) must be read somewhere in
+src/sliptsim or bench/, so a leftover of deleted code cannot linger.
 """
 
 import ast
@@ -17,7 +19,8 @@ import pytest
 import sliptsim
 
 PACKAGE = Path(sliptsim.__file__).resolve().parent
-TRACED = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACED = BENCH / "traced.py"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -93,3 +96,36 @@ def test_engine_noqa_imports_are_the_ones_the_bench_times():
     kept = _imported(ast.parse(text), text.splitlines(), noqa=True)
     untimed = sorted(name for name in kept if f"engine.{name}" not in _timed_names())
     assert not untimed, f"engine.py keeps imports bench/traced.py does not time: {untimed}"
+
+
+def _private_module_names(tree: ast.Module) -> dict[str, int]:
+    """Module-level `_name` bound by an assignment, def or class -> line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        names.update((name, node.lineno) for name in bound
+                     if name.startswith("_") and not name.startswith("__"))
+    return names
+
+
+def test_every_private_module_name_is_read():
+    trees = {path: ast.parse(path.read_text())
+             for path in [*MODULES, *sorted(BENCH.glob("*.py"))]}
+    read = set()
+    for tree in trees.values():
+        for sub in (tree, *_string_annotations(tree)):
+            for node in ast.walk(sub):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    dead = [f"{path.name}:{line} {name}" for path in MODULES
+            for name, line in _private_module_names(trees[path]).items() if name not in read]
+    assert not dead, f"private names nothing reads: {dead}"
