@@ -172,9 +172,10 @@ def _cmd_sweep(args) -> int:
     rows = []
     out = _out_dir(args)
     for i, raw in enumerate(values):
-        sub_cfg = json.loads(json.dumps(cfg))  # deep copy per run
-        _set_path(sub_cfg, args.param, _parse_value(raw))
-        scenario = build_scenario(sub_cfg, default_name=f"{name}[{raw}]")
+        # in place: build_scenario never writes to cfg, and each value
+        # replaces the one before it at the same path
+        _set_path(cfg, args.param, _parse_value(raw))
+        scenario = build_scenario(cfg, default_name=f"{name}[{raw}]")
         metrics, _ = run(scenario, seed_override=args.seed, sink=NullSink())
         harvested = sum(m.harvested_j for m in metrics.nodes.values())
         decoded = sum(m.decoded_bits for m in metrics.nodes.values())

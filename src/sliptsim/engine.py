@@ -562,7 +562,7 @@ class Simulation:
         """Step the node's protocol, then start what the entered phase does;
         a stimulus the phase has no transition for is a protocol error."""
         node_id = n.cfg.node_id
-        if not n.state.step(stimulus, n.store.terminal_voltage()):
+        if not n.state.step(stimulus, n.store):
             n.metrics.protocol_errors += 1
             self._emit(t, node_id, "protocol_error", n)
             return

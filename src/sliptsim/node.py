@@ -22,6 +22,7 @@ id for SensorOn/SensorOff and a free byte (conventionally 0) otherwise.
 import enum
 from dataclasses import dataclass, field
 
+from sliptsim.energy_store import EnergyStore
 from sliptsim.errors import ConfigError, DomainError, FrameError
 from sliptsim.harvester import CellMode
 
@@ -186,14 +187,16 @@ class NodeState:
     enabled_sensors: set[int] = field(default_factory=set)
     last_sent: list[SensorRecord] = field(default_factory=list)
 
-    def step(self, stimulus: Stimulus, v_b: float | None = None) -> bool:
+    def step(self, stimulus: Stimulus, store: EnergyStore | None = None) -> bool:
         """Move the phase on one stimulus; False, phase unchanged, if the
         current phase has no transition for it.  LightDetected in Sleep goes
-        to CommandRx when the store voltage v_b >= v_threshold, else SenseSave."""
+        to CommandRx when the store's terminal voltage >= v_threshold, else
+        SenseSave; no other transition reads the store."""
         phase = self.phase
         if stimulus is _LIGHT_DETECTED and phase is _SLEEP:
-            if v_b is None:
-                raise DomainError("LightDetected in Sleep requires v_b")
+            if store is None:
+                raise DomainError("LightDetected in Sleep requires the store")
+            v_b = store.terminal_voltage()
             self.phase = _COMMAND_RX if v_b >= self.v_threshold else _SENSE_SAVE
         elif stimulus is _SENSE_COMPLETE and phase is _SENSE_SAVE:
             self.phase = _SLEEP

@@ -10,10 +10,19 @@ validate_scenario reports them all.  Every number must be finite: NaN
 and Infinity literals are refused when the file is read.
 """
 
-import hashlib
 import json
 import math
 from pathlib import Path
+
+# The interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto,
+# about 3.7 MB of resident memory in a process that draws no fade.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from sliptsim.channel import (BeamGeometry, LinkParams, TurbulenceModel, WaterProperties,
                               geometric_capture)
@@ -58,7 +67,7 @@ _COMMAND_KEYS = {"op", "sensor"}
 def scenario_hash(cfg: dict) -> str:
     """SHA-256 of the canonical (sorted-key, no-whitespace) JSON form."""
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # -- low-level helpers --------------------------------------------------------

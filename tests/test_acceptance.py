@@ -165,7 +165,7 @@ def test_ac08_protocol_invariants():
             stim = stimuli[int(rng.integers(len(stimuli)))]
             v_b = store.terminal_voltage()
             before = state.phase
-            state.step(stim, v_b)
+            state.step(stim, store)
             if state.phase is Phase.COMMAND_RX and before is not Phase.COMMAND_RX:
                 assert v_b >= state.v_threshold, "entered CommandRx undercharged"
                 rx_entries += 1
@@ -174,7 +174,7 @@ def test_ac08_protocol_invariants():
             if state.phase is Phase.HARVEST:
                 net = float(rng.uniform(0.1, 2.0))
                 store.deposit(net * store.time_to_full(net))
-                state.step(Stimulus.FULL_CHARGE, store.terminal_voltage())
+                state.step(Stimulus.FULL_CHARGE)
                 assert state.phase is Phase.SLEEP, "full charge did not end in Sleep"
                 harvest_exits += 1
     ok = rx_entries > 100 and harvest_exits > 100

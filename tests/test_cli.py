@@ -116,6 +116,26 @@ def test_sweep_table_and_files(tmp_path, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("name, param, values", [
+    ("turbulent_demo", "transmitters[0].power", "1mW,2mW,4mW"),
+    ("protocol_demo", "nodes[1].store.stored", "0.1J,0.3J,0.45J"),
+])
+def test_sweep_equals_one_fresh_config_per_value(name, param, values, tmp_path):
+    scenario = str(SCENARIOS / f"{name}.json")
+    assert main(["sweep", "--scenario", scenario, "--out", str(tmp_path / "all"),
+                 "--param", param, "--values", values]) == 0
+    rows = ["value,harvested_J,decoded_bits\n"]
+    for i, value in enumerate(values.split(",")):
+        # a one-value sweep reads its config fresh from the file
+        one = tmp_path / f"one_{i}"
+        assert main(["sweep", "--scenario", scenario, "--out", str(one),
+                     "--param", param, "--values", value]) == 0
+        assert ((tmp_path / "all" / f"metrics_{i}.json").read_bytes()
+                == (one / "metrics_0.json").read_bytes())
+        rows += (one / "sweep.csv").read_text().splitlines(keepends=True)[1:]
+    assert (tmp_path / "all" / "sweep.csv").read_text() == "".join(rows)
+
+
 def test_sweep_rejects_bad_param_paths(capsys):
     rc = main(["sweep", "--scenario", DEMO,
                "--param", "transmitters[9].power", "--values", "1W"])

@@ -9,9 +9,14 @@ bench/traced.py can time them as `engine.<name>`; each of those must
 still be in traced.py's TIMED table.  A private module-level name (an
 assignment, function or class named `_x`) must be read somewhere in
 src/sliptsim or bench/, so a leftover of deleted code cannot linger.
+A calm validate, run and sweep load neither numpy nor OpenSSL's
+libcrypto (`_hashlib`).
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +26,7 @@ import sliptsim
 PACKAGE = Path(sliptsim.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACED = BENCH / "traced.py"
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -129,3 +135,27 @@ def test_every_private_module_name_is_read():
     dead = [f"{path.name}:{line} {name}" for path in MODULES
             for name, line in _private_module_names(trees[path]).items() if name not in read]
     assert not dead, f"private names nothing reads: {dead}"
+
+
+# runs each argv through main() in one fresh interpreter, then prints
+# which of the heavy modules got imported
+_CALM_PROBE = """
+import json, sys
+from sliptsim.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in ("_hashlib", "numpy") if m in sys.modules)))
+"""
+
+
+def test_a_calm_run_loads_neither_numpy_nor_openssl(tmp_path):
+    tank = str(SCENARIOS / "tank_1m5.json")  # no turbulence: no fade is drawn
+    argvs = [["validate", "--scenario", tank],
+             ["run", "--scenario", tank, "--out", str(tmp_path / "run")],
+             ["sweep", "--scenario", tank, "--out", str(tmp_path / "sweep"),
+              "--param", "transmitters[0].power", "--values", "1W,2W,3W"],
+             ["run", "--scenario", str(SCENARIOS / "vertical_supercap.json")]]
+    proc = subprocess.run([sys.executable, "-c", _CALM_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -104,9 +104,21 @@ def test_unknown_load_profile():
 # -- protocol state machine ---------------------------------------------------
 
 
+class _Store:
+    """A store at a fixed terminal voltage that counts its voltage reads."""
+
+    def __init__(self, volts: float):
+        self.volts = volts
+        self.reads = 0
+
+    def terminal_voltage(self) -> float:
+        self.reads += 1
+        return self.volts
+
+
 def test_low_voltage_wake_goes_sensing():
     s = NodeState(enabled_sensors={1, 3})
-    assert s.step(Stimulus.LIGHT_DETECTED, 3.2)  # one step checks the voltage
+    assert s.step(Stimulus.LIGHT_DETECTED, _Store(3.2))  # one step checks the voltage
     assert s.phase is Phase.SENSE_SAVE
     assert s.step(Stimulus.SENSE_COMPLETE)
     assert s.phase is Phase.SLEEP
@@ -114,7 +126,7 @@ def test_low_voltage_wake_goes_sensing():
 
 def test_charged_wake_goes_command_rx():
     s = NodeState()
-    assert s.step(Stimulus.LIGHT_DETECTED, 3.6)  # boundary: >= threshold qualifies
+    assert s.step(Stimulus.LIGHT_DETECTED, _Store(3.6))  # boundary: >= threshold qualifies
     assert s.phase is Phase.COMMAND_RX
     assert s.step(Stimulus.COMMANDS_COMPLETE)
     assert s.phase is Phase.HARVEST
@@ -129,16 +141,27 @@ def test_wake_needs_the_store_voltage():
     assert s.phase is Phase.SLEEP
 
 
+def test_only_a_wake_reads_the_store_voltage():
+    store = _Store(3.9)
+    s = NodeState()
+    for stimulus in (Stimulus.FULL_CHARGE, Stimulus.TIMEOUT, Stimulus.LIGHT_DETECTED,
+                     Stimulus.LIGHT_DETECTED, Stimulus.COMMANDS_COMPLETE,
+                     Stimulus.LIGHT_DETECTED, Stimulus.FULL_CHARGE):
+        s.step(stimulus, store)
+    assert s.phase is Phase.SLEEP
+    assert store.reads == 1  # the one LightDetected in Sleep
+
+
 def test_invalid_stimulus_is_an_error_and_keeps_phase():
     s = NodeState()
     assert not s.step(Stimulus.FULL_CHARGE)
     assert s.phase is Phase.SLEEP
     assert not s.step(Stimulus.TIMEOUT)
     assert s.phase is Phase.SLEEP
-    assert s.step(Stimulus.LIGHT_DETECTED, 3.0)
+    assert s.step(Stimulus.LIGHT_DETECTED, _Store(3.0))
     assert not s.step(Stimulus.COMMANDS_COMPLETE)  # not in CommandRx
     assert s.phase is Phase.SENSE_SAVE
-    assert not s.step(Stimulus.LIGHT_DETECTED, 4.0)  # light wakes only a sleeping node
+    assert not s.step(Stimulus.LIGHT_DETECTED, _Store(4.0))  # light wakes only a sleeping node
     assert s.phase is Phase.SENSE_SAVE
 
 

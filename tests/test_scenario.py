@@ -1,6 +1,10 @@
+import copy
+import hashlib
+import importlib.util
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +19,8 @@ from sliptsim.scenario import (
     scenario_hash,
     validate_scenario,
 )
+
+from test_golden import GOLDEN, INLINE
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -287,6 +293,48 @@ def test_built_scenario_carries_its_hash():
     cfg = _minimal()
     sc = build_scenario(cfg)
     assert sc.scenario_hash == scenario_hash(cfg)
+
+
+_CONFIG_NAMES = sorted(set(GOLDEN) | {p.stem for p in SCENARIOS.glob("*.json")})
+
+
+def _config(name: str) -> dict:
+    """A golden or bundled config, as a fresh copy."""
+    if name in INLINE:
+        return copy.deepcopy(INLINE[name])
+    return read_config(SCENARIOS / f"{name}.json")
+
+
+def _scenario_module_on_hashlib(monkeypatch):
+    """A second copy of sliptsim.scenario, loaded where neither built-in
+    SHA-256 module can be imported, so it falls back to hashlib."""
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    spec = importlib.util.spec_from_file_location("scenario_on_hashlib", scenario.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("on_hashlib", [False, True], ids=["builtin", "hashlib"])
+def test_scenario_hash_is_the_sha256_of_the_canonical_json(on_hashlib, monkeypatch):
+    module = _scenario_module_on_hashlib(monkeypatch) if on_hashlib else scenario
+    if on_hashlib:
+        assert module.sha256 is hashlib.sha256
+    else:
+        assert module.sha256.__module__ in {"_sha2", "_sha256"}
+    for name in _CONFIG_NAMES:
+        cfg = _config(name)
+        canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+        assert module.scenario_hash(cfg) == hashlib.sha256(canonical.encode()).hexdigest(), name
+
+
+@pytest.mark.parametrize("name", _CONFIG_NAMES)
+def test_build_scenario_leaves_its_config_unchanged(name):
+    cfg = _config(name)
+    before = copy.deepcopy(cfg)
+    build_scenario(cfg)
+    assert cfg == before
 
 
 def test_validate_collects_multiple_issues():
