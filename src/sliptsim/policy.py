@@ -14,7 +14,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from sliptsim.errors import ConfigError, DomainError
+from sliptsim.errors import DomainError
 from sliptsim.harvester import CellMode
 from sliptsim.node import _COMMAND_RX, _PC, _PV, Phase  # members as globals: see node.py
 
@@ -107,7 +107,7 @@ class PowerSplit(Policy):
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("policy.alpha", f"must be in [0, 1], got {self.alpha}")
+            raise DomainError(f"must be in [0, 1], got {self.alpha}")
 
     def divide(self, harvest_pool, decode_pool, mode, ready, phase):
         harvest, decode = split(self, harvest_pool)

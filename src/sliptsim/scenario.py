@@ -6,8 +6,8 @@ engine consumes, strictly: unknown keys, missing required fields, bad
 units and dangling references are all ConfigErrors that name the
 config path they occurred at.  One pass (_build) walks the config and
 collects every such issue: build_scenario raises the first, and
-validate_scenario reports them all.  Every number must be finite: NaN
-and Infinity literals are refused when the file is read.
+validate_scenario reports them all.  Every number must be finite: a NaN
+or Infinity literal fails the same field checks as 1e999.
 """
 
 import json
@@ -185,7 +185,10 @@ def _power_split(obj: dict, path: str) -> PowerSplit:
     alpha = _finite(obj.get("alpha"))
     if alpha is None:
         raise ConfigError(f"{path}.alpha", "expected a number in [0, 1]")
-    return PowerSplit(alpha)
+    try:
+        return PowerSplit(alpha)
+    except DomainError as e:
+        raise ConfigError(f"{path}.alpha", str(e)) from None
 
 
 _SLOT_KEYS = {"kind", "t1", "t2", "phase_offset"}
@@ -216,7 +219,7 @@ def _build_policy(obj, path: str) -> Policy:
         raise ConfigError(path, str(e)) from None
 
 
-def _build_beam(tx_obj: dict, beam_obj: dict, path: str, geometry: BeamGeometry,
+def _build_beam(beam_obj: dict, path: str, geometry: BeamGeometry,
                 default_turbulence: TurbulenceModel) -> LinkParams:
     try:
         return LinkParams(
@@ -258,19 +261,21 @@ def _build_transmitter(obj, index: int) -> TransmitterDef:
         d_obj = _require(dual, "data", f"{path}.dual")
         _check_keys(e_obj, _DUAL_BEAM_KEYS, f"{path}.dual.energy")
         _check_keys(d_obj, _DUAL_BEAM_KEYS, f"{path}.dual.data")
-        dual_energy = _build_beam(obj, e_obj, f"{path}.dual.energy", geometry, turbulence)
-        dual_data = _build_beam(obj, d_obj, f"{path}.dual.data", geometry, turbulence)
+        dual_energy = _build_beam(e_obj, f"{path}.dual.energy", geometry, turbulence)
+        dual_data = _build_beam(d_obj, f"{path}.dual.data", geometry, turbulence)
         if dual_energy.wavelength == dual_data.wavelength:
             raise ConfigError(f"{path}.dual",
                               "energy and data beams must use distinct wavelengths")
         beam = dual_energy  # placeholder; dual links are built from the pair
     else:
-        beam = _build_beam(obj, obj, path, geometry, turbulence)
+        beam = _build_beam(obj, path, geometry, turbulence)
 
     targets = obj.get("targets")
     if targets is not None:
         if not isinstance(targets, list) or not all(isinstance(x, str) for x in targets):
             raise ConfigError(f"{path}.targets", "expected a list of node ids")
+        if len(set(targets)) != len(targets):  # a repeated id would build its link twice
+            raise ConfigError(f"{path}.targets", "duplicate node ids")
 
     distances = {}
     for node_id, d in _mapping(obj, "distances", path, "node id -> distance").items():
@@ -557,6 +562,9 @@ def _build(cfg, default_name: str, issues: list[ConfigError]) -> Scenario | None
         if spatial and tx.dual_energy is not None:
             refuse(f"transmitters[{i}].dual",
                    "spatial assignment aims one beam per transmitter, not a dual pair")
+        if spatial and tx.targets is not None:
+            refuse(f"transmitters[{i}].targets",
+                   "spatial assignment chooses each transmitter's node, so targets is unused")
     for i, st in enumerate(stimuli):
         node = by_id.get(st.node_id)
         if node is None:
@@ -592,67 +600,23 @@ def build_scenario(cfg: dict, default_name: str = "scenario") -> Scenario:
 def validate_scenario(cfg) -> list[str]:
     """Every config problem as a "path: message" string, in build order
     (empty = valid)."""
-    if not isinstance(cfg, dict):
-        return ["scenario: expected a JSON object"]
     issues = []
     _build(cfg, "scenario", issues)
     return [str(e) for e in issues]
 
 
-class _Constant:
-    """A NaN or Infinity literal, held until its config path is known."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-
-def _constant_at(value, path: str) -> tuple[str, _Constant] | None:
-    """Config path and literal of the first _Constant within value."""
-    if isinstance(value, _Constant):
-        return path, value
-    if isinstance(value, dict):
-        children = ((f"{path}.{k}", v) for k, v in value.items())
-    elif isinstance(value, list):
-        children = ((f"{path}[{i}]", v) for i, v in enumerate(value))
-    else:
-        return None
-    for child_path, child in children:
-        hit = _constant_at(child, child_path)
-        if hit is not None:
-            return hit
-    return None
-
-
-def read_config(path) -> dict:
-    """Read a scenario JSON file into a config dict.
-
-    NaN, Infinity and -Infinity are not JSON, though Python's reader takes
-    them; they are refused with the config path they appear at (top-level
-    lists as "transmitters[0]...", other top-level keys as "scenario...").
-    """
+def read_config(path):
+    """Read a scenario JSON file, refusing only what cannot be read: a
+    missing file, bad syntax, and digits or nesting past the parser's
+    limits.  _build checks the rest, the NaN and Infinity literals included."""
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise ConfigError(str(path), f"cannot read scenario file: {e}") from None
-    constants = []
-
-    def constant(name: str) -> _Constant:
-        constants.append(name)
-        return _Constant(name)
-
     try:
-        cfg = json.loads(text, parse_constant=constant)
+        return json.loads(text)
     except (ValueError, RecursionError) as e:  # also digit and nesting limits
         raise ConfigError(str(path), f"invalid JSON: {e}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(str(path), "scenario must be a JSON object")
-    if constants:
-        for key, value in cfg.items():
-            hit = _constant_at(value, key if isinstance(value, list) else f"scenario.{key}")
-            if hit is not None:
-                where, literal = hit
-                raise ConfigError(where, f"{literal.name} is not a finite number")
-    return cfg
 
 
 def load_scenario(path) -> Scenario:

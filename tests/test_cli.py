@@ -203,15 +203,44 @@ def test_negative_seed_exits_1_with_its_path(tmp_path, capsys, scenario):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda cfg: cfg["transmitters"][0].update(power=float("nan")),
-     "transmitters[0].power: NaN is not a finite number"),
+     "transmitters[0].power: expected a finite power quantity"),
     (lambda cfg: cfg.update(duration=float("inf")),
-     "scenario.duration: Infinity is not a finite number"),
+     "scenario.duration: expected a finite time quantity"),
 ], ids=["nan_power", "infinite_duration"])
 def test_non_finite_literals_fail_validate_and_run(tmp_path, capsys, edit, message):
+    # the same message as the same value given to sweep --values
     bad = _variant(tmp_path, DEMO, edit)
-    for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
+    for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad],
+                 ["sweep", "--scenario", bad, "--param", "seed", "--values", "1,2"]):
         assert main(argv) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
+def test_validate_lists_a_nan_literal_with_the_other_issues(tmp_path, capsys):
+    def edit(cfg):
+        cfg["transmitters"][0]["power"] = float("nan")
+        cfg["seed"] = -3
+
+    bad = _variant(tmp_path, DEMO, edit)
+    assert main(["validate", "--scenario", bad]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "scenario.seed: must be >= 0, got -3",
+        "transmitters[0].power: expected a finite power quantity",
+        "2 issue(s) found",
+    ]
+
+
+def test_a_scenario_that_is_not_an_object_exits_1(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[]")
+    for argv in (["validate", "--scenario", str(bad)], ["run", "--scenario", str(bad)],
+                 ["sweep", "--scenario", str(bad), "--param", "transmitters[0].power",
+                  "--values", "1mW"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.strip() and "Traceback" not in err
 
 
 def test_sweep_rejects_a_nan_value_at_its_path(capsys):
@@ -342,18 +371,30 @@ def _make_dual(tx):
     (DEMO, lambda cfg: cfg["nodes"][0].update(sensors={"enabled": [1]}),
      "nodes[0].sensors: sensors are used only in the protocol's SenseSave phase, "
      "which node 'buoy' does not run"),
+    (DEMO, lambda cfg: cfg["nodes"][0].update(policy={"kind": "power_split", "alpha": 1.5}),
+     "nodes[0].policy.alpha: must be in [0, 1], got 1.5"),
+    (DEMO, lambda cfg: cfg.update(policy={"kind": "power_split", "alpha": -0.5}),
+     "scenario.policy.alpha: must be in [0, 1], got -0.5"),
+    (DEMO, lambda cfg: cfg["transmitters"][0].update(targets=["buoy", "buoy"]),
+     "transmitters[0].targets: duplicate node ids"),
+    (str(SCENARIOS / "spatial_demo.json"),
+     lambda cfg: [tx.update(targets=["rx2"]) for tx in cfg["transmitters"]],
+     "transmitters[0].targets: spatial assignment chooses each transmitter's node"),
 ], ids=["distances_list", "values_list", "divergence_100deg", "divergence_90deg",
         "zero_decode_rate", "zero_uplink_rate", "negative_sensing_time", "dual_under_spatial",
         "active_load_key", "uplink_list", "uplink_0", "uplink_false", "uplink_empty_string",
         "stimulus_on_time_switch_node", "commands_on_time_switch_node",
-        "sensors_on_time_switch_node"])
+        "sensors_on_time_switch_node", "alpha_above_1_on_a_node", "alpha_below_0_on_the_scenario",
+        "repeated_target", "targets_under_spatial"])
 def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit, message):
     # before these checks, the list edits died with a traceback; the others
     # validated (a falsy uplink was taken as the defaults), and a run divided
     # by the zero rate once it timed a frame or an uplink, or ran on a
     # negative beam radius, at negative event times, with the energy beam
     # carrying data, or with a time_switch node walked through protocol phases;
-    # commands and sensors on a time_switch node validated and were never used
+    # commands and sensors on a time_switch node validated and were never used;
+    # an out-of-range alpha was reported at "policy.alpha", a path in no file;
+    # a repeated target built its link twice, and targets under spatial were ignored
     bad = _variant(tmp_path, base, edit)
     for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
         assert main(argv) == 1

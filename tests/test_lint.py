@@ -10,7 +10,8 @@ still be in traced.py's TIMED table.  A private module-level name (an
 assignment, function or class named `_x`) must be read somewhere in
 src/sliptsim or bench/, so a leftover of deleted code cannot linger.
 A calm validate, run and sweep load neither numpy nor OpenSSL's
-libcrypto (`_hashlib`).
+libcrypto (`_hashlib`).  A model module raises DomainError, never
+ConfigError: config paths are the loader's to name.
 """
 
 import ast
@@ -102,6 +103,17 @@ def test_engine_noqa_imports_are_the_ones_the_bench_times():
     kept = _imported(ast.parse(text), text.splitlines(), noqa=True)
     untimed = sorted(name for name in kept if f"engine.{name}" not in _timed_names())
     assert not untimed, f"engine.py keeps imports bench/traced.py does not time: {untimed}"
+
+
+MODELS = ["channel.py", "harvester.py", "energy_store.py", "policy.py"]
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_model_modules_do_not_import_config_error(name):
+    text = (PACKAGE / name).read_text()
+    tree, lines = ast.parse(text), text.splitlines()
+    imported = {**_imported(tree, lines), **_imported(tree, lines, noqa=True)}
+    assert "ConfigError" not in imported, f"{name} imports ConfigError; raise DomainError"
 
 
 def _private_module_names(tree: ast.Module) -> dict[str, int]:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sliptsim.errors import ConfigError, DomainError
+from sliptsim.errors import DomainError
 from sliptsim.harvester import CellMode
 from sliptsim.node import Phase
 from sliptsim.policy import (
@@ -66,9 +66,9 @@ def test_mode_at_is_periodic(t1, t2, t):
 
 
 def test_power_split_bounds():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError, match=r"must be in \[0, 1\], got -0.01"):
         PowerSplit(-0.01)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError, match=r"must be in \[0, 1\], got 1.01"):
         PowerSplit(1.01)
     assert split(PowerSplit(0.0), 2.0) == (0.0, 2.0)
     assert split(PowerSplit(1.0), 2.0) == (2.0, 0.0)

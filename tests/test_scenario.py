@@ -138,23 +138,28 @@ def test_non_finite_numbers_rejected_with_path():
             build_scenario(cfg)
 
 
-@pytest.mark.parametrize("text, path, literal", [
-    ('{"duration": Infinity}', "scenario.duration", "Infinity"),
-    ('{"policy": {"kind": "power_split", "alpha": NaN}}', "scenario.policy.alpha", "NaN"),
-    ('{"transmitters": [{"id": "a"}, {"power": -Infinity}]}',
-     "transmitters[1].power", "-Infinity"),
-    ('{"nodes": [{"sensors": {"values": {"0": [[0, 1], [1, NaN]]}}}]}',
-     "nodes[0].sensors.values.0[1][1]", "NaN"),
+@pytest.mark.parametrize("edit, path, message", [
+    (lambda cfg: cfg.update(duration=math.inf), "scenario.duration",
+     "expected a finite time quantity"),
+    (lambda cfg: cfg.update(policy={"kind": "power_split", "alpha": math.nan}),
+     "scenario.policy.alpha", "expected a number in [0, 1]"),
+    (lambda cfg: cfg.update(transmitters=[_TX, {**_TX, "power": -math.inf}]),
+     "transmitters[1].power", "expected a finite power quantity"),
+    (lambda cfg: cfg["nodes"][0].update(sensors={"values": {"0": [[0, 1], [1, math.nan]]}}),
+     "nodes[0].sensors.values.0[1]", "value must be a finite number"),
 ], ids=["top_level", "nested_object", "list_item", "series_point"])
-def test_reader_refuses_nan_and_infinity_literals(tmp_path, text, path, literal):
+def test_reader_refuses_nan_and_infinity_literals(tmp_path, edit, path, message):
+    # Python's JSON reader takes the NaN, Infinity and -Infinity literals;
+    # the field checks that refuse 1e999 refuse them, at the same paths
+    cfg = _minimal()
+    edit(cfg)
     f = tmp_path / "s.json"
-    f.write_text(text)
+    f.write_text(json.dumps(cfg))
+    assert re.search(r"\b(NaN|Infinity)\b", f.read_text())
+    assert validate_scenario(read_config(f)) == [f"{path}: {message}"]
     with pytest.raises(ConfigError) as e:
-        read_config(f)
-    assert e.value.path == path
-    assert e.value.message == f"{literal} is not a finite number"
-    with pytest.raises(ConfigError, match=re.escape(path)):
         load_scenario(f)
+    assert (e.value.path, e.value.message) == (path, message)
 
 
 def test_duplicate_ids_rejected():
@@ -337,6 +342,49 @@ def test_build_scenario_leaves_its_config_unchanged(name):
     assert cfg == before
 
 
+def _places(value, path: str = "scenario", at: tuple = ()):
+    """(config path, key sequence) of value and of everything within it."""
+    yield path, at
+    if isinstance(value, dict):
+        children = ((f"{path}.{k}", k, v) for k, v in value.items())
+    elif isinstance(value, list):
+        children = ((f"{path}[{i}]", i, v) for i, v in enumerate(value))
+    else:
+        return
+    for child_path, key, child in children:
+        yield from _places(child, child_path, (*at, key))
+
+
+def _related(a: str, b: str) -> bool:
+    """Whether one config path is the other, or within it ("scenario.nodes"
+    and "nodes[0]" name the same list)."""
+    a, b = (re.sub(r"^scenario\.?", "", p) for p in (a, b))
+    short, long = sorted((a, b), key=len)
+    return short in ("", long) or long.startswith((f"{short}.", f"{short}["))
+
+
+@pytest.mark.parametrize("name", _CONFIG_NAMES)
+def test_every_non_finite_literal_is_refused_where_it_stands(name):
+    # json reads NaN, Infinity and -Infinity as these floats, and only the
+    # field checks refuse them, so each must fail at its own place
+    base = _config(name)
+    places = list(_places(base))
+    for value in (math.nan, math.inf, -math.inf):
+        for path, at in places:
+            cfg = copy.deepcopy(base)
+            if at:
+                target = cfg
+                for key in at[:-1]:
+                    target = target[key]
+                target[at[-1]] = value
+            else:
+                cfg = value
+            issues = validate_scenario(cfg)
+            assert issues, (path, value)
+            for issue in issues:
+                assert _related(issue.split(": ", 1)[0], path), (path, value, issue)
+
+
 def test_validate_collects_multiple_issues():
     cfg = _minimal(transmitters=[{
         "power": "5kg", "water": "pure_sea",
@@ -353,7 +401,7 @@ def test_validate_surfaces_cross_references_last():
     cfg = _minimal(stimuli=[{"time": "1s", "node": "ghost", "stimulus": "timeout"}])
     issues = validate_scenario(cfg)
     assert issues == ["stimuli[0].node: unknown node 'ghost'"]
-    assert validate_scenario("not a dict") == ["scenario: expected a JSON object"]
+    assert validate_scenario("not a dict") == ["scenario: expected an object, got str"]
     assert validate_scenario(_minimal()) == []
 
 
@@ -366,7 +414,7 @@ def test_load_scenario_file_errors(tmp_path):
         load_scenario(bad)
     top = tmp_path / "list.json"
     top.write_text("[1, 2]")
-    with pytest.raises(ConfigError, match="JSON object"):
+    with pytest.raises(ConfigError, match="^scenario: expected an object, got list$"):
         load_scenario(top)
     for name, text in [("deep.json", "[" * 100_000), ("long.json", "1" * 5000)]:
         (tmp_path / name).write_text(text)  # past the parser's nesting / digit limits
