@@ -559,6 +559,9 @@ def _build(cfg, default_name: str, issues: list[ConfigError]) -> Scenario | None
         for node_id in tx.distances:
             if node_id not in by_id:
                 refuse(f"transmitters[{i}].distances", f"unknown node {node_id!r}")
+            elif not spatial and tx.targets is not None and node_id not in tx.targets:
+                refuse(f"transmitters[{i}].distances.{node_id}",
+                       "not one of the transmitter's targets, so no link uses it")
         if spatial and tx.dual_energy is not None:
             refuse(f"transmitters[{i}].dual",
                    "spatial assignment aims one beam per transmitter, not a dual pair")

@@ -380,12 +380,15 @@ def _make_dual(tx):
     (str(SCENARIOS / "spatial_demo.json"),
      lambda cfg: [tx.update(targets=["rx2"]) for tx in cfg["transmitters"]],
      "transmitters[0].targets: spatial assignment chooses each transmitter's node"),
+    (str(SCENARIOS / "protocol_demo.json"),
+     lambda cfg: cfg["transmitters"][0].update(targets=["near"]),
+     "transmitters[0].distances.far: not one of the transmitter's targets"),
 ], ids=["distances_list", "values_list", "divergence_100deg", "divergence_90deg",
         "zero_decode_rate", "zero_uplink_rate", "negative_sensing_time", "dual_under_spatial",
         "active_load_key", "uplink_list", "uplink_0", "uplink_false", "uplink_empty_string",
         "stimulus_on_time_switch_node", "commands_on_time_switch_node",
         "sensors_on_time_switch_node", "alpha_above_1_on_a_node", "alpha_below_0_on_the_scenario",
-        "repeated_target", "targets_under_spatial"])
+        "repeated_target", "targets_under_spatial", "distance_for_an_untargeted_node"])
 def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit, message):
     # before these checks, the list edits died with a traceback; the others
     # validated (a falsy uplink was taken as the defaults), and a run divided
@@ -394,7 +397,8 @@ def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit,
     # carrying data, or with a time_switch node walked through protocol phases;
     # commands and sensors on a time_switch node validated and were never used;
     # an out-of-range alpha was reported at "policy.alpha", a path in no file;
-    # a repeated target built its link twice, and targets under spatial were ignored
+    # a repeated target built its link twice, and targets under spatial were
+    # ignored, as was a distance for a node the transmitter does not target
     bad = _variant(tmp_path, base, edit)
     for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
         assert main(argv) == 1

@@ -161,9 +161,11 @@ _TARGETED_IDS = ["n0", "n1", "n2", "n3"]
 
 
 def _targeted_tx(tx_id: str, on: str, off: str, **extra) -> dict:
+    aimed = extra.get("targets", _TARGETED_IDS)
     return {"id": tx_id, **_BEAM, "water": "clear_ocean", "divergence": "20deg",
             "receiver_radius": "35mm", "on": on, "off": off,
-            "distances": {nid: f"{0.3 + 0.01 * i:.2f}m" for i, nid in enumerate(_TARGETED_IDS)},
+            "distances": {nid: f"{0.3 + 0.01 * i:.2f}m"
+                          for i, nid in enumerate(_TARGETED_IDS) if nid in aimed},
             **extra}
 
 
@@ -221,7 +223,7 @@ GOLDEN = {
     ),
     "golden_targeted_protocol": (
         "9fab6ec4cf6eb870a191f5607d994e1a92e41ed3a444c638dc0bd891bda7e4d4",
-        "c1032ebc0be3dd0bf187a17716af1eede3e11ead3c3e3261bf643afd9da8c65a",
+        "946dfce1d35ebfd7862e06519f91d1fbae5f2d52e61bbd172d45f13815df6f22",
     ),
     "protocol_demo": (
         "56fa9b29889fb2efab33d3a71d7e525f56f6700d2f36197972c036d44de9d61f",
