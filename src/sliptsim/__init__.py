@@ -5,6 +5,10 @@ underwater optical links: light propagation through water, solar-cell
 receivers that alternate between energy harvesting and data decoding,
 device energy budgets, and the duty-cycled protocol of self-powered
 IoUT sensor nodes.
+
+The package builds no dataclasses: importing dataclasses loads inspect,
+ast, dis and tokenize, and the decorators with that import cost about
+30-40 ms of every CLI process start, so each class writes out its __init__.
 """
 
 from sliptsim.channel import (

@@ -16,7 +16,6 @@ uses its own stream.
 """
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from sliptsim.errors import DomainError, GeometryError
@@ -36,20 +35,15 @@ WATER_PRESETS: dict[str, tuple[float, float]] = {
 }
 
 
-@dataclass(frozen=True)
 class WaterProperties:
     """Absorption/scattering coefficients of a water column, per meter."""
 
-    absorption_coeff: float
-    scattering_coeff: float
-    total_attenuation: float = field(init=False)
-
-    def __post_init__(self):
-        if self.absorption_coeff < 0 or self.scattering_coeff < 0:
+    def __init__(self, absorption_coeff: float, scattering_coeff: float):
+        if absorption_coeff < 0 or scattering_coeff < 0:
             raise DomainError("absorption and scattering coefficients must be >= 0")
-        object.__setattr__(
-            self, "total_attenuation", self.absorption_coeff + self.scattering_coeff
-        )
+        self.absorption_coeff = absorption_coeff
+        self.scattering_coeff = scattering_coeff
+        self.total_attenuation = absorption_coeff + scattering_coeff
 
     @classmethod
     def preset(cls, name: str) -> "WaterProperties":
@@ -62,7 +56,6 @@ class WaterProperties:
         return cls(absorption, scattering)
 
 
-@dataclass(frozen=True)
 class BeamGeometry:
     """Beam and receiver geometry for one line-of-sight link.
 
@@ -72,21 +65,17 @@ class BeamGeometry:
     distance: propagation length through the water [m]
     """
 
-    initial_radius: float
-    half_angle_divergence: float
-    receiver_aperture_radius: float
-    distance: float
-
-    def __post_init__(self):
-        for name in (
-            "initial_radius",
-            "half_angle_divergence",
-            "receiver_aperture_radius",
-            "distance",
-        ):
+    def __init__(self, initial_radius: float, half_angle_divergence: float,
+                 receiver_aperture_radius: float, distance: float):
+        self.initial_radius = initial_radius
+        self.half_angle_divergence = half_angle_divergence
+        self.receiver_aperture_radius = receiver_aperture_radius
+        self.distance = distance
+        for name in ("initial_radius", "half_angle_divergence", "receiver_aperture_radius",
+                     "distance"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0")
-        if self.half_angle_divergence >= math.pi / 2:  # tan would be negative or infinite
+        if half_angle_divergence >= math.pi / 2:  # tan would be negative or infinite
             raise DomainError("half_angle_divergence must be < 90 deg")
 
     def radius_at_receiver(self, distance: float | None = None) -> float:
@@ -96,7 +85,6 @@ class BeamGeometry:
         return self.initial_radius + distance * math.tan(self.half_angle_divergence)
 
 
-@dataclass(frozen=True)
 class TurbulenceModel:
     """Unit-mean log-normal fading parameterized by the scintillation index.
 
@@ -106,27 +94,26 @@ class TurbulenceModel:
     random stream the engine derives for this link from the master seed.
     """
 
-    scintillation_index: float = 0.0
-    rng_stream_id: str = ""
-
-    def __post_init__(self):
-        if self.scintillation_index < 0:
+    def __init__(self, scintillation_index: float = 0.0, rng_stream_id: str = ""):
+        if scintillation_index < 0:
             raise DomainError("scintillation_index must be >= 0")
+        self.scintillation_index = scintillation_index
+        self.rng_stream_id = rng_stream_id
 
 
-@dataclass(frozen=True)
 class LinkParams:
-    """Everything needed to evaluate one optical path."""
+    """Everything needed to evaluate one optical path; wavelength [nm]
+    selects the water entry and is not used numerically."""
 
-    tx_power: float
-    wavelength: float  # nm, selects the water entry; not used numerically
-    water: WaterProperties
-    geometry: BeamGeometry
-    turbulence: TurbulenceModel = TurbulenceModel()
-
-    def __post_init__(self):
-        if self.tx_power < 0:
+    def __init__(self, tx_power: float, wavelength: float, water: WaterProperties,
+                 geometry: BeamGeometry, turbulence: TurbulenceModel = TurbulenceModel()):
+        if tx_power < 0:
             raise DomainError("tx_power must be >= 0")
+        self.tx_power = tx_power
+        self.wavelength = wavelength
+        self.water = water
+        self.geometry = geometry
+        self.turbulence = turbulence
 
 
 def attenuate(intensity_in: float, alpha: float, distance: float) -> float:

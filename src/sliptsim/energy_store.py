@@ -11,7 +11,6 @@ V = sqrt(2E/C).
 """
 
 import math
-from dataclasses import dataclass, field
 
 from sliptsim.errors import DomainError, NeverFullError
 
@@ -19,8 +18,8 @@ from sliptsim.errors import DomainError, NeverFullError
 class EnergyStore:
     """Stored-energy bookkeeping shared by both stores.
 
-    A store has `stored` and `capacity` in joules and its own
-    terminal_voltage curve.
+    A store has `stored` and `capacity` in joules, its own
+    terminal_voltage curve, and copy(), a new store in the same state.
     """
 
     stored: float
@@ -43,46 +42,51 @@ class EnergyStore:
         return (self.capacity - self.stored) / net_power
 
 
-@dataclass
 class Battery(EnergyStore):
-    """Ideal battery with a linear SOC-to-voltage curve.
+    """Ideal battery with a linear SOC-to-voltage curve; capacity and
+    stored in J.
 
     Defaults bracket a single Li-ion cell: 3.0 V empty, 4.2 V full,
     which puts 50% SOC at 3.6 V.
     """
 
-    capacity: float  # J
-    stored: float = 0.0  # J
-    v_empty: float = 3.0
-    v_full: float = 4.2
-
-    def __post_init__(self):
-        if self.capacity <= 0:
+    def __init__(self, capacity: float, stored: float = 0.0, v_empty: float = 3.0,
+                 v_full: float = 4.2):
+        if capacity <= 0:
             raise DomainError("capacity must be > 0")
-        if not 0.0 <= self.stored <= self.capacity:
+        if not 0.0 <= stored <= capacity:
             raise DomainError("stored must be within [0, capacity]")
-        if self.v_empty >= self.v_full:
+        if v_empty >= v_full:
             raise DomainError("v_empty must be < v_full")
+        self.capacity = capacity
+        self.stored = stored
+        self.v_empty = v_empty
+        self.v_full = v_full
+
+    def copy(self) -> "Battery":
+        return Battery(self.capacity, self.stored, self.v_empty, self.v_full)
 
     def terminal_voltage(self) -> float:
         return self.v_empty + (self.v_full - self.v_empty) * self.soc()
 
 
-@dataclass
 class Supercapacitor(EnergyStore):
-    """Ideal supercapacitor; capacity is the energy at rated voltage."""
+    """Ideal supercapacitor (capacitance in F, rated_voltage in V, stored
+    in J); capacity is the energy at rated voltage."""
 
-    capacitance: float = 5.0  # F
-    rated_voltage: float = 5.0  # V
-    stored: float = 0.0  # J
-    capacity: float = field(init=False)
-
-    def __post_init__(self):
-        if self.capacitance <= 0 or self.rated_voltage <= 0:
+    def __init__(self, capacitance: float = 5.0, rated_voltage: float = 5.0,
+                 stored: float = 0.0):
+        if capacitance <= 0 or rated_voltage <= 0:
             raise DomainError("capacitance and rated_voltage must be > 0")
-        self.capacity = 0.5 * self.capacitance * self.rated_voltage**2
-        if not 0.0 <= self.stored <= self.capacity:
+        self.capacitance = capacitance
+        self.rated_voltage = rated_voltage
+        self.stored = stored
+        self.capacity = 0.5 * capacitance * rated_voltage**2
+        if not 0.0 <= stored <= self.capacity:
             raise DomainError("stored must be within [0, 0.5*C*V_rated^2]")
+
+    def copy(self) -> "Supercapacitor":
+        return Supercapacitor(self.capacitance, self.rated_voltage, self.stored)
 
     def terminal_voltage(self) -> float:
         return math.sqrt(2.0 * self.stored / self.capacitance)

@@ -51,7 +51,6 @@ import math
 import os
 import zlib
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import TYPE_CHECKING, Protocol
 
@@ -120,71 +119,69 @@ def _boundary_time(sched: TimeSwitchSchedule, k: int) -> float:
 # -- Scenario definition (built by sliptsim.scenario from config files) ------
 
 
-@dataclass
+# A collection argument left as None starts empty, in these classes and below.
 class TransmitterDef:
-    tx_id: str
-    beam: LinkParams
-    on_time: float = 0.0
-    off_time: float | None = None
-    targets: list[str] | None = None  # None = every node
-    dual_energy: LinkParams | None = None
-    dual_data: LinkParams | None = None
-    distances: dict[str, float] = field(default_factory=dict)  # per-node range [m]
+    def __init__(self, tx_id: str, beam: LinkParams, on_time: float = 0.0,
+                 off_time: float | None = None,
+                 targets: list[str] | None = None,  # None = every node
+                 dual_energy: LinkParams | None = None, dual_data: LinkParams | None = None,
+                 distances: dict[str, float] | None = None):  # per-node range [m]
+        self.tx_id, self.beam, self.on_time, self.off_time = tx_id, beam, on_time, off_time
+        self.targets, self.dual_energy, self.dual_data = targets, dual_energy, dual_data
+        self.distances = {} if distances is None else distances
 
 
-@dataclass
 class NodeDef:
-    node_id: str
-    cell: SolarCell
-    store: EnergyStore
-    policy: Policy
-    v_threshold: float = 3.6
-    enabled_sensors: set[int] = field(default_factory=set)
-    active_load: str = "sense_and_save"
-    sleep_load: str = "sleep"
-    sense_seconds_per_sensor: float = 2.0
-    sensor_values: dict[int, object] = field(default_factory=dict)  # const or [(t, v)] steps
-    uplink_rate: float = 500e3
-    uplink_load: str = "laser_uplink"
-    record_bits: int = 128
-    data_demand: bool = False
-    commands: list[Command] = field(default_factory=list)
+    def __init__(self, node_id: str, cell: SolarCell, store: EnergyStore, policy: Policy,
+                 v_threshold: float = 3.6, enabled_sensors: set[int] | None = None,
+                 active_load: str = "sense_and_save", sleep_load: str = "sleep",
+                 sense_seconds_per_sensor: float = 2.0,
+                 sensor_values: dict[int, object] | None = None,  # const or [(t, v)] steps
+                 uplink_rate: float = 500e3, uplink_load: str = "laser_uplink",
+                 record_bits: int = 128, data_demand: bool = False,
+                 commands: list[Command] | None = None):
+        self.node_id, self.cell, self.store, self.policy = node_id, cell, store, policy
+        self.v_threshold = v_threshold
+        self.enabled_sensors = set() if enabled_sensors is None else enabled_sensors
+        self.active_load, self.sleep_load = active_load, sleep_load
+        self.sense_seconds_per_sensor = sense_seconds_per_sensor
+        self.sensor_values = {} if sensor_values is None else sensor_values
+        self.uplink_rate, self.uplink_load = uplink_rate, uplink_load
+        self.record_bits, self.data_demand = record_bits, data_demand
+        self.commands = [] if commands is None else commands
 
 
-@dataclass
 class StimulusDef:
-    time: float
-    node_id: str
-    stimulus: Stimulus
+    def __init__(self, time: float, node_id: str, stimulus: Stimulus):
+        self.time, self.node_id, self.stimulus = time, node_id, stimulus
 
 
-@dataclass
 class Scenario:
-    name: str
-    duration: float
-    seed: int | None
-    transmitters: list[TransmitterDef]
-    nodes: list[NodeDef]
-    stimuli: list[StimulusDef] = field(default_factory=list)
-    scenario_hash: str = ""
+    def __init__(self, name: str, duration: float, seed: int | None,
+                 transmitters: list[TransmitterDef], nodes: list[NodeDef],
+                 stimuli: list[StimulusDef] | None = None, scenario_hash: str = ""):
+        self.name, self.duration, self.seed = name, duration, seed
+        self.transmitters, self.nodes = transmitters, nodes
+        self.stimuli = [] if stimuli is None else stimuli
+        self.scenario_hash = scenario_hash
 
 
 # -- Metrics ------------------------------------------------------------------
 
 
-@dataclass
 class NodeMetrics:
-    harvested_j: float = 0.0
-    consumed_j: float = 0.0
-    spilled_j: float = 0.0
-    decoded_bits: float = 0.0
-    delivered_records: int = 0
-    outage_s: float = 0.0
-    protocol_errors: int = 0
-    phase_occupancy: dict[str, float] = field(default_factory=dict)
-    charge_completions: list[float] = field(default_factory=list)
-    stored_initial_j: float = 0.0
-    stored_final_j: float = 0.0
+    def __init__(self, harvested_j: float = 0.0, consumed_j: float = 0.0,
+                 spilled_j: float = 0.0, decoded_bits: float = 0.0,
+                 delivered_records: int = 0, outage_s: float = 0.0, protocol_errors: int = 0,
+                 phase_occupancy: dict[str, float] | None = None,
+                 charge_completions: list[float] | None = None,
+                 stored_initial_j: float = 0.0, stored_final_j: float = 0.0):
+        self.harvested_j, self.consumed_j, self.spilled_j = harvested_j, consumed_j, spilled_j
+        self.decoded_bits, self.delivered_records = decoded_bits, delivered_records
+        self.outage_s, self.protocol_errors = outage_s, protocol_errors
+        self.phase_occupancy = {} if phase_occupancy is None else phase_occupancy
+        self.charge_completions = [] if charge_completions is None else charge_completions
+        self.stored_initial_j, self.stored_final_j = stored_initial_j, stored_final_j
 
     def to_dict(self) -> dict:
         return {
@@ -202,15 +199,15 @@ class NodeMetrics:
         }
 
 
-@dataclass
 class Metrics:
-    nodes: dict[str, NodeMetrics] = field(default_factory=dict)
-    frame_errors: dict[str, int] = field(default_factory=dict)  # "tx->node" -> count
-    events_processed: int = 0
-    end_time: float = 0.0
-    seed: int = 0
-    scenario_hash: str = ""
-    spatial_assignment: dict | None = None
+    def __init__(self, nodes: dict[str, NodeMetrics] | None = None,
+                 frame_errors: dict[str, int] | None = None,  # "tx->node" -> count
+                 events_processed: int = 0, end_time: float = 0.0, seed: int = 0,
+                 scenario_hash: str = "", spatial_assignment: dict | None = None):
+        self.nodes = {} if nodes is None else nodes
+        self.frame_errors = {} if frame_errors is None else frame_errors
+        self.events_processed, self.end_time, self.seed = events_processed, end_time, seed
+        self.scenario_hash, self.spatial_assignment = scenario_hash, spatial_assignment
 
     def to_dict(self) -> dict:
         doc = {
@@ -229,31 +226,36 @@ class Metrics:
 # -- Runtime state ------------------------------------------------------------
 
 
-@dataclass
 class _LinkRuntime:
-    tx_id: str
-    node_id: str
-    in_harvest: bool = True  # contributes to the harvest pool
-    in_decode: bool = True  # contributes to the decode pool
-    active: bool = False
-    fade: float = 1.0
-    base_power: float = 0.0  # tx_power * capture * exp(-alpha z), fade excluded
-    rng: "np.random.Generator | None" = None  # None on a calm link: the fade stays 1
+    def __init__(self, tx_id: str, node_id: str,
+                 in_harvest: bool = True,  # contributes to the harvest pool
+                 in_decode: bool = True,  # contributes to the decode pool
+                 active: bool = False, fade: float = 1.0,
+                 base_power: float = 0.0,  # tx_power * capture * exp(-alpha z), fade excluded
+                 rng: "np.random.Generator | None" = None):  # None: calm, the fade stays 1
+        self.tx_id, self.node_id = tx_id, node_id
+        self.in_harvest, self.in_decode = in_harvest, in_decode
+        self.active, self.fade, self.base_power, self.rng = active, fade, base_power, rng
 
     def power_now(self) -> float:
         return self.base_power * self.fade if self.active else 0.0
 
 
-@dataclass
 class _TurbulentLink(_LinkRuntime):
     """A link with a non-zero scintillation index: it owns its stream and
     keeps the fades drawn ahead of use in reverse order, so the next one
     pops off the end (see the module docstring).  Calm links are plain
     _LinkRuntime and carry no buffer."""
 
-    turbulence: TurbulenceModel = field(kw_only=True)
-    fades: list[float] = field(default_factory=list)
-    block: int = 1  # size of the next block drawn
+    def __init__(self, tx_id: str, node_id: str, in_harvest: bool = True,
+                 in_decode: bool = True, active: bool = False, fade: float = 1.0,
+                 base_power: float = 0.0, rng: "np.random.Generator | None" = None,
+                 fades: list[float] | None = None,
+                 block: int = 1, *, turbulence: TurbulenceModel):  # block: next draw's size
+        super().__init__(tx_id, node_id, in_harvest, in_decode, active, fade, base_power, rng)
+        self.turbulence = turbulence
+        self.fades = [] if fades is None else fades
+        self.block = block
 
     def draw_fade(self) -> float:
         if not self.fades:
@@ -264,32 +266,33 @@ class _TurbulentLink(_LinkRuntime):
         return self.fades.pop()
 
 
-@dataclass
 class _NodeRuntime:
-    cfg: NodeDef
-    cell: SolarCell
-    store: EnergyStore
-    state: NodeState
-    metrics: NodeMetrics
-    links: list[_LinkRuntime] = field(default_factory=list)
-    lit_links: list[_LinkRuntime] = field(default_factory=list)  # the active links, in links order
-    loads: tuple[float, float, float] = (0.0, 0.0, 0.0)  # (sleep, active, uplink) W
-    schedule: TimeSwitchSchedule | None = None
-    # (harvest_pool, decode_pool, total) optical W over the links; None once
-    # a link's active or fade has changed, until _refresh sums them again
-    pools: tuple[float, float, float] | None = None
-    # piecewise-constant snapshot, valid since last_t
-    last_t: float = 0.0
-    harvest_elec: float = 0.0  # W into the store
-    load_elec: float = 0.0  # W out of the store
-    decode_in: float = 0.0  # optical W at the decoder
-    decoding: bool = False
-    lit: bool = False
-    was_full: bool = False
-    timer_gen: int = 0
-    # command session bookkeeping: frame i carries cfg.commands[i]
-    uplink_until: float = 0.0
-    slot_index: int = 0
+    def __init__(self, cfg: NodeDef, cell: SolarCell, store: EnergyStore, state: NodeState,
+                 metrics: NodeMetrics, links: list[_LinkRuntime] | None = None,
+                 lit_links: list[_LinkRuntime] | None = None,  # the active links, in links order
+                 loads: tuple[float, float, float] = (0.0, 0.0, 0.0),  # (sleep, active, uplink) W
+                 schedule: TimeSwitchSchedule | None = None,
+                 # (harvest_pool, decode_pool, total) optical W over the links; None once
+                 # a link's active or fade has changed, until _refresh sums them again
+                 pools: tuple[float, float, float] | None = None,
+                 # piecewise-constant snapshot, valid since last_t
+                 last_t: float = 0.0,
+                 harvest_elec: float = 0.0,  # W into the store
+                 load_elec: float = 0.0,  # W out of the store
+                 decode_in: float = 0.0,  # optical W at the decoder
+                 decoding: bool = False, lit: bool = False, was_full: bool = False,
+                 timer_gen: int = 0,
+                 # command session bookkeeping: frame i carries cfg.commands[i]
+                 uplink_until: float = 0.0, slot_index: int = 0):
+        self.cfg, self.cell, self.store = cfg, cell, store
+        self.state, self.metrics = state, metrics
+        self.links = [] if links is None else links
+        self.lit_links = [] if lit_links is None else lit_links
+        self.loads, self.schedule, self.pools = loads, schedule, pools
+        self.last_t, self.harvest_elec, self.load_elec = last_t, harvest_elec, load_elec
+        self.decode_in, self.decoding, self.lit = decode_in, decoding, lit
+        self.was_full, self.timer_gen = was_full, timer_gen
+        self.uplink_until, self.slot_index = uplink_until, slot_index
 
 
 class Simulation:
@@ -324,11 +327,14 @@ class Simulation:
     # -- construction --------------------------------------------------------
 
     def _build_nodes(self):
+        # each run gets its own cell and store, built by __init__: a copy.copy
+        # would keep their attributes in a dict, which CPython reads about half
+        # as fast as those an __init__ sets, and the loop reads them per event
         for nd in self.scenario.nodes:
             n = _NodeRuntime(
                 cfg=nd,
-                cell=replace(nd.cell),
-                store=replace(nd.store),
+                cell=nd.cell.copy(),
+                store=nd.store.copy(),
                 state=NodeState(v_threshold=nd.v_threshold,
                                 enabled_sensors=set(nd.enabled_sensors)),
                 metrics=NodeMetrics(stored_initial_j=nd.store.stored),

@@ -8,7 +8,6 @@ rate is delivered error-free, below it the slot is an outage.
 """
 
 import enum
-from dataclasses import dataclass, field
 
 from sliptsim.errors import DomainError
 
@@ -21,7 +20,6 @@ class CellMode(enum.Enum):
     PHOTOCONDUCTIVE = "photoconductive"
 
 
-@dataclass
 class SolarCell:
     """One solar cell and its receive-chain parameters.
 
@@ -34,28 +32,37 @@ class SolarCell:
     decode_rate: configured link rate in photoconductive mode [bit/s]
     sensitivity: minimum optical power for error-free decoding [W]
     switch_latency: relay settling time on a mode change [s]
+    ready_at: when the relay has settled after the last switch [s]
     """
 
-    area: float = DEFAULT_AREA_M2
-    conversion_efficiency: float = 0.2
-    decode_bandwidth: float = 30e3
-    decode_rate: float = 500e3
-    sensitivity: float = 1e-6
-    mode: CellMode = CellMode.PHOTOVOLTAIC
-    switch_latency: float = 5e-3
-    ready_at: float = field(default=0.0, repr=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.conversion_efficiency <= 1.0:
+    def __init__(self, area: float = DEFAULT_AREA_M2, conversion_efficiency: float = 0.2,
+                 decode_bandwidth: float = 30e3, decode_rate: float = 500e3,
+                 sensitivity: float = 1e-6, mode: CellMode = CellMode.PHOTOVOLTAIC,
+                 switch_latency: float = 5e-3, ready_at: float = 0.0):
+        if not 0.0 < conversion_efficiency <= 1.0:
             raise DomainError("conversion_efficiency must be in (0, 1]")
-        if self.area <= 0:
+        if area <= 0:
             raise DomainError("area must be > 0")
-        if self.switch_latency < 0:
+        if switch_latency < 0:
             raise DomainError("switch_latency must be >= 0")
-        if self.decode_rate <= 0:  # a frame lasts 32 bits / decode_rate
+        if decode_rate <= 0:  # a frame lasts 32 bits / decode_rate
             raise DomainError("decode_rate must be > 0")
-        if self.decode_bandwidth < 0 or self.sensitivity < 0:
+        if decode_bandwidth < 0 or sensitivity < 0:
             raise DomainError("decode_bandwidth and sensitivity must be >= 0")
+        self.area = area
+        self.conversion_efficiency = conversion_efficiency
+        self.decode_bandwidth = decode_bandwidth
+        self.decode_rate = decode_rate
+        self.sensitivity = sensitivity
+        self.mode = mode
+        self.switch_latency = switch_latency
+        self.ready_at = ready_at
+
+    def copy(self) -> "SolarCell":
+        """A new cell in the same state, relay included."""
+        return SolarCell(self.area, self.conversion_efficiency, self.decode_bandwidth,
+                         self.decode_rate, self.sensitivity, self.mode, self.switch_latency,
+                         self.ready_at)
 
     def switch_mode(self, target: CellMode, now: float) -> float:
         """Switch the relay toward `target`; returns when the cell is usable.

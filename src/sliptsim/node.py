@@ -20,7 +20,6 @@ id for SensorOn/SensorOff and a free byte (conventionally 0) otherwise.
 """
 
 import enum
-from dataclasses import dataclass, field
 
 from sliptsim.energy_store import EnergyStore
 from sliptsim.errors import ConfigError, DomainError, FrameError
@@ -63,33 +62,36 @@ _PV, _PC = CellMode.PHOTOVOLTAIC, CellMode.PHOTOCONDUCTIVE
 _SENSOR_ON, _SENSOR_OFF, _SEND_DATA = Opcode.SENSOR_ON, Opcode.SENSOR_OFF, Opcode.SEND_DATA
 
 
-@dataclass(frozen=True)
 class Command:
     """One node command; sensor_id doubles as the raw payload byte."""
 
-    opcode: Opcode
-    sensor_id: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.sensor_id <= 0xFF:
+    def __init__(self, opcode: Opcode, sensor_id: int = 0):
+        if not 0 <= sensor_id <= 0xFF:
             raise DomainError("sensor_id must fit in one byte")
+        self.opcode = opcode
+        self.sensor_id = sensor_id
 
 
-@dataclass(frozen=True)
 class SensorRecord:
-    timestamp: float  # s
-    sensor_id: int
-    value: float  # physical units of the sensor (degC, NTU, ...)
+    """One measurement: timestamp [s], and value in the sensor's physical
+    units (degC, NTU, ...)."""
+
+    def __init__(self, timestamp: float, sensor_id: int, value: float):
+        self.timestamp = timestamp
+        self.sensor_id = sensor_id
+        self.value = value
 
 
-@dataclass(frozen=True)
 class LoadProfile:
-    """One row of the current-consumption catalog."""
+    """One row of the current-consumption catalog: supply_voltage [V],
+    current [A], throughput [bit/s], None if the feature carries no data."""
 
-    name: str
-    supply_voltage: float  # V
-    current: float  # A
-    throughput: float | None = None  # bit/s, None if the feature carries no data
+    def __init__(self, name: str, supply_voltage: float, current: float,
+                 throughput: float | None = None):
+        self.name = name
+        self.supply_voltage = supply_voltage
+        self.current = current
+        self.throughput = throughput
 
     @property
     def power(self) -> float:
@@ -173,19 +175,22 @@ def decode_command(frame: bytes) -> Command:
 # -- Protocol state machine --------------------------------------------------
 
 
-@dataclass
 class NodeState:
     """Protocol state of one node.
 
     storage is append-only during a run; records leave only through an
-    acknowledged data transmission.
+    acknowledged data transmission.  A collection left as None starts empty.
     """
 
-    phase: Phase = Phase.SLEEP
-    v_threshold: float = 3.6
-    storage: list[SensorRecord] = field(default_factory=list)
-    enabled_sensors: set[int] = field(default_factory=set)
-    last_sent: list[SensorRecord] = field(default_factory=list)
+    def __init__(self, phase: Phase = Phase.SLEEP, v_threshold: float = 3.6,
+                 storage: list[SensorRecord] | None = None,
+                 enabled_sensors: set[int] | None = None,
+                 last_sent: list[SensorRecord] | None = None):
+        self.phase = phase
+        self.v_threshold = v_threshold
+        self.storage = [] if storage is None else storage
+        self.enabled_sensors = set() if enabled_sensors is None else enabled_sensors
+        self.last_sent = [] if last_sent is None else last_sent
 
     def step(self, stimulus: Stimulus, store: EnergyStore | None = None) -> bool:
         """Move the phase on one stimulus; False, phase unchanged, if the

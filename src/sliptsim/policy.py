@@ -12,7 +12,6 @@ own state machine switches the cell.
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 
 from sliptsim.errors import DomainError
 from sliptsim.harvester import CellMode
@@ -46,26 +45,23 @@ class Policy:
         return 0.0, decode_pool, not self.protocol or phase is _COMMAND_RX
 
 
-@dataclass(frozen=True)
 class NodeProtocol(Policy):
     """The self-powered node protocol drives the cell mode itself."""
 
     protocol = True
 
 
-@dataclass(frozen=True)
 class TimeSwitchSchedule(Policy):
     """Periodic harvest/decode slots: harvest for t1, decode for t2."""
 
-    t1: float
-    t2: float
-    phase_offset: float = 0.0
-
-    def __post_init__(self):
-        if self.t1 < 0 or self.t2 < 0:
+    def __init__(self, t1: float, t2: float, phase_offset: float = 0.0):
+        if t1 < 0 or t2 < 0:
             raise DomainError("slot lengths must be >= 0")
-        if self.t1 + self.t2 <= 0:
+        if t1 + t2 <= 0:
             raise DomainError("t1 + t2 must be > 0")
+        self.t1 = t1
+        self.t2 = t2
+        self.phase_offset = phase_offset
 
     @property
     def schedule(self) -> "TimeSwitchSchedule":
@@ -76,7 +72,6 @@ class TimeSwitchSchedule(Policy):
         return self.t1 + self.t2
 
 
-@dataclass(frozen=True)
 class SpatialSplit(TimeSwitchSchedule):
     """Time-switched nodes whose transmitters get Energy/Data roles."""
 
@@ -99,15 +94,13 @@ def mode_at(schedule: TimeSwitchSchedule, t: float) -> CellMode:
     return _PV if local < schedule.t1 else _PC
 
 
-@dataclass(frozen=True)
 class PowerSplit(Policy):
     """Lossless splitter ratio: alpha to harvest, 1 - alpha to decode."""
 
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DomainError(f"must be in [0, 1], got {self.alpha}")
+    def __init__(self, alpha: float):
+        if not 0.0 <= alpha <= 1.0:
+            raise DomainError(f"must be in [0, 1], got {alpha}")
+        self.alpha = alpha
 
     def divide(self, harvest_pool, decode_pool, mode, ready, phase):
         harvest, decode = split(self, harvest_pool)
@@ -131,7 +124,6 @@ def split(ps: PowerSplit, incident: float) -> tuple[float, float]:
     return harvest, decode
 
 
-@dataclass(frozen=True)
 class DualWavelength(Policy):
     """Energy and data beams at distinct wavelengths, used at once."""
 
@@ -144,20 +136,25 @@ class TxRole(enum.Enum):
     DATA = "data"
 
 
-@dataclass
 class SpatialAssignment:
     """Role per transmitter plus the receiver each one points at.
 
     Each transmitter illuminates exactly one receiver; a receiver may be
-    illuminated (and harvest) from many.  data_source maps a receiver to
-    the transmitter serving its data demand; receivers whose demand no
-    transmitter can feasibly serve are listed in infeasible.
+    illuminated (and harvest) from many.  target maps a transmitter to
+    the receiver it points at, and data_source a receiver to the
+    transmitter serving its data demand; receivers whose demand no
+    transmitter can feasibly serve are listed in infeasible.  A
+    collection left as None starts empty.
     """
 
-    roles: dict[str, TxRole] = field(default_factory=dict)
-    target: dict[str, str] = field(default_factory=dict)  # tx -> rx it points at
-    data_source: dict[str, str] = field(default_factory=dict)  # rx -> data tx
-    infeasible: list[str] = field(default_factory=list)
+    def __init__(self, roles: dict[str, TxRole] | None = None,
+                 target: dict[str, str] | None = None,
+                 data_source: dict[str, str] | None = None,
+                 infeasible: list[str] | None = None):
+        self.roles = {} if roles is None else roles
+        self.target = {} if target is None else target
+        self.data_source = {} if data_source is None else data_source
+        self.infeasible = [] if infeasible is None else infeasible
 
 
 def assign_spatial(

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,7 +118,7 @@ def test_capture_at_a_distance_equals_capture_of_the_moved_geometry(w0, theta, r
             return "zero-width"
 
     g = BeamGeometry(w0, theta, r_rx, z)
-    moved = replace(g, distance=d)
+    moved = BeamGeometry(w0, theta, r_rx, d)
     assert g.radius_at_receiver(d) == moved.radius_at_receiver()
     assert capture(g, d) == capture(moved)
     assert capture(g, z) == capture(g)

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -97,7 +96,7 @@ def test_unknown_load_fails_when_the_simulation_is_built(key):
     # pass until the node first drew that load (its uplink, for uplink_load)
     sc = build_scenario({"duration": "1s", "seed": 1, "policy": {"kind": "protocol"},
                          "nodes": [{"id": "n0", "store": _battery("1J", "0.5J")}]})
-    sc.nodes = [replace(sc.nodes[0], **{key: "toaster"})]
+    setattr(sc.nodes[0], key, "toaster")
     with pytest.raises(ConfigError) as err:
         Simulation(sc)
     assert err.value.path == "load:toaster"
@@ -420,9 +419,10 @@ def test_calm_links_build_no_random_stream(monkeypatch, name):
 
 
 def _is_plain(link) -> bool:
-    """A calm link: a bare _LinkRuntime with no attribute beyond its fields."""
+    """A calm link: a bare _LinkRuntime with no attribute beyond those its
+    constructor sets."""
     return (type(link) is _LinkRuntime
-            and set(vars(link)) == {f.name for f in fields(_LinkRuntime)})
+            and set(vars(link)) == set(vars(_LinkRuntime("tx", "node"))))
 
 
 def test_only_turbulent_links_get_a_stream(monkeypatch):
@@ -449,7 +449,8 @@ def _slotted(phase_offset: float, t1: float = 1.0, t2: float = 1.0):
     refuse for a negative phase_offset."""
     sc = load_scenario(SCENARIOS / "turbulent_demo.json")
     policy = TimeSwitchSchedule(t1, t2, phase_offset)
-    sc.nodes = [replace(nd, policy=policy) for nd in sc.nodes]
+    for nd in sc.nodes:
+        nd.policy = policy
     return sc
 
 
@@ -529,7 +530,10 @@ def test_an_offset_schedule_harvests_in_every_harvest_slot():
 def _moved_beam_power(beam: LinkParams, d: float) -> float:
     """The link power as links were once built: the beam moved to the
     link's distance (a new geometry and LinkParams), then evaluated at it."""
-    moved = replace(beam, geometry=replace(beam.geometry, distance=d))
+    g = beam.geometry
+    moved = LinkParams(beam.tx_power, beam.wavelength, beam.water,
+                       BeamGeometry(g.initial_radius, g.half_angle_divergence,
+                                    g.receiver_aperture_radius, d), beam.turbulence)
     return (attenuate(moved.tx_power, moved.water.total_attenuation, moved.geometry.distance)
             * geometric_capture(moved.geometry))
 
@@ -573,13 +577,13 @@ def test_building_a_simulation_constructs_no_link_params_or_geometry(monkeypatch
     scenarios = [_scenario(name) for name in sorted(GOLDEN)]
     constructed = []
     for cls in (LinkParams, BeamGeometry):
-        post_init = cls.__post_init__
+        init = cls.__init__
 
-        def counting(self, _post_init=post_init):
+        def counting(self, *args, _init=init, **kwargs):
             constructed.append(type(self).__name__)
-            _post_init(self)
+            _init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(cls, "__init__", counting)
     build_scenario(INLINE["golden_targeted_protocol"])
     assert constructed  # the counter sees what the loader builds
     constructed.clear()

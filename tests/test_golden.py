@@ -287,6 +287,17 @@ def test_golden_digests(name):
     assert digests(name) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_a_built_scenario_runs_twice_to_the_same_bytes(name):
+    # each run works on its own copy of every node's cell and store, so the
+    # built scenario comes out of a run as it went in
+    sc = _scenario(name)
+    before = [(nd.cell.mode, nd.cell.ready_at, nd.store.stored) for nd in sc.nodes]
+    assert _digests_of(*run(sc)) == GOLDEN[name]
+    assert _digests_of(*run(sc)) == GOLDEN[name]
+    assert [(nd.cell.mode, nd.cell.ready_at, nd.store.stored) for nd in sc.nodes] == before
+
+
 def test_every_bundled_scenario_is_pinned():
     bundled = {path.stem for path in SCENARIOS.glob("*.json")}
     assert len(bundled) >= 5

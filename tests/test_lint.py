@@ -156,11 +156,15 @@ import json, sys
 from sliptsim.cli import main
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-print(json.dumps(sorted(m for m in ("_hashlib", "numpy") if m in sys.modules)))
+heavy = ("_hashlib", "numpy", "dataclasses", "inspect")
+print(json.dumps(sorted(m for m in heavy if m in sys.modules)))
 """
 
 
-def test_a_calm_run_loads_neither_numpy_nor_openssl(tmp_path):
+def test_a_calm_run_loads_no_numpy_openssl_dataclasses_or_inspect(tmp_path):
+    """A calm validate, run and sweep never import numpy or OpenSSL's
+    _hashlib, which only a fade draw needs, nor dataclasses, which would
+    bring inspect, ast, dis and tokenize into every process start."""
     tank = str(SCENARIOS / "tank_1m5.json")  # no turbulence: no fade is drawn
     argvs = [["validate", "--scenario", tank],
              ["run", "--scenario", tank, "--out", str(tmp_path / "run")],

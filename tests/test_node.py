@@ -47,7 +47,8 @@ def test_roundtrip_exhaustive():
     for opcode in Opcode:
         for payload in range(256):
             cmd = Command(opcode, payload)
-            assert decode_command(encode_command(cmd)) == cmd
+            decoded = decode_command(encode_command(cmd))
+            assert (decoded.opcode, decoded.sensor_id) == (opcode, payload)
 
 
 def test_decode_rejects_bad_frames():

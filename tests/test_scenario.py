@@ -52,7 +52,7 @@ def test_tank_scenario_contents():
     (tx,) = sc.transmitters
     assert tx.beam.geometry.distance == pytest.approx(1.5)
     (node,) = sc.nodes
-    assert node.policy == NodeProtocol()
+    assert type(node.policy) is NodeProtocol  # a policy with no fields
     assert node.v_threshold == pytest.approx(3.6)
     assert node.store.capacity == pytest.approx(3024.0)  # 840 mWh
 
