@@ -12,16 +12,18 @@ coefficient (exactly 1 when the scintillation index is zero).
 
 All functions are pure; callers own the random stream passed to
 sample_fading, so concurrent evaluation is safe as long as each worker
-uses its own stream.
+uses its own stream.  A stream is a random.Random: CPython keeps the
+sequence of Random.random() for a given seed from one version to the
+next, and sample_fading turns two of its uniforms into one log-normal
+fade with a formula written out here, so a (scenario, seed) pair draws
+the same fades on every supported Python.
 """
 
 import math
-from typing import TYPE_CHECKING
+import random
+from math import cos, exp, log, sqrt, tau
 
 from sliptsim.errors import DomainError, GeometryError
-
-if TYPE_CHECKING:  # numpy is imported only where a stream is built (engine.rng_stream)
-    import numpy as np
 
 # Literature-typical attenuation presets, per meter at blue-green
 # wavelengths.  These are conventional textbook values for water types,
@@ -92,6 +94,9 @@ class TurbulenceModel:
     fluctuations (sigma^2).  Zero means a calm channel: the fading
     coefficient is the constant 1.  rng_stream_id names the deterministic
     random stream the engine derives for this link from the master seed.
+    log_mean and log_sigma are the mean and standard deviation of the
+    fade's logarithm, -ln(1 + sigma^2)/2 and sqrt(ln(1 + sigma^2)), worked
+    out once here rather than on every draw.
     """
 
     def __init__(self, scintillation_index: float = 0.0, rng_stream_id: str = ""):
@@ -99,6 +104,8 @@ class TurbulenceModel:
             raise DomainError("scintillation_index must be >= 0")
         self.scintillation_index = scintillation_index
         self.rng_stream_id = rng_stream_id
+        log_var = math.log1p(scintillation_index)
+        self.log_mean, self.log_sigma = -log_var / 2.0, math.sqrt(log_var)
 
 
 class LinkParams:
@@ -146,28 +153,22 @@ def geometric_capture(geometry: BeamGeometry, distance: float | None = None) -> 
     return min(1.0, ratio * ratio)
 
 
-def sample_fading(model: TurbulenceModel, rng: "np.random.Generator",
-                  size: int | None = None) -> "float | list[float]":
-    """Draw one turbulence fading coefficient from the model, or with
-    `size` a list of that many.
+def sample_fading(model: TurbulenceModel, rng: random.Random) -> float:
+    """Draw one turbulence fading coefficient from the model.
 
     Samples are log-normal with unit mean and log-variance
     ln(1 + sigma^2), so the sample variance equals the scintillation
     index.  sigma^2 = 0 returns exactly 1.0 without consuming randomness.
 
-    A block of k draws equals k scalar draws from the same stream, bit
-    for bit and in order: numpy's Generator fills an array by calling
-    the same per-sample routine k times, and tolist() hands the values
-    back as Python floats, so a block can be split or joined anywhere
-    without changing a fade.
+    The normal deviate is the Box-Muller cosine branch of two uniforms
+    u1 then u2, each one rng.random() call, and the fade is
+    exp(mu + (sigma * sqrt(-2 ln(1 - u1))) * cos(2 pi u2)) in exactly that
+    order of operations.  1 - u1 lies in (0, 1], so the logarithm is
+    finite.  random.gauss and random.lognormvariate are not used: their
+    algorithms carry no promise to stay the same across Python versions.
     """
-    sigma2 = model.scintillation_index
-    if sigma2 < 0:
-        raise DomainError("scintillation_index must be >= 0")
-    if sigma2 == 0.0:
-        return 1.0 if size is None else [1.0] * size
-    log_var = math.log1p(sigma2)
-    mean, sigma = -log_var / 2.0, math.sqrt(log_var)
-    if size is None:
-        return float(rng.lognormal(mean=mean, sigma=sigma))
-    return rng.lognormal(mean=mean, sigma=sigma, size=size).tolist()
+    if model.scintillation_index == 0.0:
+        return 1.0
+    u1 = rng.random()
+    u2 = rng.random()
+    return exp(model.log_mean + model.log_sigma * sqrt(-2.0 * log(1.0 - u1)) * cos(tau * u2))

@@ -25,23 +25,17 @@ every command exactly).
 
 Randomness: every random stream is derived from the master seed as
 
-    default_rng(SeedSequence(master_seed, spawn_key=(crc32(purpose),)))
+    random.Random(master_seed << 32 | crc32(purpose))
 
 where `purpose` is a string such as "fading:tx0:node0".  Adding a node
 or link therefore never perturbs the streams of existing ones, and a
 fixed (scenario, seed) pair reproduces traces byte for byte.  Only links
 with a non-zero scintillation index draw from a stream, so only those
-get one, and numpy is imported when the first one is built: a calm
-scenario runs without it.
-
-A turbulent link draws its fades in blocks and hands them out one at a
-time.  The blocks double from 1 up to 1024 fades, so a link that draws
-only when its transmitter comes on wastes nothing, and one redrawn every
-slot makes one numpy call per 1024 fades.  Each link builds its own
-Generator, even when two links name the same stream, and draws nothing
-else from it, so drawing ahead cannot reorder anything; a block of k
-equals k single draws bit for bit (channel.sample_fading), so the fades
-are the same floats as one draw per fade.
+get one.  Each link builds its own stream, even when two links name the
+same one, and draws nothing else from it, so two such links take the
+same fades and the order in which links draw moves no fade.  A fade is
+one channel.sample_fading call, looked up as this module's global so
+that a wrapper installed on engine.sample_fading sees every draw.
 """
 
 import heapq
@@ -49,10 +43,11 @@ import itertools
 import json
 import math
 import os
+import random
 import zlib
 from collections import namedtuple
 from operator import attrgetter
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol
 
 from sliptsim.channel import (LinkParams, TurbulenceModel, attenuate, geometric_capture,
                               sample_fading)
@@ -67,11 +62,7 @@ from sliptsim.node import decode_command, encode_command  # noqa: F401 - bench/t
 from sliptsim.policy import Policy, TimeSwitchSchedule, TxRole, assign_spatial, mode_at
 from sliptsim.policy import split  # noqa: F401 - bench/traced.py times engine.split
 
-if TYPE_CHECKING:
-    import numpy as np
-
 FRAME_BITS = 32  # 4-byte command frame
-_FADE_BLOCK_CAP = 1024  # fades a turbulent link draws at once, at most
 _FULL_REL_TOL = 1e-12
 _node_id_of = attrgetter("node_id")
 _RESTING_PHASES = (_SLEEP, _HARVEST)
@@ -90,12 +81,9 @@ TRACE_FIELDS = (
 TraceRow = namedtuple("TraceRow", TRACE_FIELDS)
 
 
-def rng_stream(master_seed: int, purpose: str) -> "np.random.Generator":
+def rng_stream(master_seed: int, purpose: str) -> random.Random:
     """Derive the deterministic random stream for a named purpose."""
-    import numpy as np
-
-    key = zlib.crc32(purpose.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(key,)))
+    return random.Random(master_seed << 32 | zlib.crc32(purpose.encode("utf-8")))
 
 
 def _mean_power(beam: LinkParams, distance: float) -> float:
@@ -232,7 +220,7 @@ class _LinkRuntime:
                  in_decode: bool = True,  # contributes to the decode pool
                  active: bool = False, fade: float = 1.0,
                  base_power: float = 0.0,  # tx_power * capture * exp(-alpha z), fade excluded
-                 rng: "np.random.Generator | None" = None):  # None: calm, the fade stays 1
+                 rng: random.Random | None = None):  # None: calm, the fade stays 1
         self.tx_id, self.node_id = tx_id, node_id
         self.in_harvest, self.in_decode = in_harvest, in_decode
         self.active, self.fade, self.base_power, self.rng = active, fade, base_power, rng
@@ -243,27 +231,13 @@ class _LinkRuntime:
 
 class _TurbulentLink(_LinkRuntime):
     """A link with a non-zero scintillation index: it owns its stream and
-    keeps the fades drawn ahead of use in reverse order, so the next one
-    pops off the end (see the module docstring).  Calm links are plain
-    _LinkRuntime and carry no buffer."""
+    redraws its fade from `turbulence`.  Calm links are plain
+    _LinkRuntime."""
 
-    def __init__(self, tx_id: str, node_id: str, in_harvest: bool = True,
-                 in_decode: bool = True, active: bool = False, fade: float = 1.0,
-                 base_power: float = 0.0, rng: "np.random.Generator | None" = None,
-                 fades: list[float] | None = None,
-                 block: int = 1, *, turbulence: TurbulenceModel):  # block: next draw's size
-        super().__init__(tx_id, node_id, in_harvest, in_decode, active, fade, base_power, rng)
+    def __init__(self, tx_id: str, node_id: str, in_harvest: bool, in_decode: bool,
+                 rng: random.Random, turbulence: TurbulenceModel):
+        super().__init__(tx_id, node_id, in_harvest, in_decode, rng=rng)
         self.turbulence = turbulence
-        self.fades = [] if fades is None else fades
-        self.block = block
-
-    def draw_fade(self) -> float:
-        if not self.fades:
-            fades = sample_fading(self.turbulence, self.rng, self.block)
-            fades.reverse()
-            self.fades = fades
-            self.block = min(2 * self.block, _FADE_BLOCK_CAP)
-        return self.fades.pop()
 
 
 class _NodeRuntime:
@@ -351,8 +325,7 @@ class Simulation:
         if turbulence.scintillation_index > 0.0:
             # streams are keyed by name, so skipping calm links moves no draw
             rng = rng_stream(self.seed, turbulence.rng_stream_id or f"fading:{tag}:{node_id}")
-            link = _TurbulentLink(tx.tx_id, node_id, in_harvest, in_decode, rng=rng,
-                                  turbulence=turbulence)
+            link = _TurbulentLink(tx.tx_id, node_id, in_harvest, in_decode, rng, turbulence)
         else:
             link = _LinkRuntime(tx.tx_id, node_id, in_harvest, in_decode)
         link.base_power = _mean_power(beam, tx.distances.get(node_id, beam.geometry.distance))
@@ -623,7 +596,7 @@ class Simulation:
         for link in links:  # each link owns its stream: the draw order moves no fade
             link.active = turn_on
             if turn_on and link.rng is not None:
-                link.fade = link.draw_fade()
+                link.fade = sample_fading(link.turbulence, link.rng)
         kind = "timer_expiry:tx_on" if turn_on else "timer_expiry:tx_off"
         # one group per node: a dual transmitter's two links to it sit together
         for node_id, group in itertools.groupby(links, _node_id_of):
@@ -651,7 +624,7 @@ class Simulation:
         self._switch_cell(n, mode_at(n.schedule, t), t)
         for link in n.lit_links:  # fading coherence is tied to the slot length
             if link.rng is not None:
-                link.fade = link.draw_fade()
+                link.fade = sample_fading(link.turbulence, link.rng)
                 n.pools = None
         self._refresh(n, t)
         n.slot_index += 1

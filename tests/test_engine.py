@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -52,10 +53,18 @@ def _battery(capacity, stored):
 
 
 def test_rng_stream_is_deterministic_and_independent():
-    a = rng_stream(42, "fading:tx0:n0").random(5).tolist()
-    assert rng_stream(42, "fading:tx0:n0").random(5).tolist() == a
-    assert rng_stream(42, "fading:tx0:n1").random(5).tolist() != a
-    assert rng_stream(43, "fading:tx0:n0").random(5).tolist() != a
+    def first(seed, purpose):
+        rng = rng_stream(seed, purpose)
+        assert type(rng) is random.Random
+        return [rng.random() for _ in range(5)]
+
+    a = first(42, "fading:tx0:n0")
+    assert first(42, "fading:tx0:n0") == a
+    assert first(42, "fading:tx0:n1") != a
+    assert first(43, "fading:tx0:n0") != a
+    # the seed is master_seed << 32 | crc32(purpose)
+    same = random.Random(42 << 32 | 0xC097AA55)  # zlib.crc32(b"fading:tx0:n0")
+    assert a == [same.random() for _ in range(5)]
 
 
 def test_step_energy_units():

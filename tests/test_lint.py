@@ -9,7 +9,7 @@ bench/traced.py can time them as `engine.<name>`; each of those must
 still be in traced.py's TIMED table.  A private module-level name (an
 assignment, function or class named `_x`) must be read somewhere in
 src/sliptsim or bench/, so a leftover of deleted code cannot linger.
-A calm validate, run and sweep load neither numpy nor OpenSSL's
+No validate, run or sweep, calm or turbulent, loads numpy or OpenSSL's
 libcrypto (`_hashlib`).  A model module raises DomainError, never
 ConfigError: config paths are the loader's to name.
 """
@@ -71,6 +71,22 @@ def _used(tree: ast.Module) -> set[str]:
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used |= {e.value for e in node.value.elts}
     return used
+
+
+def test_numpy_is_no_runtime_dependency():
+    # fades come from random.Random; numpy is only in the test extra
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            assert "numpy" not in roots, f"{path.name}:{node.lineno}"
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["dependencies"] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -151,7 +167,7 @@ def test_every_private_module_name_is_read():
 
 # runs each argv through main() in one fresh interpreter, then prints
 # which of the heavy modules got imported
-_CALM_PROBE = """
+_IMPORT_PROBE = """
 import json, sys
 from sliptsim.cli import main
 for argv in json.loads(sys.argv[1]):
@@ -161,17 +177,21 @@ print(json.dumps(sorted(m for m in heavy if m in sys.modules)))
 """
 
 
-def test_a_calm_run_loads_no_numpy_openssl_dataclasses_or_inspect(tmp_path):
-    """A calm validate, run and sweep never import numpy or OpenSSL's
-    _hashlib, which only a fade draw needs, nor dataclasses, which would
-    bring inspect, ast, dis and tokenize into every process start."""
+def test_no_command_loads_numpy_openssl_dataclasses_or_inspect(tmp_path):
+    """No validate, run or sweep imports numpy or OpenSSL's _hashlib, not
+    even one that draws fades, nor dataclasses, which would bring inspect,
+    ast, dis and tokenize into every process start."""
     tank = str(SCENARIOS / "tank_1m5.json")  # no turbulence: no fade is drawn
+    demo = str(SCENARIOS / "turbulent_demo.json")  # a fade drawn every slot
     argvs = [["validate", "--scenario", tank],
              ["run", "--scenario", tank, "--out", str(tmp_path / "run")],
              ["sweep", "--scenario", tank, "--out", str(tmp_path / "sweep"),
               "--param", "transmitters[0].power", "--values", "1W,2W,3W"],
-             ["run", "--scenario", str(SCENARIOS / "vertical_supercap.json")]]
-    proc = subprocess.run([sys.executable, "-c", _CALM_PROBE, json.dumps(argvs)],
+             ["run", "--scenario", str(SCENARIOS / "vertical_supercap.json")],
+             ["run", "--scenario", demo, "--out", str(tmp_path / "demo")],
+             ["sweep", "--scenario", demo, "--out", str(tmp_path / "demo_sweep"),
+              "--param", "transmitters[0].power", "--values", "1W,2W"]]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
