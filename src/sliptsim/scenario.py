@@ -15,7 +15,8 @@ import math
 from pathlib import Path
 
 # The interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto,
-# about 3.7 MB of resident memory in a process that draws no fade.
+# about 3.7 MB of resident memory, and no other module needs it, so no
+# command loads it.
 try:
     from _sha2 import sha256  # Python 3.12+
 except ImportError:
@@ -152,12 +153,17 @@ def _water(value, path: str) -> WaterProperties:
                             "absorption/scattering")
 
 
-def _turbulence(value, path: str, stream_default: str = "") -> TurbulenceModel:
-    stream = stream_default
+def _turbulence(value, path: str) -> TurbulenceModel:
+    stream = ""  # the engine names the link's own stream
     if isinstance(value, dict):
         _check_keys(value, {"sigma2", "stream"}, path)
-        stream = _str_field(value, "stream", path, stream_default)
-        value = _require(value, "sigma2", path)
+        stream = _str_field(value, "stream", path, "")
+        if not stream and "stream" in value:
+            raise ConfigError(f"{path}.stream", "expected a non-empty string")
+        path = f"{path}.sigma2"
+        if "sigma2" not in value:
+            raise ConfigError(path, "missing: the scintillation index is required")
+        value = value["sigma2"]
     sigma2 = _finite(value)
     if sigma2 is None:
         raise ConfigError(path, "scintillation index must be a finite number")

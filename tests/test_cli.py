@@ -382,12 +382,19 @@ def _make_dual(tx):
     (str(SCENARIOS / "protocol_demo.json"),
      lambda cfg: cfg["transmitters"][0].update(targets=["near"]),
      "transmitters[0].distances.far: not one of the transmitter's targets"),
+    (DEMO, lambda cfg: cfg["transmitters"][0]["turbulence"].update(stream=""),
+     "transmitters[0].turbulence.stream: expected a non-empty string"),
+    (DEMO, lambda cfg: cfg["transmitters"][0]["turbulence"].pop("sigma2"),
+     "transmitters[0].turbulence.sigma2: missing"),
+    (DEMO, lambda cfg: cfg["transmitters"][0]["turbulence"].update(sigma2="0.25"),
+     "transmitters[0].turbulence.sigma2: scintillation index must be a finite number"),
 ], ids=["distances_list", "values_list", "divergence_100deg", "divergence_90deg",
         "zero_decode_rate", "zero_uplink_rate", "negative_sensing_time", "dual_under_spatial",
         "active_load_key", "uplink_list", "uplink_0", "uplink_false", "uplink_empty_string",
         "stimulus_on_time_switch_node", "commands_on_time_switch_node",
         "sensors_on_time_switch_node", "alpha_above_1_on_a_node", "alpha_below_0_on_the_scenario",
-        "repeated_target", "targets_under_spatial", "distance_for_an_untargeted_node"])
+        "repeated_target", "targets_under_spatial", "distance_for_an_untargeted_node",
+        "empty_stream", "missing_sigma2", "string_sigma2"])
 def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit, message):
     # before these checks, the list edits died with a traceback; the others
     # validated (a falsy uplink was taken as the defaults), and a run divided
@@ -397,7 +404,9 @@ def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit,
     # commands and sensors on a time_switch node validated and were never used;
     # an out-of-range alpha was reported at "policy.alpha", a path in no file;
     # a repeated target built its link twice, and targets under spatial were
-    # ignored, as was a distance for a node the transmitter does not target
+    # ignored, as was a distance for a node the transmitter does not target;
+    # an empty stream name silently meant the default stream, and a missing
+    # or non-numeric sigma2 was reported at the turbulence object
     bad = _variant(tmp_path, base, edit)
     for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
         assert main(argv) == 1
