@@ -12,16 +12,12 @@ coefficient (exactly 1 when the scintillation index is zero).
 
 All functions are pure; callers own the random stream passed to
 sample_fading, so concurrent evaluation is safe as long as each worker
-uses its own stream.  A stream is a random.Random: CPython keeps the
-sequence of Random.random() for a given seed from one version to the
-next, and sample_fading turns two of its uniforms into one log-normal
-fade with a formula written out here, so a (scenario, seed) pair draws
-the same fades on every supported Python.
+uses its own stream.  A stream is a random.Random, whose random()
+sequence CPython keeps for a given seed from one version to the next.
 """
 
 import math
 import random
-from math import cos, exp, log, sqrt, tau
 
 from sliptsim.errors import DomainError, GeometryError
 
@@ -171,4 +167,5 @@ def sample_fading(model: TurbulenceModel, rng: random.Random) -> float:
         return 1.0
     u1 = rng.random()
     u2 = rng.random()
-    return exp(model.log_mean + model.log_sigma * sqrt(-2.0 * log(1.0 - u1)) * cos(tau * u2))
+    radius = math.sqrt(-2.0 * math.log(1.0 - u1))
+    return math.exp(model.log_mean + model.log_sigma * radius * math.cos(math.tau * u2))
