@@ -155,6 +155,34 @@ def test_fading_stream_is_pinned():
         "0.7332451210552906", "1.1354535819296696", "0.6337613067732488"]
 
 
+@pytest.mark.parametrize("sigma2", [0.01, 0.25, 1.0])
+@pytest.mark.parametrize("k", [1, 2, 3, 1023, 1024, 1025])
+def test_fading_block_equals_scalar_draws(k, sigma2):
+    # a run of k fades drawn back to back takes exactly 2k uniforms from the
+    # stream, u1 then u2 for each fade, through the documented formula
+    model = TurbulenceModel(sigma2)
+    rng = random.Random(11)
+    block = [sample_fading(model, rng) for _ in range(k)]
+    uniforms = random.Random(11)
+    expected = []
+    for _ in range(k):
+        u1 = uniforms.random()
+        u2 = uniforms.random()
+        radius = math.sqrt(-2.0 * math.log(1.0 - u1))
+        expected.append(math.exp(model.log_mean
+                                 + model.log_sigma * radius * math.cos(math.tau * u2)))
+    assert block == expected
+    assert rng.getstate() == uniforms.getstate()
+    assert all(type(x) is float for x in block)
+
+
+def test_fading_calm_block_is_ones_without_drawing():
+    rng = rng_stream(42, "fading:tx0:n0")
+    state = rng.getstate()
+    assert [sample_fading(TurbulenceModel(0.0), rng) for _ in range(3)] == [1.0, 1.0, 1.0]
+    assert rng.getstate() == state
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.01, 2.0))
 def test_fading_unit_mean(sigma2):

@@ -177,21 +177,31 @@ print(json.dumps(sorted(m for m in heavy if m in sys.modules)))
 """
 
 
-def test_no_command_loads_numpy_openssl_dataclasses_or_inspect(tmp_path):
-    """No validate, run or sweep imports numpy or OpenSSL's _hashlib, not
-    even one that draws fades, nor dataclasses, which would bring inspect,
-    ast, dis and tokenize into every process start."""
+def _heavy_modules_after(argvs: list[list[str]]) -> list[str]:
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_a_calm_run_loads_no_numpy_openssl_dataclasses_or_inspect(tmp_path):
+    """A calm validate, run and sweep never import numpy or OpenSSL's
+    _hashlib, nor dataclasses, which would bring inspect, ast, dis and
+    tokenize into every process start."""
     tank = str(SCENARIOS / "tank_1m5.json")  # no turbulence: no fade is drawn
-    demo = str(SCENARIOS / "turbulent_demo.json")  # a fade drawn every slot
     argvs = [["validate", "--scenario", tank],
              ["run", "--scenario", tank, "--out", str(tmp_path / "run")],
              ["sweep", "--scenario", tank, "--out", str(tmp_path / "sweep"),
               "--param", "transmitters[0].power", "--values", "1W,2W,3W"],
-             ["run", "--scenario", str(SCENARIOS / "vertical_supercap.json")],
-             ["run", "--scenario", demo, "--out", str(tmp_path / "demo")],
+             ["run", "--scenario", str(SCENARIOS / "vertical_supercap.json")]]
+    assert _heavy_modules_after(argvs) == []
+
+
+def test_a_turbulent_run_loads_no_numpy_openssl_dataclasses_or_inspect(tmp_path):
+    """A run and a sweep that draw a fade every slot import none of them
+    either: fades come from random.Random."""
+    demo = str(SCENARIOS / "turbulent_demo.json")
+    argvs = [["run", "--scenario", demo, "--out", str(tmp_path / "demo")],
              ["sweep", "--scenario", demo, "--out", str(tmp_path / "demo_sweep"),
               "--param", "transmitters[0].power", "--values", "1W,2W"]]
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert _heavy_modules_after(argvs) == []
