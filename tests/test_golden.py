@@ -29,7 +29,7 @@ import pytest
 import sliptsim.engine as engine
 from sliptsim.cli import main
 from sliptsim.engine import Simulation, run, trace_to_csv, trace_to_jsonl
-from sliptsim.scenario import build_scenario, load_scenario, read_config
+from sliptsim.scenario import build_scenario, load_scenario, read_config, scenario_hash
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -228,7 +228,7 @@ GOLDEN = {
     ),
     "tank_1m5": (
         "df1ce5b28078fca94f872d77f86d930ad4c63cf3d90deaedba62dd2f64e31739",
-        "e7115f7338ba241e3912e7cab3840f15b9c30b8fa56a2ad3dcfff6c3835b5149",
+        "260dd16c02ebdb31f5703b136d66844903f967b66b1a3747b72fd55109d4e211",
     ),
     "turbulent_demo": (
         "a27b155d1cc4f90907adfdb5b8b2a7e14aff95ec6ada5f49a5b9e047f8fb40c5",
@@ -513,3 +513,16 @@ def test_deprecated_cell_keys_change_no_result(name):
     edited = metrics.to_dict()
     assert edited.pop("scenario_hash") != baseline.pop("scenario_hash")
     assert edited == baseline
+
+
+def test_tank_1m5_moved_only_through_its_scenario_hash():
+    # tank_1m5.json dropped "decode_bandwidth": "30kHz", a key no model
+    # read; with the old file's hash put back, its metrics are the old bytes
+    cfg = read_config(SCENARIOS / "tank_1m5.json")
+    metrics, trace = run(build_scenario(cfg))
+    cfg["nodes"][0]["cell"]["decode_bandwidth"] = "30kHz"
+    metrics.scenario_hash = scenario_hash(cfg)
+    assert _digests_of(metrics, trace) == (
+        GOLDEN["tank_1m5"][0],
+        "e7115f7338ba241e3912e7cab3840f15b9c30b8fa56a2ad3dcfff6c3835b5149",
+    )
