@@ -11,10 +11,6 @@ import enum
 
 from sliptsim.errors import DomainError
 
-# 55 mm x 70 mm cell
-DEFAULT_AREA_M2 = 55e-3 * 70e-3
-
-
 class CellMode(enum.Enum):
     PHOTOVOLTAIC = "photovoltaic"
     PHOTOCONDUCTIVE = "photoconductive"
@@ -23,35 +19,26 @@ class CellMode(enum.Enum):
 class SolarCell:
     """One solar cell and its receive-chain parameters.
 
-    area: active area [m^2]; a datasheet value no model reads (the
-        collected light is set by the link's receiver aperture)
     conversion_efficiency: optical-to-electrical efficiency in PV mode,
         taken as the max-power-point value (0, 1]
-    decode_bandwidth: 3-dB bandwidth in photovoltaic mode [Hz]; a
-        datasheet value no model reads, independent of decode_rate
     decode_rate: configured link rate in photoconductive mode [bit/s]
     sensitivity: minimum optical power for error-free decoding [W]
     switch_latency: relay settling time on a mode change [s]
     ready_at: when the relay has settled after the last switch [s]
     """
 
-    def __init__(self, area: float = DEFAULT_AREA_M2, conversion_efficiency: float = 0.2,
-                 decode_bandwidth: float = 30e3, decode_rate: float = 500e3,
+    def __init__(self, conversion_efficiency: float = 0.2, decode_rate: float = 500e3,
                  sensitivity: float = 1e-6, mode: CellMode = CellMode.PHOTOVOLTAIC,
                  switch_latency: float = 5e-3, ready_at: float = 0.0):
         if not 0.0 < conversion_efficiency <= 1.0:
             raise DomainError("conversion_efficiency must be in (0, 1]")
-        if area <= 0:
-            raise DomainError("area must be > 0")
         if switch_latency < 0:
             raise DomainError("switch_latency must be >= 0")
         if decode_rate <= 0:  # a frame lasts 32 bits / decode_rate
             raise DomainError("decode_rate must be > 0")
-        if decode_bandwidth < 0 or sensitivity < 0:
-            raise DomainError("decode_bandwidth and sensitivity must be >= 0")
-        self.area = area
+        if sensitivity < 0:
+            raise DomainError("sensitivity must be >= 0")
         self.conversion_efficiency = conversion_efficiency
-        self.decode_bandwidth = decode_bandwidth
         self.decode_rate = decode_rate
         self.sensitivity = sensitivity
         self.mode = mode
@@ -60,9 +47,8 @@ class SolarCell:
 
     def copy(self) -> "SolarCell":
         """A new cell in the same state, relay included."""
-        return SolarCell(self.area, self.conversion_efficiency, self.decode_bandwidth,
-                         self.decode_rate, self.sensitivity, self.mode, self.switch_latency,
-                         self.ready_at)
+        return SolarCell(self.conversion_efficiency, self.decode_rate, self.sensitivity,
+                         self.mode, self.switch_latency, self.ready_at)
 
     def switch_mode(self, target: CellMode, now: float) -> float:
         """Switch the relay toward `target`; returns when the cell is usable.

@@ -1,7 +1,7 @@
 """Scenario files: parsing, validation, canonical hashing.
 
 A scenario is a JSON object with unit-suffixed quantities ("840mWh",
-"1.5m", "30kHz").  This module turns one into the runtime Scenario the
+"1.5m", "500kbit/s").  This module turns one into the runtime Scenario the
 engine consumes, strictly: unknown keys, missing required fields, bad
 units and dangling references are all ConfigErrors that name the
 config path they occurred at.  One pass (_build) walks the config and
@@ -53,10 +53,7 @@ _NODE_KEYS = {
     "id", "cell", "store", "policy", "v_threshold", "sensors", "load",
     "sleep_load", "uplink", "data_demand", "commands",
 }
-_CELL_KEYS = {
-    "area", "efficiency", "decode_rate", "decode_bandwidth", "sensitivity",
-    "switch_latency",
-}
+_CELL_KEYS = {"efficiency", "decode_rate", "sensitivity", "switch_latency"}
 _BATTERY_KEYS = {"type", "capacity", "stored", "v_empty", "v_full"}
 _SUPERCAP_KEYS = {"type", "capacitance", "rated_voltage", "stored"}
 _SENSORS_KEYS = {"enabled", "values", "seconds_per_sensor"}
@@ -324,10 +321,7 @@ def _build_cell(obj, path: str) -> SolarCell:
         raise ConfigError(f"{path}.efficiency", "expected a number in (0, 1]")
     try:
         return SolarCell(
-            area=_qty(obj, "area", "area", path, default=SolarCell().area),
             conversion_efficiency=efficiency,
-            decode_bandwidth=_qty(obj, "decode_bandwidth", "frequency", path,
-                                  default=30e3),
             decode_rate=_qty(obj, "decode_rate", "rate", path, default=500e3),
             sensitivity=_qty(obj, "sensitivity", "power", path, default=1e-6),
             switch_latency=_qty(obj, "switch_latency", "time", path, default=5e-3),

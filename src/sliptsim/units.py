@@ -1,13 +1,13 @@
 """Parsing of unit-suffixed quantities from scenario files.
 
 Scenario files carry explicit unit suffixes on every physical quantity
-("840mWh", "30kHz", "1.5m").  Each config field declares the kind of
+("840mWh", "500kbit/s", "1.5m").  Each config field declares the kind of
 quantity it expects; this module converts the string (or a bare number,
 taken to be in the kind's base unit) into the base unit used internally.
 
-Base units: watts, joules, volts, amperes, seconds, meters, hertz,
-bits per second, farads, radians, 1/m, m^2.  Wavelengths are kept in
-nanometers because they act as channel labels, not lengths.
+Base units: watts, joules, volts, seconds, meters, bits per second,
+farads, 1/m, radians.  Wavelengths are kept in nanometers because they
+act as channel labels, not lengths.
 """
 
 import math
@@ -29,10 +29,8 @@ _UNIT_TABLES: dict[str, dict[str, float]] = {
         "kWh": 3.6e6,
     },
     "voltage": {"V": 1.0, "mV": 1e-3, "kV": 1e3},
-    "current": {"A": 1.0, "mA": 1e-3, "uA": 1e-6, "µA": 1e-6},
     "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6, "min": 60.0, "h": 3600.0},
     "length": {"m": 1.0, "mm": 1e-3, "cm": 1e-2, "km": 1e3, "um": 1e-6, "µm": 1e-6},
-    "frequency": {"Hz": 1.0, "kHz": 1e3, "KHz": 1e3, "MHz": 1e6, "GHz": 1e9},
     "rate": {
         "bit/s": 1.0,
         "kbit/s": 1e3,
@@ -44,10 +42,8 @@ _UNIT_TABLES: dict[str, dict[str, float]] = {
     },
     "capacitance": {"F": 1.0, "mF": 1e-3, "uF": 1e-6, "µF": 1e-6},
     "per_length": {"/m": 1.0, "1/m": 1.0, "/km": 1e-3},
-    "area": {"m2": 1.0, "m^2": 1.0, "cm2": 1e-4, "cm^2": 1e-4, "mm2": 1e-6, "mm^2": 1e-6},
     "angle": {"rad": 1.0, "mrad": 1e-3, "deg": math.pi / 180.0, "°": math.pi / 180.0},
     "wavelength": {"nm": 1.0, "um": 1e3, "µm": 1e3},
-    "dimensionless": {"": 1.0},
 }
 
 

@@ -500,19 +500,21 @@ def test_every_fade_is_the_next_draw_of_its_links_own_stream(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["tank_1m5", "golden_broadcast_protocol"])
-def test_deprecated_cell_keys_change_no_result(name):
-    # cell.area and cell.decode_bandwidth are parsed and range-checked, but
-    # no model reads them; only the scenario hash sees the edit
-    cfg = (json.loads(json.dumps(INLINE[name])) if name in INLINE
-           else read_config(SCENARIOS / f"{name}.json"))
-    for node in cfg["nodes"]:
-        node.setdefault("cell", {}).update(area="1cm2", decode_bandwidth="2MHz")
-    metrics, trace = run(build_scenario(cfg, default_name=name))
-    assert _sha256(trace_to_csv(trace).encode("utf-8")) == GOLDEN[name][0]
-    baseline = run(_scenario(name))[0].to_dict()
-    edited = metrics.to_dict()
-    assert edited.pop("scenario_hash") != baseline.pop("scenario_hash")
-    assert edited == baseline
+def test_removed_cell_keys_are_refused_at_the_cell(name, tmp_path, capsys):
+    # cell.area and cell.decode_bandwidth were parsed but read by no model;
+    # a file that still sets either is refused, at every node that does
+    for key, value in (("area", "1cm2"), ("decode_bandwidth", "2MHz")):
+        cfg = json.loads(_scenario_path(name, tmp_path).read_text())
+        for node in cfg["nodes"]:
+            node.setdefault("cell", {})[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(" (allowed")[0] for line in lines[:-1]] == [
+            f"nodes[{i}].cell: unknown key(s) {key}" for i in range(len(cfg["nodes"]))]
+        assert main(["run", "--scenario", str(bad)]) == 1
+        assert f"error: nodes[0].cell: unknown key(s) {key}" in capsys.readouterr().err
 
 
 def test_tank_1m5_moved_only_through_its_scenario_hash():

@@ -6,7 +6,7 @@ from sliptsim.channel import BeamGeometry, LinkParams, WaterProperties
 from sliptsim.energy_store import Battery
 from sliptsim.engine import NodeDef, Scenario, Simulation, TransmitterDef
 from sliptsim.errors import DomainError
-from sliptsim.harvester import DEFAULT_AREA_M2, CellMode, SolarCell
+from sliptsim.harvester import CellMode, SolarCell
 from sliptsim.policy import Policy
 
 
@@ -20,10 +20,6 @@ def _run_cell(cell: SolarCell, light: float, duration: float = 2.0):
     sc = Scenario("cell", duration, 1, [TransmitterDef("tx0", beam)], [node])
     metrics, _ = Simulation(sc).run()
     return metrics.nodes["n0"]
-
-
-def test_default_area_is_55_by_70_mm():
-    assert DEFAULT_AREA_M2 == pytest.approx(3.85e-3, rel=1e-12)
 
 
 def test_harvest_applies_conversion_efficiency():
@@ -68,7 +64,5 @@ def test_validation():
         SolarCell(conversion_efficiency=0.0)
     with pytest.raises(DomainError):
         SolarCell(conversion_efficiency=1.2)
-    with pytest.raises(DomainError):
-        SolarCell(area=-1.0)
     with pytest.raises(DomainError):
         SolarCell(switch_latency=-0.1)

@@ -11,7 +11,8 @@ assignment, function or class named `_x`) must be read somewhere in
 src/sliptsim or bench/, so a leftover of deleted code cannot linger.
 No validate, run or sweep, calm or turbulent, loads numpy or OpenSSL's
 libcrypto (`_hashlib`).  A model module raises DomainError, never
-ConfigError: config paths are the loader's to name.
+ConfigError: config paths are the loader's to name.  Every unit kind in
+units._UNIT_TABLES is the kind of some field scenario.py parses.
 """
 
 import ast
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import sliptsim
+import sliptsim.units
 
 PACKAGE = Path(sliptsim.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -130,6 +132,29 @@ def test_model_modules_do_not_import_config_error(name):
     tree, lines = ast.parse(text), text.splitlines()
     imported = {**_imported(tree, lines), **_imported(tree, lines, noqa=True)}
     assert "ConfigError" not in imported, f"{name} imports ConfigError; raise DomainError"
+
+
+def _parsed_kinds() -> set[str]:
+    """The literal kind of every _qty(obj, key, kind, ...) and
+    parse_quantity(value, kind, ...) call in scenario.py (the one call
+    that passes a variable, inside _qty, names no kind of its own)."""
+    position = {"_qty": 2, "parse_quantity": 1}
+    kinds = set()
+    for node in ast.walk(ast.parse((PACKAGE / "scenario.py").read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in position):
+            kind = node.args[position[node.func.id]]
+            if isinstance(kind, ast.Constant):
+                kinds.add(kind.value)
+    return kinds
+
+
+def test_every_unit_kind_is_parsed_by_some_field():
+    # a unit table no field parses accepts suffixes no scenario can use
+    tables = set(sliptsim.units._UNIT_TABLES)
+    kinds = _parsed_kinds()
+    assert sorted(tables - kinds) == []
+    assert sorted(kinds - tables) == []
 
 
 def _private_module_names(tree: ast.Module) -> dict[str, int]:

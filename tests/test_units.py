@@ -21,17 +21,14 @@ def test_base_units_pass_through():
         ("406.45mW", "power", 0.40645),
         ("1uW", "power", 1e-6),
         ("3.6V", "voltage", 3.6),
-        ("102mA", "current", 0.102),
         ("124min", "time", 7440.0),
         ("5ms", "time", 5e-3),
         ("1.5h", "time", 5400.0),
         ("35mm", "length", 0.035),
-        ("30kHz", "frequency", 30e3),
         ("500kbit/s", "rate", 500e3),
         ("115.2kbit/s", "rate", 115.2e3),
         ("5F", "capacitance", 5.0),
         ("0.151/m", "per_length", 0.151),
-        ("3850mm2", "area", 3.85e-3),
         ("1mrad", "angle", 1e-3),
         ("430nm", "wavelength", 430.0),
     ],
