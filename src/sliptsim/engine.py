@@ -158,18 +158,13 @@ class Scenario:
 
 
 class NodeMetrics:
-    def __init__(self, harvested_j: float = 0.0, consumed_j: float = 0.0,
-                 spilled_j: float = 0.0, decoded_bits: float = 0.0,
-                 delivered_records: int = 0, outage_s: float = 0.0, protocol_errors: int = 0,
-                 phase_occupancy: dict[str, float] | None = None,
-                 charge_completions: list[float] | None = None,
-                 stored_initial_j: float = 0.0, stored_final_j: float = 0.0):
-        self.harvested_j, self.consumed_j, self.spilled_j = harvested_j, consumed_j, spilled_j
-        self.decoded_bits, self.delivered_records = decoded_bits, delivered_records
-        self.outage_s, self.protocol_errors = outage_s, protocol_errors
-        self.phase_occupancy = {} if phase_occupancy is None else phase_occupancy
-        self.charge_completions = [] if charge_completions is None else charge_completions
-        self.stored_initial_j, self.stored_final_j = stored_initial_j, stored_final_j
+    def __init__(self, stored_initial_j: float = 0.0):
+        self.harvested_j, self.consumed_j, self.spilled_j = 0.0, 0.0, 0.0
+        self.decoded_bits, self.delivered_records = 0.0, 0
+        self.outage_s, self.protocol_errors = 0.0, 0
+        self.phase_occupancy: dict[str, float] = {}
+        self.charge_completions: list[float] = []
+        self.stored_initial_j, self.stored_final_j = stored_initial_j, 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -188,14 +183,12 @@ class NodeMetrics:
 
 
 class Metrics:
-    def __init__(self, nodes: dict[str, NodeMetrics] | None = None,
-                 frame_errors: dict[str, int] | None = None,  # "tx->node" -> count
-                 events_processed: int = 0, end_time: float = 0.0, seed: int = 0,
-                 scenario_hash: str = "", spatial_assignment: dict | None = None):
-        self.nodes = {} if nodes is None else nodes
-        self.frame_errors = {} if frame_errors is None else frame_errors
-        self.events_processed, self.end_time, self.seed = events_processed, end_time, seed
-        self.scenario_hash, self.spatial_assignment = scenario_hash, spatial_assignment
+    def __init__(self, seed: int = 0, scenario_hash: str = ""):
+        self.nodes: dict[str, NodeMetrics] = {}
+        self.frame_errors: dict[str, int] = {}  # "tx->node" -> count
+        self.events_processed, self.end_time, self.seed = 0, 0.0, seed
+        self.scenario_hash = scenario_hash
+        self.spatial_assignment: dict | None = None
 
     def to_dict(self) -> dict:
         doc = {
@@ -216,14 +209,14 @@ class Metrics:
 
 class _LinkRuntime:
     def __init__(self, tx_id: str, node_id: str,
-                 in_harvest: bool = True,  # contributes to the harvest pool
-                 in_decode: bool = True,  # contributes to the decode pool
-                 active: bool = False, fade: float = 1.0,
-                 base_power: float = 0.0,  # tx_power * capture * exp(-alpha z), fade excluded
+                 in_harvest: bool,  # contributes to the harvest pool
+                 in_decode: bool,  # contributes to the decode pool
                  rng: random.Random | None = None):  # None: calm, the fade stays 1
         self.tx_id, self.node_id = tx_id, node_id
         self.in_harvest, self.in_decode = in_harvest, in_decode
-        self.active, self.fade, self.base_power, self.rng = active, fade, base_power, rng
+        self.active, self.fade = False, 1.0
+        self.base_power = 0.0  # tx_power * capture * exp(-alpha z), fade excluded
+        self.rng = rng
 
     def power_now(self) -> float:
         return self.base_power * self.fade if self.active else 0.0
@@ -242,31 +235,26 @@ class _TurbulentLink(_LinkRuntime):
 
 class _NodeRuntime:
     def __init__(self, cfg: NodeDef, cell: SolarCell, store: EnergyStore, state: NodeState,
-                 metrics: NodeMetrics, links: list[_LinkRuntime] | None = None,
-                 lit_links: list[_LinkRuntime] | None = None,  # the active links, in links order
-                 loads: tuple[float, float, float] = (0.0, 0.0, 0.0),  # (sleep, active, uplink) W
-                 schedule: TimeSwitchSchedule | None = None,
-                 # (harvest_pool, decode_pool, total) optical W over the links; None once
-                 # a link's active or fade has changed, until _refresh sums them again
-                 pools: tuple[float, float, float] | None = None,
-                 # piecewise-constant snapshot, valid since last_t
-                 last_t: float = 0.0,
-                 harvest_elec: float = 0.0,  # W into the store
-                 load_elec: float = 0.0,  # W out of the store
-                 decode_in: float = 0.0,  # optical W at the decoder
-                 decoding: bool = False, lit: bool = False, was_full: bool = False,
-                 timer_gen: int = 0,
-                 # command session bookkeeping: frame i carries cfg.commands[i]
-                 uplink_until: float = 0.0, slot_index: int = 0):
+                 metrics: NodeMetrics,
+                 loads: tuple[float, float, float],  # (sleep, active, uplink) W
+                 schedule: TimeSwitchSchedule | None):
         self.cfg, self.cell, self.store = cfg, cell, store
         self.state, self.metrics = state, metrics
-        self.links = [] if links is None else links
-        self.lit_links = [] if lit_links is None else lit_links
-        self.loads, self.schedule, self.pools = loads, schedule, pools
-        self.last_t, self.harvest_elec, self.load_elec = last_t, harvest_elec, load_elec
-        self.decode_in, self.decoding, self.lit = decode_in, decoding, lit
-        self.was_full, self.timer_gen = was_full, timer_gen
-        self.uplink_until, self.slot_index = uplink_until, slot_index
+        self.links: list[_LinkRuntime] = []
+        self.lit_links: list[_LinkRuntime] = []  # the active links, in links order
+        self.loads, self.schedule = loads, schedule
+        # (harvest_pool, decode_pool, total) optical W over the links; None once
+        # a link's active or fade has changed, until _refresh sums them again
+        self.pools: tuple[float, float, float] | None = None
+        # piecewise-constant snapshot, valid since last_t
+        self.last_t = 0.0
+        self.harvest_elec = 0.0  # W into the store
+        self.load_elec = 0.0  # W out of the store
+        self.decode_in = 0.0  # optical W at the decoder
+        self.decoding, self.lit, self.was_full = False, False, False
+        self.timer_gen = 0
+        # command session bookkeeping: frame i carries cfg.commands[i]
+        self.uplink_until, self.slot_index = 0.0, 0
 
 
 class Simulation:

@@ -179,18 +179,16 @@ class NodeState:
     """Protocol state of one node.
 
     storage is append-only during a run; records leave only through an
-    acknowledged data transmission.  A collection left as None starts empty.
+    acknowledged data transmission.  enabled_sensors left as None starts
+    empty.
     """
 
-    def __init__(self, phase: Phase = Phase.SLEEP, v_threshold: float = 3.6,
-                 storage: list[SensorRecord] | None = None,
-                 enabled_sensors: set[int] | None = None,
-                 last_sent: list[SensorRecord] | None = None):
-        self.phase = phase
+    def __init__(self, v_threshold: float = 3.6, enabled_sensors: set[int] | None = None):
+        self.phase = Phase.SLEEP
         self.v_threshold = v_threshold
-        self.storage = [] if storage is None else storage
+        self.storage: list[SensorRecord] = []
         self.enabled_sensors = set() if enabled_sensors is None else enabled_sensors
-        self.last_sent = [] if last_sent is None else last_sent
+        self.last_sent: list[SensorRecord] = []
 
     def step(self, stimulus: Stimulus, store: EnergyStore | None = None) -> bool:
         """Move the phase on one stimulus; False, phase unchanged, if the

@@ -141,20 +141,14 @@ class SpatialAssignment:
 
     Each transmitter illuminates exactly one receiver; a receiver may be
     illuminated (and harvest) from many.  target maps a transmitter to
-    the receiver it points at, and data_source a receiver to the
-    transmitter serving its data demand; receivers whose demand no
-    transmitter can feasibly serve are listed in infeasible.  A
-    collection left as None starts empty.
+    the receiver it points at, Data transmitters first; receivers whose
+    demand no transmitter can feasibly serve are listed in infeasible.
     """
 
-    def __init__(self, roles: dict[str, TxRole] | None = None,
-                 target: dict[str, str] | None = None,
-                 data_source: dict[str, str] | None = None,
-                 infeasible: list[str] | None = None):
-        self.roles = {} if roles is None else roles
-        self.target = {} if target is None else target
-        self.data_source = {} if data_source is None else data_source
-        self.infeasible = [] if infeasible is None else infeasible
+    def __init__(self):
+        self.roles: dict[str, TxRole] = {}
+        self.target: dict[str, str] = {}
+        self.infeasible: list[str] = []
 
 
 def assign_spatial(
@@ -235,7 +229,6 @@ def assign_spatial(
     for rx, tx in data_tx.items():
         assignment.roles[tx] = TxRole.DATA
         assignment.target[tx] = rx
-        assignment.data_source[rx] = tx
 
     for tx in transmitters:
         if tx in assignment.roles:

@@ -431,7 +431,7 @@ def _is_plain(link) -> bool:
     """A calm link: a bare _LinkRuntime with no attribute beyond those its
     constructor sets."""
     return (type(link) is _LinkRuntime
-            and set(vars(link)) == set(vars(_LinkRuntime("tx", "node"))))
+            and set(vars(link)) == set(vars(_LinkRuntime("tx", "node", True, True))))
 
 
 def test_only_turbulent_links_get_a_stream(monkeypatch):

@@ -95,12 +95,18 @@ def _powers(rows):
     return rows
 
 
+def _data_source(a) -> dict[str, str]:
+    """Receiver -> the Data transmitter serving it, in the order the data
+    stage served them (Data transmitters come first in target)."""
+    return {rx: tx for tx, rx in a.target.items() if a.roles[tx] is TxRole.DATA}
+
+
 def test_two_tx_one_demanding_rx():
     # identical links: Data role goes to the lowest transmitter id
     lp = _powers({("t0", "r0"): 1.0, ("t1", "r0"): 1.0})
     a = assign_spatial(["t0", "t1"], ["r0"], {"r0": True}, lp, {"r0": 1e-6})
     assert a.roles == {"t0": TxRole.DATA, "t1": TxRole.ENERGY}
-    assert a.data_source == {"r0": "t0"}
+    assert _data_source(a) == {"r0": "t0"}
     assert a.target == {"t0": "r0", "t1": "r0"}
     assert a.infeasible == []
 
@@ -122,7 +128,7 @@ def test_augmenting_path_preserves_feasibility():
     sens = {"r0": 0.1, "r1": 0.1}
     a = assign_spatial(["t0", "t1"], ["r0", "r1"], {"r0": True, "r1": True}, lp, sens)
     assert a.infeasible == []
-    assert a.data_source == {"r0": "t0", "r1": "t1"}
+    assert _data_source(a) == {"r0": "t0", "r1": "t1"}
 
 
 def test_truly_infeasible_rx_is_reported():
@@ -130,7 +136,7 @@ def test_truly_infeasible_rx_is_reported():
     a = assign_spatial(["t0"], ["r0", "r1"], {"r0": True, "r1": True}, lp,
                        {"r0": 0.1, "r1": 0.1})
     assert a.infeasible == ["r0"]
-    assert a.data_source == {"r1": "t0"}
+    assert _data_source(a) == {"r1": "t0"}
 
 
 def test_energy_txs_point_at_their_best_receiver():
@@ -177,8 +183,9 @@ def test_augmenting_path_through_every_receiver_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert a.infeasible == []
-    assert a.data_source[rxs[-1]] == txs[0]
-    assert all(a.data_source[rxs[k]] == txs[k + 1] for k in range(n - 1))
+    source = _data_source(a)
+    assert source[rxs[-1]] == txs[0]
+    assert all(source[rxs[k]] == txs[k + 1] for k in range(n - 1))
 
 
 def _assign_data_recursive(txs, rxs, demands, lp, sens):
@@ -215,7 +222,7 @@ def test_iterative_search_matches_recursive_order(n_tx, n_rx, data):
     sens = {rx: 1.0 for rx in rxs}
     a = assign_spatial(txs, rxs, demands, lp, sens)
     data_items, infeasible = _assign_data_recursive(txs, rxs, demands, lp, sens)
-    assert list(a.data_source.items()) == data_items
+    assert list(_data_source(a).items()) == data_items
     assert a.infeasible == infeasible
 
 
