@@ -48,10 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("csv", "jsonl"), default="csv",
                            help="trace file format (default: csv)")
 
-    p_run = sub.add_parser("run", help="simulate one scenario")
-    add_common(p_run)
-    p_run.add_argument("--validate-only", action="store_true",
-                       help="check the scenario file and exit without running")
+    add_common(sub.add_parser("run", help="simulate one scenario"))
 
     p_sweep = sub.add_parser("sweep", help="rerun a scenario over parameter values")
     add_common(p_sweep)
@@ -144,8 +141,6 @@ def _cmd_validate(scenario_path: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.validate_only:
-        return _cmd_validate(args.scenario)
     scenario = load_scenario(args.scenario)
     out = _out_dir(args)
     if out is None:
@@ -168,14 +163,13 @@ def _cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v != ""]
     if not values:
         raise ConfigError("--values", "no values given")
-    name = Path(args.scenario).stem
     rows = []
     out = _out_dir(args)
     for i, raw in enumerate(values):
         # in place: build_scenario never writes to cfg, and each value
         # replaces the one before it at the same path
         _set_path(cfg, args.param, _parse_value(raw))
-        scenario = build_scenario(cfg, default_name=f"{name}[{raw}]")
+        scenario = build_scenario(cfg)
         metrics, _ = run(scenario, seed_override=args.seed, sink=NullSink())
         harvested = sum(m.harvested_j for m in metrics.nodes.values())
         decoded = sum(m.decoded_bits for m in metrics.nodes.values())

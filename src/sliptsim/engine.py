@@ -145,10 +145,10 @@ class StimulusDef:
 
 
 class Scenario:
-    def __init__(self, name: str, duration: float, seed: int | None,
+    def __init__(self, duration: float, seed: int | None,
                  transmitters: list[TransmitterDef], nodes: list[NodeDef],
                  stimuli: list[StimulusDef] | None = None, scenario_hash: str = ""):
-        self.name, self.duration, self.seed = name, duration, seed
+        self.duration, self.seed = duration, seed
         self.transmitters, self.nodes = transmitters, nodes
         self.stimuli = [] if stimuli is None else stimuli
         self.scenario_hash = scenario_hash

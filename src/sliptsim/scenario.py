@@ -503,7 +503,7 @@ def _seed(cfg: dict) -> int | None:
     return seed
 
 
-def _build(cfg, default_name: str, issues: list[ConfigError]) -> Scenario | None:
+def _build(cfg, issues: list[ConfigError]) -> Scenario | None:
     """Walk cfg once, in build order, appending every ConfigError to issues.
 
     Each top-level field and each section item is tried on its own, so
@@ -529,7 +529,7 @@ def _build(cfg, default_name: str, issues: list[ConfigError]) -> Scenario | None
     attempt(_check_keys, cfg, _TOP_KEYS, "scenario")
     if not isinstance(cfg, dict):
         return None
-    name = attempt(_str_field, cfg, "name", "scenario", default_name)
+    attempt(_str_field, cfg, "name", "scenario", "")  # a label; no output uses it
     duration = attempt(_duration, cfg)
     seed = attempt(_seed, cfg)
     # a refused policy leaves the protocol as the default, so nodes are still checked
@@ -586,15 +586,15 @@ def _build(cfg, default_name: str, issues: list[ConfigError]) -> Scenario | None
                    "spatial assignment needs at least one transmitter")
     if issues:
         return None
-    return Scenario(name, duration, seed, transmitters, nodes, stimuli,
+    return Scenario(duration, seed, transmitters, nodes, stimuli,
                     scenario_hash=scenario_hash(cfg))
 
 
-def build_scenario(cfg: dict, default_name: str = "scenario") -> Scenario:
+def build_scenario(cfg: dict) -> Scenario:
     """Turn a parsed config dict into a runtime Scenario (strict): raises
     the first ConfigError validate_scenario would report."""
     issues = []
-    scenario = _build(cfg, default_name, issues)
+    scenario = _build(cfg, issues)
     if issues:
         raise issues[0]
     return scenario
@@ -604,7 +604,7 @@ def validate_scenario(cfg) -> list[str]:
     """Every config problem as a "path: message" string, in build order
     (empty = valid)."""
     issues = []
-    _build(cfg, "scenario", issues)
+    _build(cfg, issues)
     return [str(e) for e in issues]
 
 
@@ -624,4 +624,4 @@ def read_config(path):
 
 def load_scenario(path) -> Scenario:
     """Read a scenario JSON file and build the runtime Scenario."""
-    return build_scenario(read_config(path), default_name=Path(path).stem)
+    return build_scenario(read_config(path))

@@ -204,7 +204,7 @@ def test_fading_unit_mean(sigma2):
 def _received_power(link: LinkParams) -> float:
     """The fade-free power of the link the engine builds for `link`."""
     node = NodeDef("n0", SolarCell(), Battery(capacity=1.0), NodeProtocol())
-    sc = Scenario("link", 1.0, 1, [TransmitterDef("tx0", link)], [node])
+    sc = Scenario(1.0, 1, [TransmitterDef("tx0", link)], [node])
     [built] = Simulation(sc).nodes["n0"].links
     return built.base_power
 

@@ -74,6 +74,9 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["explode"])
     assert e.value.code == 2
+    with pytest.raises(SystemExit) as e:
+        main(["run", "--scenario", DEMO, "--validate-only"])  # `validate` checks a file
+    assert e.value.code == 2
 
 
 def test_validate_good_and_bad(tmp_path, capsys):
@@ -89,14 +92,6 @@ def test_validate_good_and_bad(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "2 issue(s) found" in err
     assert "transmitters[0].power" in err
-
-
-def test_validate_only_skips_the_run(tmp_path, capsys):
-    rc = main(["run", "--scenario", DEMO, "--out", str(tmp_path),
-               "--validate-only"])
-    assert rc == 0
-    assert "scenario is valid" in capsys.readouterr().out
-    assert not (tmp_path / "metrics.json").exists()
 
 
 def test_sweep_table_and_files(tmp_path, capsys):

@@ -17,7 +17,7 @@ def _run_cell(cell: SolarCell, light: float, duration: float = 2.0):
     beam = LinkParams(light, 450.0, WaterProperties(0.0, 0.0),
                       BeamGeometry(1e-3, 0.0, 1.0, 1.0))
     node = NodeDef("n0", cell, Battery(capacity=1e3), Policy(), active_load="sleep")
-    sc = Scenario("cell", duration, 1, [TransmitterDef("tx0", beam)], [node])
+    sc = Scenario(duration, 1, [TransmitterDef("tx0", beam)], [node])
     metrics, _ = Simulation(sc).run()
     return metrics.nodes["n0"]
 

@@ -39,7 +39,6 @@ def _minimal(**over):
 def test_bundled_scenarios_load_and_validate(name):
     path = SCENARIOS / f"{name}.json"
     sc = load_scenario(path)
-    assert sc.name  # taken from the file, falls back to the stem
     assert sc.duration > 0
     assert sc.seed is not None
     assert validate_scenario(json.loads(path.read_text())) == []
