@@ -82,7 +82,8 @@ def _write_atomic(path: Path, text: str):
 
 
 def _set_path(cfg, dotted: str, value):
-    """Set cfg[...] following a path like nodes[0].policy.alpha."""
+    """Set cfg[...] following a path like nodes[0].policy.alpha: an [i]
+    token only indexes a list, and a name only keys an object."""
     tokens = [
         m.group(1) if m.group(1) is not None else int(m.group(2))
         for m in _PATH_TOKEN.finditer(dotted)
@@ -90,17 +91,17 @@ def _set_path(cfg, dotted: str, value):
     if not tokens:
         raise ConfigError(dotted, "empty parameter path")
     target = cfg
-    for token in tokens[:-1]:
+    for depth, token in enumerate(tokens, 1):
+        if not isinstance(target, list if isinstance(token, int) else dict):
+            raise ConfigError(dotted, f"cannot take {token!r} from {type(target).__name__}")
+        # the last token is set: a key may be new, an index must exist
+        if depth == len(tokens) and not (isinstance(token, int) and token >= len(target)):
+            target[token] = value
+            return
         try:
             target = target[token]
-        except (KeyError, IndexError, TypeError):
+        except (KeyError, IndexError):
             raise ConfigError(dotted, f"path not found at {token!r}") from None
-    last = tokens[-1]
-    ok = (isinstance(target, dict)
-          or (isinstance(target, list) and isinstance(last, int) and last < len(target)))
-    if not ok:
-        raise ConfigError(dotted, f"cannot set {last!r} on {type(target).__name__}")
-    target[last] = value
 
 
 def _parse_value(text: str):

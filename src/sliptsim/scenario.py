@@ -209,7 +209,7 @@ def _build_policy(obj, path: str) -> Policy:
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected a policy object with a 'kind'")
     kind = obj.get("kind")
-    if kind not in _POLICIES:
+    if not isinstance(kind, str) or kind not in _POLICIES:
         raise ConfigError(
             f"{path}.kind",
             f"unknown policy kind {kind!r} (have: {', '.join(sorted(_POLICIES))})",
@@ -366,7 +366,7 @@ def _build_commands(obj, path: str) -> list[Command]:
         cpath = f"{path}[{i}]"
         _check_keys(c, _COMMAND_KEYS, cpath)
         op = _require(c, "op", cpath)
-        if op not in _OPCODES:
+        if not isinstance(op, str) or op not in _OPCODES:
             raise ConfigError(f"{cpath}.op",
                               f"unknown op {op!r} (have: {', '.join(sorted(_OPCODES))})")
         sensor = c.get("sensor", 0)

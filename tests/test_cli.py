@@ -141,6 +141,22 @@ def test_sweep_rejects_bad_param_paths(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("param, message", [
+    ("nodes[0][3]", "cannot take 3 from dict"),
+    ("[0]", "cannot take 0 from dict"),
+    ("nodes[0].cell[0]", "cannot take 0 from dict"),
+    ("nodes.id", "cannot take 'id' from list"),
+], ids=["index_into_a_node", "index_into_the_scenario", "index_into_a_cell", "name_on_a_list"])
+def test_sweep_param_indexes_only_lists_and_keys_only_objects(capsys, param, message):
+    # an index into an object once stored an int key, which died in the
+    # key check with a TypeError
+    rc = main(["sweep", "--scenario", DEMO, "--param", param, "--values", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {param}: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "sliptsim.cli", "validate", "--scenario", DEMO],
@@ -383,13 +399,20 @@ def _make_dual(tx):
      "transmitters[0].turbulence.sigma2: missing"),
     (DEMO, lambda cfg: cfg["transmitters"][0]["turbulence"].update(sigma2="0.25"),
      "transmitters[0].turbulence.sigma2: scintillation index must be a finite number"),
+    (TANK, lambda cfg: cfg.update(policy={"kind": []}),
+     "scenario.policy.kind: unknown policy kind []"),
+    (TANK, lambda cfg: cfg["nodes"][0].update(policy={"kind": {}}),
+     "nodes[0].policy.kind: unknown policy kind {}"),
+    (TANK, lambda cfg: cfg["nodes"][0]["commands"][1].update(op=["send_data"]),
+     "nodes[0].commands[1].op: unknown op ['send_data']"),
 ], ids=["distances_list", "values_list", "divergence_100deg", "divergence_90deg",
         "zero_decode_rate", "zero_uplink_rate", "negative_sensing_time", "dual_under_spatial",
         "active_load_key", "uplink_list", "uplink_0", "uplink_false", "uplink_empty_string",
         "stimulus_on_time_switch_node", "commands_on_time_switch_node",
         "sensors_on_time_switch_node", "alpha_above_1_on_a_node", "alpha_below_0_on_the_scenario",
         "repeated_target", "targets_under_spatial", "distance_for_an_untargeted_node",
-        "empty_stream", "missing_sigma2", "string_sigma2"])
+        "empty_stream", "missing_sigma2", "string_sigma2", "list_kind", "object_kind_on_a_node",
+        "list_op"])
 def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit, message):
     # before these checks, the list edits died with a traceback; the others
     # validated (a falsy uplink was taken as the defaults), and a run divided
@@ -401,7 +424,8 @@ def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit,
     # a repeated target built its link twice, and targets under spatial were
     # ignored, as was a distance for a node the transmitter does not target;
     # an empty stream name silently meant the default stream, and a missing
-    # or non-numeric sigma2 was reported at the turbulence object
+    # or non-numeric sigma2 was reported at the turbulence object; a list or
+    # object kind or op died hashing it
     bad = _variant(tmp_path, base, edit)
     for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
         assert main(argv) == 1
