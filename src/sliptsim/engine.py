@@ -107,36 +107,30 @@ def _boundary_time(sched: TimeSwitchSchedule, k: int) -> float:
 # -- Scenario definition (built by sliptsim.scenario from config files) ------
 
 
-# A collection argument left as None starts empty, in these classes and below.
+# No field has a default: the loader states every value a file leaves out.
 class TransmitterDef:
-    def __init__(self, tx_id: str, beam: LinkParams, on_time: float = 0.0,
-                 off_time: float | None = None,
-                 targets: list[str] | None = None,  # None = every node
-                 dual_energy: LinkParams | None = None, dual_data: LinkParams | None = None,
-                 distances: dict[str, float] | None = None):  # per-node range [m]
+    def __init__(self, tx_id: str, beam: LinkParams, on_time: float, off_time: float | None,
+                 targets: list[str] | None,  # None = every node
+                 dual_energy: LinkParams | None, dual_data: LinkParams | None,
+                 distances: dict[str, float]):  # per-node range [m]
         self.tx_id, self.beam, self.on_time, self.off_time = tx_id, beam, on_time, off_time
         self.targets, self.dual_energy, self.dual_data = targets, dual_energy, dual_data
-        self.distances = {} if distances is None else distances
+        self.distances = distances
 
 
 class NodeDef:
     def __init__(self, node_id: str, cell: SolarCell, store: EnergyStore, policy: Policy,
-                 v_threshold: float = 3.6, enabled_sensors: set[int] | None = None,
-                 active_load: str = "sense_and_save", sleep_load: str = "sleep",
-                 sense_seconds_per_sensor: float = 2.0,
-                 sensor_values: dict[int, object] | None = None,  # const or [(t, v)] steps
-                 uplink_rate: float = 500e3, uplink_load: str = "laser_uplink",
-                 record_bits: int = 128, data_demand: bool = False,
-                 commands: list[Command] | None = None):
+                 v_threshold: float, enabled_sensors: set[int], active_load: str,
+                 sleep_load: str, sense_seconds_per_sensor: float,
+                 sensor_values: dict[int, object],  # const or [(t, v)] steps
+                 uplink_rate: float, uplink_load: str, record_bits: int,
+                 data_demand: bool, commands: list[Command]):
         self.node_id, self.cell, self.store, self.policy = node_id, cell, store, policy
-        self.v_threshold = v_threshold
-        self.enabled_sensors = set() if enabled_sensors is None else enabled_sensors
+        self.v_threshold, self.enabled_sensors = v_threshold, enabled_sensors
         self.active_load, self.sleep_load = active_load, sleep_load
-        self.sense_seconds_per_sensor = sense_seconds_per_sensor
-        self.sensor_values = {} if sensor_values is None else sensor_values
+        self.sense_seconds_per_sensor, self.sensor_values = sense_seconds_per_sensor, sensor_values
         self.uplink_rate, self.uplink_load = uplink_rate, uplink_load
-        self.record_bits, self.data_demand = record_bits, data_demand
-        self.commands = [] if commands is None else commands
+        self.record_bits, self.data_demand, self.commands = record_bits, data_demand, commands
 
 
 class StimulusDef:
@@ -147,10 +141,9 @@ class StimulusDef:
 class Scenario:
     def __init__(self, duration: float, seed: int | None,
                  transmitters: list[TransmitterDef], nodes: list[NodeDef],
-                 stimuli: list[StimulusDef] | None = None, scenario_hash: str = ""):
+                 stimuli: list[StimulusDef], scenario_hash: str):
         self.duration, self.seed = duration, seed
-        self.transmitters, self.nodes = transmitters, nodes
-        self.stimuli = [] if stimuli is None else stimuli
+        self.transmitters, self.nodes, self.stimuli = transmitters, nodes, stimuli
         self.scenario_hash = scenario_hash
 
 

@@ -1,7 +1,7 @@
 """Self-powered sensor node: protocol state machine, command codec, loads.
 
 The node sleeps until light hits its solar panel.  It then checks the
-store's terminal voltage against a threshold (default 3.6 V): below the
+store's terminal voltage against the node's v_threshold: below the
 threshold it takes sensor measurements, saves them, and goes back to
 sleep; at or above it, the panel switches to receiver mode to accept
 commands (sensor on/off, send/retransmit saved data), then returns to
@@ -179,15 +179,14 @@ class NodeState:
     """Protocol state of one node.
 
     storage is append-only during a run; records leave only through an
-    acknowledged data transmission.  enabled_sensors left as None starts
-    empty.
+    acknowledged data transmission.
     """
 
-    def __init__(self, v_threshold: float = 3.6, enabled_sensors: set[int] | None = None):
+    def __init__(self, v_threshold: float, enabled_sensors: set[int]):
         self.phase = Phase.SLEEP
         self.v_threshold = v_threshold
         self.storage: list[SensorRecord] = []
-        self.enabled_sensors = set() if enabled_sensors is None else enabled_sensors
+        self.enabled_sensors = enabled_sensors
         self.last_sent: list[SensorRecord] = []
 
     def step(self, stimulus: Stimulus, store: EnergyStore | None = None) -> bool:

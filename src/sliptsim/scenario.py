@@ -94,6 +94,13 @@ def _qty(obj: dict, key: str, kind: str, path: str, default=None) -> float:
     return parse_quantity(_require(obj, key, path), kind, f"{path}.{key}")
 
 
+def _given(obj: dict, path: str, **kinds: str) -> dict:
+    """{key: quantity} for each key=kind that obj sets, in that order: a
+    key obj leaves out takes the model constructor's own default."""
+    return {key: parse_quantity(obj[key], kind, f"{path}.{key}")
+            for key, kind in kinds.items() if key in obj}
+
+
 def _finite(value) -> float | None:
     """value as a float if it is a finite number (a bool is not), else None."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -151,12 +158,13 @@ def _water(value, path: str) -> WaterProperties:
 
 
 def _turbulence(value, path: str) -> TurbulenceModel:
-    stream = ""  # the engine names the link's own stream
+    stream = {}  # without one, the engine names the link's own stream
     if isinstance(value, dict):
         _check_keys(value, {"sigma2", "stream"}, path)
-        stream = _str_field(value, "stream", path, "")
-        if not stream and "stream" in value:
-            raise ConfigError(f"{path}.stream", "expected a non-empty string")
+        if "stream" in value:
+            stream["rng_stream_id"] = _str_field(value, "stream", path, "")
+            if not stream["rng_stream_id"]:
+                raise ConfigError(f"{path}.stream", "expected a non-empty string")
         path = f"{path}.sigma2"
         if "sigma2" not in value:
             raise ConfigError(path, "missing: the scintillation index is required")
@@ -165,7 +173,7 @@ def _turbulence(value, path: str) -> TurbulenceModel:
     if sigma2 is None:
         raise ConfigError(path, "scintillation index must be a finite number")
     try:
-        return TurbulenceModel(sigma2, stream)
+        return TurbulenceModel(sigma2, **stream)
     except DomainError as e:
         raise ConfigError(path, str(e)) from None
 
@@ -175,11 +183,10 @@ def _turbulence(value, path: str) -> TurbulenceModel:
 
 def _slots(cls):
     def build(obj: dict, path: str) -> TimeSwitchSchedule:
-        phase_offset = _qty(obj, "phase_offset", "time", path, default=0.0)
-        if phase_offset < 0:
+        offset = _given(obj, path, phase_offset="time")
+        if offset and offset["phase_offset"] < 0:
             raise ConfigError(f"{path}.phase_offset", "must be >= 0")
-        return cls(_qty(obj, "t1", "time", path), _qty(obj, "t2", "time", path),
-                   phase_offset)
+        return cls(_qty(obj, "t1", "time", path), _qty(obj, "t2", "time", path), **offset)
 
     return build
 
@@ -254,7 +261,8 @@ def _build_transmitter(obj, index: int) -> TransmitterDef:
         geometric_capture(geometry)  # refuses a zero-width beam
     except DomainError as e:
         raise ConfigError(path, str(e)) from None
-    turbulence = _turbulence(obj.get("turbulence", 0.0), f"{path}.turbulence")
+    turbulence = (_turbulence(obj["turbulence"], f"{path}.turbulence")
+                  if "turbulence" in obj else TurbulenceModel())
 
     dual_energy = dual_data = None
     if "dual" in obj:
@@ -314,18 +322,17 @@ def _build_transmitter(obj, index: int) -> TransmitterDef:
 
 def _build_cell(obj, path: str) -> SolarCell:
     if obj is None:
-        return SolarCell()
+        obj = {}
     _check_keys(obj, _CELL_KEYS, path)
-    efficiency = _finite(obj.get("efficiency", 0.2))
-    if efficiency is None:
-        raise ConfigError(f"{path}.efficiency", "expected a number in (0, 1]")
+    given = {}
+    if "efficiency" in obj:
+        given["conversion_efficiency"] = _finite(obj["efficiency"])
+        if given["conversion_efficiency"] is None:
+            raise ConfigError(f"{path}.efficiency", "expected a number in (0, 1]")
+    given.update(_given(obj, path, decode_rate="rate", sensitivity="power",
+                        switch_latency="time"))
     try:
-        return SolarCell(
-            conversion_efficiency=efficiency,
-            decode_rate=_qty(obj, "decode_rate", "rate", path, default=500e3),
-            sensitivity=_qty(obj, "sensitivity", "power", path, default=1e-6),
-            switch_latency=_qty(obj, "switch_latency", "time", path, default=5e-3),
-        )
+        return SolarCell(**given)
     except DomainError as e:
         raise ConfigError(path, str(e)) from None
 
@@ -337,19 +344,13 @@ def _build_store(obj, path: str):
     try:
         if kind == "battery":
             _check_keys(obj, _BATTERY_KEYS, path)
-            return Battery(
-                capacity=_qty(obj, "capacity", "energy", path),
-                stored=_qty(obj, "stored", "energy", path, default=0.0),
-                v_empty=_qty(obj, "v_empty", "voltage", path, default=3.0),
-                v_full=_qty(obj, "v_full", "voltage", path, default=4.2),
-            )
+            return Battery(_qty(obj, "capacity", "energy", path),
+                           **_given(obj, path, stored="energy", v_empty="voltage",
+                                    v_full="voltage"))
         if kind == "supercapacitor":
             _check_keys(obj, _SUPERCAP_KEYS, path)
-            return Supercapacitor(
-                capacitance=_qty(obj, "capacitance", "capacitance", path, default=5.0),
-                rated_voltage=_qty(obj, "rated_voltage", "voltage", path, default=5.0),
-                stored=_qty(obj, "stored", "energy", path, default=0.0),
-            )
+            return Supercapacitor(**_given(obj, path, capacitance="capacitance",
+                                           rated_voltage="voltage", stored="energy"))
     except DomainError as e:
         raise ConfigError(path, str(e)) from None
     raise ConfigError(f"{path}.type",
@@ -382,7 +383,7 @@ def _build_commands(obj, path: str) -> list[Command]:
 def _build_sensors(obj, path: str):
     """Returns (enabled_ids, values, seconds_per_sensor)."""
     if obj is None:
-        return set(), {}, 2.0
+        obj = {}
     _check_keys(obj, _SENSORS_KEYS, path)
     enabled = obj.get("enabled", [])
     if (not isinstance(enabled, list)
@@ -433,9 +434,7 @@ def _build_node(obj, index: int, default_policy: Policy) -> NodeDef:
                                   f"which node {node_id!r} does not run")
     enabled, values, per = _build_sensors(obj.get("sensors"), f"{path}.sensors")
 
-    uplink = obj.get("uplink")
-    if uplink is None:
-        uplink = {}
+    uplink = {} if obj.get("uplink") is None else obj["uplink"]
     _check_keys(uplink, _UPLINK_KEYS, f"{path}.uplink")
     record_bits = uplink.get("record_bits", 128)
     if isinstance(record_bits, bool) or not isinstance(record_bits, int) or record_bits <= 0:

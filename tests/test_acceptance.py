@@ -168,7 +168,7 @@ def test_ac08_protocol_invariants():
     rx_entries = 0
     harvest_exits = 0
     for _ in range(10_000):
-        state = NodeState(enabled_sensors={1, 2})
+        state = NodeState(v_threshold=3.6, enabled_sensors={1, 2})
         store = Battery(capacity=10.0, stored=float(rng.uniform(0.0, 10.0)))
         for _ in range(8):
             stim = stimuli[int(rng.integers(len(stimuli)))]

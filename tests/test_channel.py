@@ -203,8 +203,14 @@ def test_fading_unit_mean(sigma2):
 
 def _received_power(link: LinkParams) -> float:
     """The fade-free power of the link the engine builds for `link`."""
-    node = NodeDef("n0", SolarCell(), Battery(capacity=1.0), NodeProtocol())
-    sc = Scenario(1.0, 1, [TransmitterDef("tx0", link)], [node])
+    node = NodeDef("n0", SolarCell(), Battery(capacity=1.0), NodeProtocol(), v_threshold=3.6,
+                   enabled_sensors=set(), active_load="sense_and_save", sleep_load="sleep",
+                   sense_seconds_per_sensor=2.0, sensor_values={}, uplink_rate=500e3,
+                   uplink_load="laser_uplink", record_bits=128, data_demand=False,
+                   commands=[])
+    tx = TransmitterDef("tx0", link, on_time=0.0, off_time=None, targets=None,
+                        dual_energy=None, dual_data=None, distances={})
+    sc = Scenario(1.0, 1, [tx], [node], stimuli=[], scenario_hash="")
     [built] = Simulation(sc).nodes["n0"].links
     return built.base_power
 

@@ -16,8 +16,14 @@ def _run_cell(cell: SolarCell, light: float, duration: float = 2.0):
     the link deliver exactly the transmit power."""
     beam = LinkParams(light, 450.0, WaterProperties(0.0, 0.0),
                       BeamGeometry(1e-3, 0.0, 1.0, 1.0))
-    node = NodeDef("n0", cell, Battery(capacity=1e3), Policy(), active_load="sleep")
-    sc = Scenario(duration, 1, [TransmitterDef("tx0", beam)], [node])
+    node = NodeDef("n0", cell, Battery(capacity=1e3), Policy(), v_threshold=3.6,
+                   enabled_sensors=set(), active_load="sleep", sleep_load="sleep",
+                   sense_seconds_per_sensor=2.0, sensor_values={}, uplink_rate=500e3,
+                   uplink_load="laser_uplink", record_bits=128, data_demand=False,
+                   commands=[])
+    tx = TransmitterDef("tx0", beam, on_time=0.0, off_time=None, targets=None,
+                        dual_energy=None, dual_data=None, distances={})
+    sc = Scenario(duration, 1, [tx], [node], stimuli=[], scenario_hash="")
     metrics, _ = Simulation(sc).run()
     return metrics.nodes["n0"]
 

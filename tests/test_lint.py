@@ -136,16 +136,24 @@ def test_model_modules_do_not_import_config_error(name):
 
 def _parsed_kinds() -> set[str]:
     """The literal kind of every _qty(obj, key, kind, ...) and
-    parse_quantity(value, kind, ...) call in scenario.py (the one call
-    that passes a variable, inside _qty, names no kind of its own)."""
+    parse_quantity(value, kind, ...) call in scenario.py, and each
+    keyword kind of every _given(obj, path, key=kind, ...) call (the calls
+    that pass a variable, inside _qty and _given, name no kind of their
+    own).  A _given keyword must be a literal kind."""
     position = {"_qty": 2, "parse_quantity": 1}
     kinds = set()
     for node in ast.walk(ast.parse((PACKAGE / "scenario.py").read_text())):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in position):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id in position:
             kind = node.args[position[node.func.id]]
             if isinstance(kind, ast.Constant):
                 kinds.add(kind.value)
+        elif node.func.id == "_given":
+            for keyword in node.keywords:
+                assert keyword.arg is not None and isinstance(keyword.value, ast.Constant), (
+                    f"scenario.py:{node.lineno}: _given takes key=\"kind\" literals only")
+                kinds.add(keyword.value.value)
     return kinds
 
 
@@ -155,6 +163,22 @@ def test_every_unit_kind_is_parsed_by_some_field():
     kinds = _parsed_kinds()
     assert sorted(tables - kinds) == []
     assert sorted(kinds - tables) == []
+
+
+# the records the loader builds; it states every value a file leaves out
+RECORDS = {"engine.py": ["TransmitterDef", "NodeDef", "StimulusDef", "Scenario"],
+           "node.py": ["NodeState"]}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in RECORDS.items()
+                                          for n in names])
+def test_loader_built_records_declare_no_defaults(module, name):
+    # a default here would be a second copy of the loader's, free to drift
+    tree = ast.parse((PACKAGE / module).read_text())
+    [cls] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name]
+    [init] = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+    defaults = init.args.defaults + [d for d in init.args.kw_defaults if d is not None]
+    assert defaults == [], f"{module}:{init.lineno} {name}.__init__ declares defaults"
 
 
 def _private_module_names(tree: ast.Module) -> dict[str, int]:

@@ -118,7 +118,7 @@ class _Store:
 
 
 def test_low_voltage_wake_goes_sensing():
-    s = NodeState(enabled_sensors={1, 3})
+    s = NodeState(v_threshold=3.6, enabled_sensors={1, 3})
     assert s.step(Stimulus.LIGHT_DETECTED, _Store(3.2))  # one step checks the voltage
     assert s.phase is Phase.SENSE_SAVE
     assert s.step(Stimulus.SENSE_COMPLETE)
@@ -126,7 +126,7 @@ def test_low_voltage_wake_goes_sensing():
 
 
 def test_charged_wake_goes_command_rx():
-    s = NodeState()
+    s = NodeState(v_threshold=3.6, enabled_sensors=set())
     assert s.step(Stimulus.LIGHT_DETECTED, _Store(3.6))  # boundary: >= threshold qualifies
     assert s.phase is Phase.COMMAND_RX
     assert s.step(Stimulus.COMMANDS_COMPLETE)
@@ -136,7 +136,7 @@ def test_charged_wake_goes_command_rx():
 
 
 def test_wake_needs_the_store_voltage():
-    s = NodeState()
+    s = NodeState(v_threshold=3.6, enabled_sensors=set())
     with pytest.raises(DomainError):
         s.step(Stimulus.LIGHT_DETECTED)
     assert s.phase is Phase.SLEEP
@@ -144,7 +144,7 @@ def test_wake_needs_the_store_voltage():
 
 def test_only_a_wake_reads_the_store_voltage():
     store = _Store(3.9)
-    s = NodeState()
+    s = NodeState(v_threshold=3.6, enabled_sensors=set())
     for stimulus in (Stimulus.FULL_CHARGE, Stimulus.TIMEOUT, Stimulus.LIGHT_DETECTED,
                      Stimulus.LIGHT_DETECTED, Stimulus.COMMANDS_COMPLETE,
                      Stimulus.LIGHT_DETECTED, Stimulus.FULL_CHARGE):
@@ -154,7 +154,7 @@ def test_only_a_wake_reads_the_store_voltage():
 
 
 def test_invalid_stimulus_is_an_error_and_keeps_phase():
-    s = NodeState()
+    s = NodeState(v_threshold=3.6, enabled_sensors=set())
     assert not s.step(Stimulus.FULL_CHARGE)
     assert s.phase is Phase.SLEEP
     assert not s.step(Stimulus.TIMEOUT)
@@ -167,7 +167,7 @@ def test_invalid_stimulus_is_an_error_and_keeps_phase():
 
 
 def test_sensor_commands_mutate_enabled_set():
-    s = NodeState(enabled_sensors={1})
+    s = NodeState(v_threshold=3.6, enabled_sensors={1})
     s.execute_command(Command(Opcode.SENSOR_ON, 2))
     assert s.enabled_sensors == {1, 2}
     s.execute_command(Command(Opcode.SENSOR_OFF, 1))
@@ -177,7 +177,7 @@ def test_sensor_commands_mutate_enabled_set():
 
 
 def test_record_sensor_respects_enabled_set():
-    s = NodeState(enabled_sensors={1})
+    s = NodeState(v_threshold=3.6, enabled_sensors={1})
     assert s.record_sensor(1, 21.5, 10.0)
     assert not s.record_sensor(2, 0.0, 11.0)
     assert [r.sensor_id for r in s.storage] == [1]
@@ -186,7 +186,7 @@ def test_record_sensor_respects_enabled_set():
 
 
 def test_send_and_retransmit_lifecycle():
-    s = NodeState(enabled_sensors={1})
+    s = NodeState(v_threshold=3.6, enabled_sensors={1})
     s.record_sensor(1, 20.0, 1.0)
     s.record_sensor(1, 21.0, 2.0)
     batch = s.execute_command(Command(Opcode.SEND_DATA))

@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import sliptsim.scenario as scenario
+from sliptsim.channel import TurbulenceModel
+from sliptsim.energy_store import Battery, Supercapacitor
 from sliptsim.errors import ConfigError
-from sliptsim.policy import NodeProtocol
+from sliptsim.harvester import SolarCell
+from sliptsim.policy import NodeProtocol, SpatialSplit, TimeSwitchSchedule
 from sliptsim.scenario import (
     build_scenario,
     load_scenario,
@@ -260,6 +263,47 @@ def test_load_defaults_depend_on_policy():
     cfg["nodes"][0]["load"] = "antimatter"
     with pytest.raises(ConfigError, match="unknown load profile"):
         build_scenario(cfg)
+
+
+def test_omitted_keys_build_to_the_defaults():
+    # a model gets only the keys a file sets, so each omitted one takes the
+    # constructor's own default; the records take the values README states
+    tx = {"power": "1W", "water": "pure_sea", "beam_waist": "1mm",
+          "receiver_radius": "1cm", "distance": "1m"}
+    cfg = _minimal(transmitters=[tx])
+    cfg["nodes"].append({"id": "n1", "cell": None, "store": {"type": "supercapacitor"}})
+    sc = build_scenario(cfg)
+    battery_node, supercap_node = sc.nodes
+    for node in sc.nodes:
+        assert vars(node.cell) == vars(SolarCell())
+    assert vars(battery_node.store) == vars(Battery(10.0))
+    assert vars(supercap_node.store) == vars(Supercapacitor())
+    assert vars(sc.transmitters[0].beam.turbulence) == vars(TurbulenceModel())
+    for kind, cls in (("time_switch", TimeSwitchSchedule), ("spatial", SpatialSplit)):
+        policy = {"kind": kind, "t1": "1s", "t2": "2s"}
+        built = build_scenario(_minimal(policy=policy, transmitters=[tx])).nodes[0].policy
+        assert type(built) is cls and vars(built) == vars(cls(1.0, 2.0))
+
+    cell, battery, supercap = battery_node.cell, battery_node.store, supercap_node.store
+    assert (cell.conversion_efficiency, cell.decode_rate, cell.sensitivity,
+            cell.switch_latency) == (0.2, 500e3, 1e-6, 5e-3)
+    assert (battery.stored, battery.v_empty, battery.v_full) == (0.0, 3.0, 4.2)
+    assert (supercap.capacitance, supercap.rated_voltage, supercap.stored) == (5.0, 5.0, 0.0)
+    assert sc.transmitters[0].beam.turbulence.scintillation_index == 0.0
+    assert built.phase_offset == 0.0
+    expected_tx = {"on_time": 0.0, "off_time": None, "targets": None, "dual_energy": None,
+                   "dual_data": None, "distances": {}}
+    assert {key: vars(sc.transmitters[0])[key] for key in expected_tx} == expected_tx
+    assert sc.transmitters[0].beam.wavelength == 450.0
+    expected_node = {
+        "v_threshold": 3.6, "enabled_sensors": set(), "active_load": "sense_and_save",
+        "sleep_load": "sleep", "sense_seconds_per_sensor": 2.0, "sensor_values": {},
+        "uplink_rate": 500e3, "uplink_load": "laser_uplink", "record_bits": 128,
+        "data_demand": False, "commands": [],
+    }
+    for node in sc.nodes:
+        assert {key: vars(node)[key] for key in expected_node} == expected_node
+    assert sc.stimuli == []
 
 
 def test_command_and_sensor_validation():
