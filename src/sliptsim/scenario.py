@@ -395,7 +395,10 @@ def _build_sensors(obj, path: str):
         try:
             sensor_id = int(key)
         except ValueError:
-            raise ConfigError(vpath, "sensor ids must be integers") from None
+            sensor_id = None
+        # int() also reads "01" and "1_0", which would name sensors 1 and 10
+        if sensor_id is None or str(sensor_id) != key:
+            raise ConfigError(vpath, "sensor ids must be integers in decimal, as in \"1\"")
         number = _finite(src)
         if number is not None:
             values[sensor_id] = number
@@ -437,8 +440,11 @@ def _build_node(obj, index: int, default_policy: Policy) -> NodeDef:
     uplink = {} if obj.get("uplink") is None else obj["uplink"]
     _check_keys(uplink, _UPLINK_KEYS, f"{path}.uplink")
     record_bits = uplink.get("record_bits", 128)
-    if isinstance(record_bits, bool) or not isinstance(record_bits, int) or record_bits <= 0:
-        raise ConfigError(f"{path}.uplink.record_bits", "expected a positive integer")
+    # an uplink lasts records * record_bits / rate, in floats: up to 2**53 a
+    # record's bits are exact, and no batch's product overflows
+    if (isinstance(record_bits, bool) or not isinstance(record_bits, int)
+            or not 0 < record_bits <= 2**53):
+        raise ConfigError(f"{path}.uplink.record_bits", "expected an integer in [1, 2**53]")
     uplink_rate = _qty(uplink, "rate", "rate", f"{path}.uplink", default=500e3)
     if uplink_rate <= 0:
         raise ConfigError(f"{path}.uplink.rate", f"must be > 0, got {uplink_rate} bit/s")

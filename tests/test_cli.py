@@ -405,6 +405,17 @@ def _make_dual(tx):
      "nodes[0].policy.kind: unknown policy kind {}"),
     (TANK, lambda cfg: cfg["nodes"][0]["commands"][1].update(op=["send_data"]),
      "nodes[0].commands[1].op: unknown op ['send_data']"),
+    (str(SCENARIOS / "protocol_demo.json"),
+     lambda cfg: [n.update(uplink={"record_bits": 10**400}) for n in cfg["nodes"]],
+     "nodes[0].uplink.record_bits: expected an integer in [1, 2**53]"),
+    (str(SCENARIOS / "protocol_demo.json"),
+     lambda cfg: [(n.update(uplink={"record_bits": 2**1023}),
+                   n["sensors"].update(enabled=[1, 2])) for n in cfg["nodes"]],
+     "nodes[0].uplink.record_bits: expected an integer in [1, 2**53]"),
+    (TANK, lambda cfg: cfg["nodes"][0]["sensors"].update(values={"1": 12.5, "01": 99.0}),
+     'nodes[0].sensors.values.01: sensor ids must be integers in decimal, as in "1"'),
+    (TANK, lambda cfg: cfg["nodes"][0]["sensors"].update(values={"1_0": 12.5}),
+     'nodes[0].sensors.values.1_0: sensor ids must be integers in decimal, as in "1"'),
 ], ids=["distances_list", "values_list", "divergence_100deg", "divergence_90deg",
         "zero_decode_rate", "zero_uplink_rate", "negative_sensing_time", "dual_under_spatial",
         "active_load_key", "uplink_list", "uplink_0", "uplink_false", "uplink_empty_string",
@@ -412,7 +423,8 @@ def _make_dual(tx):
         "sensors_on_time_switch_node", "alpha_above_1_on_a_node", "alpha_below_0_on_the_scenario",
         "repeated_target", "targets_under_spatial", "distance_for_an_untargeted_node",
         "empty_stream", "missing_sigma2", "string_sigma2", "list_kind", "object_kind_on_a_node",
-        "list_op"])
+        "list_op", "record_bits_past_the_float_range", "record_bits_past_2_53_in_a_batch",
+        "zero_padded_sensor_id", "underscored_sensor_id"])
 def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit, message):
     # before these checks, the list edits died with a traceback; the others
     # validated (a falsy uplink was taken as the defaults), and a run divided
@@ -425,7 +437,9 @@ def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit,
     # ignored, as was a distance for a node the transmitter does not target;
     # an empty stream name silently meant the default stream, and a missing
     # or non-numeric sigma2 was reported at the turbulence object; a list or
-    # object kind or op died hashing it
+    # object kind or op died hashing it; a record_bits whose uplink time
+    # overflows a float died timing the uplink; "01" and "1_0" validated as
+    # sensors 1 and 10, the first overwriting sensor 1's own value
     bad = _variant(tmp_path, base, edit)
     for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
         assert main(argv) == 1
