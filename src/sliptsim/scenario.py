@@ -370,11 +370,13 @@ def _build_commands(obj, path: str) -> list[Command]:
         if not isinstance(op, str) or op not in _OPCODES:
             raise ConfigError(f"{cpath}.op",
                               f"unknown op {op!r} (have: {', '.join(sorted(_OPCODES))})")
-        sensor = c.get("sensor", 0)
-        if isinstance(sensor, bool) or not isinstance(sensor, int):
-            raise ConfigError(f"{cpath}.sensor", "expected an integer sensor id")
+        given = {}
+        if "sensor" in c:
+            given["sensor_id"] = c["sensor"]
+            if isinstance(c["sensor"], bool) or not isinstance(c["sensor"], int):
+                raise ConfigError(f"{cpath}.sensor", "expected an integer sensor id")
         try:
-            commands.append(Command(_OPCODES[op], sensor))
+            commands.append(Command(_OPCODES[op], **given))
         except DomainError as e:
             raise ConfigError(cpath, str(e)) from None
     return commands

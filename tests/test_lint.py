@@ -12,7 +12,8 @@ src/sliptsim or bench/, so a leftover of deleted code cannot linger.
 No validate, run or sweep, calm or turbulent, loads numpy or OpenSSL's
 libcrypto (`_hashlib`).  A model module raises DomainError, never
 ConfigError: config paths are the loader's to name.  Every unit kind in
-units._UNIT_TABLES is the kind of some field scenario.py parses.
+units._UNIT_TABLES is the kind of some field scenario.py parses.  The
+records built from the loader's values declare no parameter defaults.
 """
 
 import ast
@@ -165,7 +166,8 @@ def test_every_unit_kind_is_parsed_by_some_field():
     assert sorted(kinds - tables) == []
 
 
-# the records the loader builds; it states every value a file leaves out
+# records built only from the loader's values (NodeState by the engine, from
+# a NodeDef): the loader states every value a file leaves out
 RECORDS = {"engine.py": ["TransmitterDef", "NodeDef", "StimulusDef", "Scenario"],
            "node.py": ["NodeState"]}
 

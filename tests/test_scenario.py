@@ -14,6 +14,7 @@ from sliptsim.channel import TurbulenceModel
 from sliptsim.energy_store import Battery, Supercapacitor
 from sliptsim.errors import ConfigError
 from sliptsim.harvester import SolarCell
+from sliptsim.node import Command, Opcode
 from sliptsim.policy import NodeProtocol, SpatialSplit, TimeSwitchSchedule
 from sliptsim.scenario import (
     build_scenario,
@@ -283,6 +284,10 @@ def test_omitted_keys_build_to_the_defaults():
         policy = {"kind": kind, "t1": "1s", "t2": "2s"}
         built = build_scenario(_minimal(policy=policy, transmitters=[tx])).nodes[0].policy
         assert type(built) is cls and vars(built) == vars(cls(1.0, 2.0))
+    with_command = _minimal()
+    with_command["nodes"][0]["commands"] = [{"op": "sensor_on"}]
+    [command] = build_scenario(with_command).nodes[0].commands
+    assert vars(command) == vars(Command(Opcode.SENSOR_ON))
 
     cell, battery, supercap = battery_node.cell, battery_node.store, supercap_node.store
     assert (cell.conversion_efficiency, cell.decode_rate, cell.sensitivity,
@@ -290,7 +295,7 @@ def test_omitted_keys_build_to_the_defaults():
     assert (battery.stored, battery.v_empty, battery.v_full) == (0.0, 3.0, 4.2)
     assert (supercap.capacitance, supercap.rated_voltage, supercap.stored) == (5.0, 5.0, 0.0)
     assert sc.transmitters[0].beam.turbulence.scintillation_index == 0.0
-    assert built.phase_offset == 0.0
+    assert built.phase_offset == 0.0 and command.sensor_id == 0
     expected_tx = {"on_time": 0.0, "off_time": None, "targets": None, "dual_energy": None,
                    "dual_data": None, "distances": {}}
     assert {key: vars(sc.transmitters[0])[key] for key in expected_tx} == expected_tx
