@@ -158,12 +158,12 @@ def _water(value, path: str) -> WaterProperties:
 
 
 def _turbulence(value, path: str) -> TurbulenceModel:
-    stream = {}  # without one, the engine names the link's own stream
+    given = {}  # without a stream, the engine names the link's own
     if isinstance(value, dict):
         _check_keys(value, {"sigma2", "stream"}, path)
         if "stream" in value:
-            stream["rng_stream_id"] = _str_field(value, "stream", path, "")
-            if not stream["rng_stream_id"]:
+            given["rng_stream_id"] = _str_field(value, "stream", path, "")
+            if not given["rng_stream_id"]:
                 raise ConfigError(f"{path}.stream", "expected a non-empty string")
         path = f"{path}.sigma2"
         if "sigma2" not in value:
@@ -173,7 +173,7 @@ def _turbulence(value, path: str) -> TurbulenceModel:
     if sigma2 is None:
         raise ConfigError(path, "scintillation index must be a finite number")
     try:
-        return TurbulenceModel(sigma2, **stream)
+        return TurbulenceModel(sigma2, **given)
     except DomainError as e:
         raise ConfigError(path, str(e)) from None
 
