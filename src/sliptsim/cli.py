@@ -38,15 +38,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_out=True):
+    def add_common(p):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario's random seed")
-        if with_out:
-            p.add_argument("--out", default=None,
-                           help=f"output directory (default: ${OUT_ENV_VAR})")
-            p.add_argument("--format", choices=("csv", "jsonl"), default="csv",
-                           help="trace file format (default: csv)")
+        p.add_argument("--out", default=None,
+                       help=f"output directory (default: ${OUT_ENV_VAR})")
+        p.add_argument("--format", choices=("csv", "jsonl"), default="csv",
+                       help="trace file format (default: csv)")
 
     add_common(sub.add_parser("run", help="simulate one scenario"))
 

@@ -111,11 +111,10 @@ def _boundary_time(sched: TimeSwitchSchedule, k: int) -> float:
 class TransmitterDef:
     def __init__(self, tx_id: str, beam: LinkParams, on_time: float, off_time: float | None,
                  targets: list[str] | None,  # None = every node
-                 dual_energy: LinkParams | None, dual_data: LinkParams | None,
+                 dual_data: LinkParams | None,  # a dual pair's data beam; beam is its energy
                  distances: dict[str, float]):  # per-node range [m]
         self.tx_id, self.beam, self.on_time, self.off_time = tx_id, beam, on_time, off_time
-        self.targets, self.dual_energy, self.dual_data = targets, dual_energy, dual_data
-        self.distances = distances
+        self.targets, self.dual_data, self.distances = targets, dual_data, distances
 
 
 class NodeDef:
@@ -151,7 +150,7 @@ class Scenario:
 
 
 class NodeMetrics:
-    def __init__(self, stored_initial_j: float = 0.0):
+    def __init__(self, stored_initial_j: float):
         self.harvested_j, self.consumed_j, self.spilled_j = 0.0, 0.0, 0.0
         self.decoded_bits, self.delivered_records = 0.0, 0
         self.outage_s, self.protocol_errors = 0.0, 0
@@ -176,7 +175,7 @@ class NodeMetrics:
 
 
 class Metrics:
-    def __init__(self, seed: int = 0, scenario_hash: str = ""):
+    def __init__(self, seed: int, scenario_hash: str):
         self.nodes: dict[str, NodeMetrics] = {}
         self.frame_errors: dict[str, int] = {}  # "tx->node" -> count
         self.events_processed, self.end_time, self.seed = 0, 0.0, seed
@@ -204,26 +203,14 @@ class _LinkRuntime:
     def __init__(self, tx_id: str, node_id: str,
                  in_harvest: bool,  # contributes to the harvest pool
                  in_decode: bool,  # contributes to the decode pool
-                 rng: random.Random | None = None):  # None: calm, the fade stays 1
+                 base_power: float,  # tx_power * capture * exp(-alpha z), fade excluded
+                 # both None on a calm link, whose fade stays 1; a turbulent link
+                 # owns its stream and redraws its fade from turbulence
+                 rng: random.Random | None, turbulence: TurbulenceModel | None):
         self.tx_id, self.node_id = tx_id, node_id
         self.in_harvest, self.in_decode = in_harvest, in_decode
-        self.active, self.fade = False, 1.0
-        self.base_power = 0.0  # tx_power * capture * exp(-alpha z), fade excluded
-        self.rng = rng
-
-    def power_now(self) -> float:
-        return self.base_power * self.fade if self.active else 0.0
-
-
-class _TurbulentLink(_LinkRuntime):
-    """A link with a non-zero scintillation index: it owns its stream and
-    redraws its fade from `turbulence`.  Calm links are plain
-    _LinkRuntime."""
-
-    def __init__(self, tx_id: str, node_id: str, in_harvest: bool, in_decode: bool,
-                 rng: random.Random, turbulence: TurbulenceModel):
-        super().__init__(tx_id, node_id, in_harvest, in_decode, rng=rng)
-        self.turbulence = turbulence
+        self.active, self.fade, self.base_power = False, 1.0, base_power
+        self.rng, self.turbulence = rng, turbulence
 
 
 class _NodeRuntime:
@@ -302,15 +289,15 @@ class Simulation:
 
     def _link_for(self, tx: TransmitterDef, node_id: str, beam: LinkParams,
                   tag: str, in_harvest: bool, in_decode: bool) -> _LinkRuntime:
-        turbulence = beam.turbulence
+        turbulence, rng = beam.turbulence, None
         if turbulence.scintillation_index > 0.0:
             # streams are keyed by name, so skipping calm links moves no draw
             rng = rng_stream(self.seed, turbulence.rng_stream_id or f"fading:{tag}:{node_id}")
-            link = _TurbulentLink(tx.tx_id, node_id, in_harvest, in_decode, rng, turbulence)
         else:
-            link = _LinkRuntime(tx.tx_id, node_id, in_harvest, in_decode)
-        link.base_power = _mean_power(beam, tx.distances.get(node_id, beam.geometry.distance))
-        return link
+            turbulence = None
+        return _LinkRuntime(tx.tx_id, node_id, in_harvest, in_decode,
+                            _mean_power(beam, tx.distances.get(node_id, beam.geometry.distance)),
+                            rng, turbulence)
 
     def _build_links(self):
         if any(nd.policy.spatial for nd in self.scenario.nodes):
@@ -323,9 +310,9 @@ class Simulation:
                     raise ConfigError(f"transmitters.{tx.tx_id}.targets",
                                       f"unknown node {node_id!r}")
                 n = self.nodes[node_id]
-                if tx.dual_energy is not None:
+                if tx.dual_data is not None:
                     n.links.append(self._link_for(
-                        tx, node_id, tx.dual_energy, f"{tx.tx_id}:energy", True, False))
+                        tx, node_id, tx.beam, f"{tx.tx_id}:energy", True, False))
                     n.links.append(self._link_for(
                         tx, node_id, tx.dual_data, f"{tx.tx_id}:data", False, True))
                 else:
@@ -479,14 +466,16 @@ class Simulation:
         else:
             n.was_full = is_full
 
-    def step_energy(self, n: _NodeRuntime, dt: float):
-        """Integrate the node's current power snapshot over dt seconds.
+    def _advance(self, n: _NodeRuntime, t: float):
+        """Integrate the node's current power snapshot from n.last_t to t.
 
         Bookkeeping keeps harvested - consumed identically equal to the
         change in stored energy: harvest beyond what the full store and
         the load can take is counted as spilled, and load the empty
         store cannot serve simply goes unserved.
         """
+        dt = t - n.last_t
+        n.last_t = t
         if dt <= 0.0:
             return
         m = n.metrics
@@ -511,10 +500,6 @@ class Simulation:
                 m.outage_s += dt
         phase = n.state.phase._value_  # skips Enum.value's Python-level descriptor
         m.phase_occupancy[phase] = m.phase_occupancy.get(phase, 0.0) + dt
-
-    def _advance(self, n: _NodeRuntime, t: float):
-        self.step_energy(n, t - n.last_t)
-        n.last_t = t
 
     # -- stimulus delivery ----------------------------------------------------
 
@@ -565,11 +550,12 @@ class Simulation:
     # -- event handlers -------------------------------------------------------
 
     def _strongest_decode_link(self, n: _NodeRuntime) -> _LinkRuntime | None:
-        best = None
+        """The lit decode link with the most power, the first in link order on a tie."""
+        best, most = None, -1.0  # every power is >= 0: the first decode link is taken
         for link in n.lit_links:
-            if link.in_decode:
-                if best is None or link.power_now() > best.power_now():
-                    best = link
+            p = link.base_power * link.fade
+            if link.in_decode and p > most:
+                best, most = link, p
         return best
 
     def _handle_tx_power_change(self, t: float, tx_id: str, turn_on: bool):

@@ -101,6 +101,15 @@ def _given(obj: dict, path: str, **kinds: str) -> dict:
             for key, kind in kinds.items() if key in obj}
 
 
+def _model(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), a model refusing its arguments refused at path:
+    the one place a DomainError becomes a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except DomainError as e:
+        raise ConfigError(path, str(e)) from None
+
+
 def _finite(value) -> float | None:
     """value as a float if it is a finite number (a bool is not), else None."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -140,19 +149,12 @@ def _load_name(obj: dict, key: str, path: str, default: str) -> str:
 
 
 def _water(value, path: str) -> WaterProperties:
-    try:
-        if isinstance(value, str):
-            return WaterProperties.preset(value)
-        if isinstance(value, dict):
-            _check_keys(value, {"absorption", "scattering"}, path)
-            return WaterProperties(
-                parse_quantity(_require(value, "absorption", path), "per_length",
-                               f"{path}.absorption"),
-                parse_quantity(_require(value, "scattering", path), "per_length",
-                               f"{path}.scattering"),
-            )
-    except DomainError as e:
-        raise ConfigError(path, str(e)) from None
+    if isinstance(value, str):
+        return _model(path, WaterProperties.preset, value)
+    if isinstance(value, dict):
+        _check_keys(value, {"absorption", "scattering"}, path)
+        return _model(path, WaterProperties, _qty(value, "absorption", "per_length", path),
+                      _qty(value, "scattering", "per_length", path))
     raise ConfigError(path, "expected a water preset name or an object with "
                             "absorption/scattering")
 
@@ -172,10 +174,7 @@ def _turbulence(value, path: str) -> TurbulenceModel:
     sigma2 = _finite(value)
     if sigma2 is None:
         raise ConfigError(path, "scintillation index must be a finite number")
-    try:
-        return TurbulenceModel(sigma2, **given)
-    except DomainError as e:
-        raise ConfigError(path, str(e)) from None
+    return _model(path, TurbulenceModel, sigma2, **given)
 
 
 # -- section builders ---------------------------------------------------------
@@ -186,7 +185,8 @@ def _slots(cls):
         offset = _given(obj, path, phase_offset="time")
         if offset and offset["phase_offset"] < 0:
             raise ConfigError(f"{path}.phase_offset", "must be >= 0")
-        return cls(_qty(obj, "t1", "time", path), _qty(obj, "t2", "time", path), **offset)
+        return _model(path, cls, _qty(obj, "t1", "time", path), _qty(obj, "t2", "time", path),
+                      **offset)
 
     return build
 
@@ -195,10 +195,7 @@ def _power_split(obj: dict, path: str) -> PowerSplit:
     alpha = _finite(obj.get("alpha"))
     if alpha is None:
         raise ConfigError(f"{path}.alpha", "expected a number in [0, 1]")
-    try:
-        return PowerSplit(alpha)
-    except DomainError as e:
-        raise ConfigError(f"{path}.alpha", str(e)) from None
+    return _model(f"{path}.alpha", PowerSplit, alpha)
 
 
 _SLOT_KEYS = {"kind", "t1", "t2", "phase_offset"}
@@ -223,48 +220,38 @@ def _build_policy(obj, path: str) -> Policy:
         )
     keys, build = _POLICIES[kind]
     _check_keys(obj, keys, path)
-    try:
-        return build(obj, path)
-    except DomainError as e:
-        raise ConfigError(path, str(e)) from None
+    return build(obj, path)
 
 
 def _build_beam(beam_obj: dict, path: str, geometry: BeamGeometry,
                 default_turbulence: TurbulenceModel) -> LinkParams:
-    try:
-        return LinkParams(
-            tx_power=_qty(beam_obj, "power", "power", path),
-            wavelength=_qty(beam_obj, "wavelength", "wavelength", path, default=450.0),
-            water=_water(_require(beam_obj, "water", path), f"{path}.water"),
-            geometry=geometry,
-            turbulence=(
-                _turbulence(beam_obj["turbulence"], f"{path}.turbulence")
-                if "turbulence" in beam_obj
-                else default_turbulence
-            ),
-        )
-    except DomainError as e:
-        raise ConfigError(path, str(e)) from None
+    return _model(
+        path, LinkParams,
+        tx_power=_qty(beam_obj, "power", "power", path),
+        wavelength=_qty(beam_obj, "wavelength", "wavelength", path, default=450.0),
+        water=_water(_require(beam_obj, "water", path), f"{path}.water"),
+        geometry=geometry,
+        turbulence=(_turbulence(beam_obj["turbulence"], f"{path}.turbulence")
+                    if "turbulence" in beam_obj else default_turbulence),
+    )
 
 
 def _build_transmitter(obj, index: int) -> TransmitterDef:
     path = f"transmitters[{index}]"
     _check_keys(obj, _TX_KEYS, path)
     tx_id = _str_field(obj, "id", path, f"tx{index}")
-    try:
-        geometry = BeamGeometry(
-            initial_radius=_qty(obj, "beam_waist", "length", path, default=0.0),
-            half_angle_divergence=_qty(obj, "divergence", "angle", path, default=0.0),
-            receiver_aperture_radius=_qty(obj, "receiver_radius", "length", path),
-            distance=_qty(obj, "distance", "length", path),
-        )
-        geometric_capture(geometry)  # refuses a zero-width beam
-    except DomainError as e:
-        raise ConfigError(path, str(e)) from None
+    geometry = _model(
+        path, BeamGeometry,
+        initial_radius=_qty(obj, "beam_waist", "length", path, default=0.0),
+        half_angle_divergence=_qty(obj, "divergence", "angle", path, default=0.0),
+        receiver_aperture_radius=_qty(obj, "receiver_radius", "length", path),
+        distance=_qty(obj, "distance", "length", path),
+    )
+    _model(path, geometric_capture, geometry)  # refuses a zero-width beam
     turbulence = (_turbulence(obj["turbulence"], f"{path}.turbulence")
                   if "turbulence" in obj else TurbulenceModel())
 
-    dual_energy = dual_data = None
+    dual_data = None  # a dual pair's beam is its energy beam
     if "dual" in obj:
         dual = obj["dual"]
         _check_keys(dual, {"energy", "data"}, f"{path}.dual")
@@ -272,12 +259,11 @@ def _build_transmitter(obj, index: int) -> TransmitterDef:
         d_obj = _require(dual, "data", f"{path}.dual")
         _check_keys(e_obj, _DUAL_BEAM_KEYS, f"{path}.dual.energy")
         _check_keys(d_obj, _DUAL_BEAM_KEYS, f"{path}.dual.data")
-        dual_energy = _build_beam(e_obj, f"{path}.dual.energy", geometry, turbulence)
+        beam = _build_beam(e_obj, f"{path}.dual.energy", geometry, turbulence)
         dual_data = _build_beam(d_obj, f"{path}.dual.data", geometry, turbulence)
-        if dual_energy.wavelength == dual_data.wavelength:
+        if beam.wavelength == dual_data.wavelength:
             raise ConfigError(f"{path}.dual",
                               "energy and data beams must use distinct wavelengths")
-        beam = dual_energy  # placeholder; dual links are built from the pair
     else:
         beam = _build_beam(obj, path, geometry, turbulence)
 
@@ -297,10 +283,7 @@ def _build_transmitter(obj, index: int) -> TransmitterDef:
     # beam widens with distance: a zero-width check at the nearest is exact
     if distances:
         nearest = min(distances, key=distances.get)
-        try:
-            geometric_capture(geometry, distances[nearest])
-        except DomainError as e:
-            raise ConfigError(f"{path}.distances.{nearest}", str(e)) from None
+        _model(f"{path}.distances.{nearest}", geometric_capture, geometry, distances[nearest])
 
     on_time = _qty(obj, "on", "time", path, default=0.0)
     if on_time < 0:
@@ -314,7 +297,6 @@ def _build_transmitter(obj, index: int) -> TransmitterDef:
         on_time=on_time,
         off_time=off_time,
         targets=targets,
-        dual_energy=dual_energy,
         dual_data=dual_data,
         distances=distances,
     )
@@ -331,28 +313,21 @@ def _build_cell(obj, path: str) -> SolarCell:
             raise ConfigError(f"{path}.efficiency", "expected a number in (0, 1]")
     given.update(_given(obj, path, decode_rate="rate", sensitivity="power",
                         switch_latency="time"))
-    try:
-        return SolarCell(**given)
-    except DomainError as e:
-        raise ConfigError(path, str(e)) from None
+    return _model(path, SolarCell, **given)
 
 
 def _build_store(obj, path: str):
     if not isinstance(obj, dict) or "type" not in obj:
         raise ConfigError(path, "expected a store object with a 'type'")
     kind = obj["type"]
-    try:
-        if kind == "battery":
-            _check_keys(obj, _BATTERY_KEYS, path)
-            return Battery(_qty(obj, "capacity", "energy", path),
-                           **_given(obj, path, stored="energy", v_empty="voltage",
-                                    v_full="voltage"))
-        if kind == "supercapacitor":
-            _check_keys(obj, _SUPERCAP_KEYS, path)
-            return Supercapacitor(**_given(obj, path, capacitance="capacitance",
-                                           rated_voltage="voltage", stored="energy"))
-    except DomainError as e:
-        raise ConfigError(path, str(e)) from None
+    if kind == "battery":
+        _check_keys(obj, _BATTERY_KEYS, path)
+        return _model(path, Battery, _qty(obj, "capacity", "energy", path),
+                      **_given(obj, path, stored="energy", v_empty="voltage", v_full="voltage"))
+    if kind == "supercapacitor":
+        _check_keys(obj, _SUPERCAP_KEYS, path)
+        return _model(path, Supercapacitor, **_given(obj, path, capacitance="capacitance",
+                                                     rated_voltage="voltage", stored="energy"))
     raise ConfigError(f"{path}.type",
                       f"unknown store type {kind!r} (have: battery, supercapacitor)")
 
@@ -375,10 +350,7 @@ def _build_commands(obj, path: str) -> list[Command]:
             given["sensor_id"] = c["sensor"]
             if isinstance(c["sensor"], bool) or not isinstance(c["sensor"], int):
                 raise ConfigError(f"{cpath}.sensor", "expected an integer sensor id")
-        try:
-            commands.append(Command(_OPCODES[op], **given))
-        except DomainError as e:
-            raise ConfigError(cpath, str(e)) from None
+        commands.append(_model(cpath, Command, _OPCODES[op], **given))
     return commands
 
 
@@ -569,7 +541,7 @@ def _build(cfg, issues: list[ConfigError]) -> Scenario | None:
             elif not spatial and tx.targets is not None and node_id not in tx.targets:
                 refuse(f"transmitters[{i}].distances.{node_id}",
                        "not one of the transmitter's targets, so no link uses it")
-        if spatial and tx.dual_energy is not None:
+        if spatial and tx.dual_data is not None:
             refuse(f"transmitters[{i}].dual",
                    "spatial assignment aims one beam per transmitter, not a dual pair")
         if spatial and tx.targets is not None:

@@ -209,7 +209,7 @@ def _received_power(link: LinkParams) -> float:
                    uplink_load="laser_uplink", record_bits=128, data_demand=False,
                    commands=[])
     tx = TransmitterDef("tx0", link, on_time=0.0, off_time=None, targets=None,
-                        dual_energy=None, dual_data=None, distances={})
+                        dual_data=None, distances={})
     sc = Scenario(1.0, 1, [tx], [node], stimuli=[], scenario_hash="")
     [built] = Simulation(sc).nodes["n0"].links
     return built.base_power

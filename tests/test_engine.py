@@ -14,7 +14,6 @@ from sliptsim.engine import (
     Simulation,
     TRACE_FIELDS,
     _LinkRuntime,
-    _TurbulentLink,
     rng_stream,
     trace_to_csv,
     trace_to_jsonl,
@@ -79,7 +78,8 @@ def test_step_energy_units():
     n.store.stored = 1.0
     n.harvest_elec = 0.020
     n.load_elec = 0.0259
-    sim.step_energy(n, 10.0)
+    n.last_t = 0.0
+    sim._advance(n, 10.0)
     assert n.store.stored == pytest.approx(0.941, rel=1e-12)
     assert n.metrics.consumed_j == pytest.approx(0.259, rel=1e-12)
     # harvested = consumed + stored delta, so 0.259 - 0.059
@@ -429,9 +429,10 @@ def test_calm_links_build_no_random_stream(monkeypatch, name):
 
 def _is_plain(link) -> bool:
     """A calm link: a bare _LinkRuntime with no attribute beyond those its
-    constructor sets."""
-    return (type(link) is _LinkRuntime
-            and set(vars(link)) == set(vars(_LinkRuntime("tx", "node", True, True))))
+    constructor sets, and neither a stream nor a turbulence model."""
+    return (type(link) is _LinkRuntime and link.rng is None and link.turbulence is None
+            and set(vars(link)) == set(vars(_LinkRuntime("tx", "node", True, True, 0.0,
+                                                         None, None))))
 
 
 def test_only_turbulent_links_get_a_stream(monkeypatch):
@@ -449,7 +450,7 @@ def test_only_turbulent_links_get_a_stream(monkeypatch):
     sim.run()
     calm, wavy = sim.nodes["n0"].links
     assert calm.rng is None and wavy.rng is not None
-    assert _is_plain(calm) and isinstance(wavy, _TurbulentLink)
+    assert _is_plain(calm) and wavy.turbulence.scintillation_index == 0.2
     assert calls == ["fading:wavy:n0"]
 
 
@@ -548,7 +549,7 @@ def _moved_beam_power(beam: LinkParams, d: float) -> float:
 
 
 def _reference_powers(tx, node_id: str) -> list[float]:
-    beams = (tx.dual_energy, tx.dual_data) if tx.dual_energy is not None else (tx.beam,)
+    beams = (tx.beam, tx.dual_data) if tx.dual_data is not None else (tx.beam,)
     return [_moved_beam_power(b, tx.distances.get(node_id, b.geometry.distance))
             for b in beams]
 
@@ -577,7 +578,7 @@ def test_link_power_equals_the_beam_moved_to_its_distance(name, monkeypatch):
                 assert link_power[(tx.tx_id, node_id)] == expected[0], (tx.tx_id, node_id)
     assert checked > 0
     if name == "golden_targeted_protocol":  # a dual pair at overridden ranges
-        assert sc.transmitters[2].dual_energy is not None and sc.transmitters[2].distances
+        assert sc.transmitters[2].dual_data is not None and sc.transmitters[2].distances
     if name == "spatial_demo":  # every pair weighed, some at overridden ranges
         assert len(link_power) == 6 and sc.transmitters[0].distances
 

@@ -373,7 +373,7 @@ class _CheckedPools(Simulation):
         if n.pools is not None:
             harvest_pool = decode_pool = total = 0.0
             for link in n.links:
-                p = link.power_now()
+                p = link.base_power * link.fade if link.active else 0.0
                 total += p
                 if link.in_harvest:
                     harvest_pool += p

@@ -22,7 +22,7 @@ def _run_cell(cell: SolarCell, light: float, duration: float = 2.0):
                    uplink_load="laser_uplink", record_bits=128, data_demand=False,
                    commands=[])
     tx = TransmitterDef("tx0", beam, on_time=0.0, off_time=None, targets=None,
-                        dual_energy=None, dual_data=None, distances={})
+                        dual_data=None, distances={})
     sc = Scenario(duration, 1, [tx], [node], stimuli=[], scenario_hash="")
     metrics, _ = Simulation(sc).run()
     return metrics.nodes["n0"]

@@ -296,8 +296,8 @@ def test_omitted_keys_build_to_the_defaults():
     assert (supercap.capacitance, supercap.rated_voltage, supercap.stored) == (5.0, 5.0, 0.0)
     assert sc.transmitters[0].beam.turbulence.scintillation_index == 0.0
     assert built.phase_offset == 0.0 and command.sensor_id == 0
-    expected_tx = {"on_time": 0.0, "off_time": None, "targets": None, "dual_energy": None,
-                   "dual_data": None, "distances": {}}
+    expected_tx = {"on_time": 0.0, "off_time": None, "targets": None, "dual_data": None,
+                   "distances": {}}
     assert {key: vars(sc.transmitters[0])[key] for key in expected_tx} == expected_tx
     assert sc.transmitters[0].beam.wavelength == 450.0
     expected_node = {
