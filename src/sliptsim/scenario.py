@@ -60,6 +60,17 @@ _SENSORS_KEYS = {"enabled", "values", "seconds_per_sensor"}
 _UPLINK_KEYS = {"rate", "load", "record_bits"}
 _STIMULUS_KEYS = {"time", "node", "stimulus"}
 _COMMAND_KEYS = {"op", "sensor"}
+# node key -> (the Policy flag a node needs to read it, what reads it): the
+# key is refused on any other node
+_NODE_KEY_READERS = {
+    "sensors": ("protocol", "sensors are used only in the protocol's SenseSave phase"),
+    "commands": ("protocol", "commands are used only in the protocol's CommandRx phase"),
+    "v_threshold": ("protocol", "v_threshold is used only in the protocol's wake check"),
+    "sleep_load": ("protocol",
+                   "sleep_load is used only in the protocol's Sleep and Harvest phases"),
+    "uplink": ("protocol", "uplink is used only in the protocol's CommandRx phase"),
+    "data_demand": ("spatial", "data_demand is used only in spatial assignment"),
+}
 
 
 def scenario_hash(cfg: dict) -> str:
@@ -360,9 +371,12 @@ def _build_sensors(obj, path: str):
         obj = {}
     _check_keys(obj, _SENSORS_KEYS, path)
     enabled = obj.get("enabled", [])
-    if (not isinstance(enabled, list)
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in enabled)):
-        raise ConfigError(f"{path}.enabled", "expected a list of integer sensor ids")
+    # a command names its sensor in one payload byte, so no other id can be switched off
+    if (not isinstance(enabled, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) and 0 <= x <= 255 for x in enabled)):
+        raise ConfigError(f"{path}.enabled", "expected a list of integer sensor ids in [0, 255]")
+    if len(set(enabled)) != len(enabled):
+        raise ConfigError(f"{path}.enabled", "duplicate sensor ids")
     values = {}
     for key, src in _mapping(obj, "values", path, "sensor id -> value").items():
         vpath = f"{path}.values.{key}"
@@ -397,18 +411,18 @@ def _build_sensors(obj, path: str):
     return set(enabled), values, per
 
 
-def _build_node(obj, index: int, default_policy: Policy) -> NodeDef:
+def _build_node(obj, index: int, default_policy: Policy | None) -> NodeDef:
     path = f"nodes[{index}]"
     _check_keys(obj, _NODE_KEYS, path)
     node_id = _str_field(obj, "id", path, f"node{index}")
     policy = (_build_policy(obj["policy"], f"{path}.policy")
               if "policy" in obj else default_policy)
-    if not policy.protocol:
-        for key, phase in (("sensors", "SenseSave"), ("commands", "CommandRx")):
-            if key in obj:
-                raise ConfigError(f"{path}.{key}",
-                                  f"{key} are used only in the protocol's {phase} phase, "
-                                  f"which node {node_id!r} does not run")
+    if policy is None:  # the scenario's policy was refused: no key is judged unread
+        policy = NodeProtocol()
+    else:
+        for key, (flag, use) in _NODE_KEY_READERS.items():
+            if key in obj and not getattr(policy, flag):
+                raise ConfigError(f"{path}.{key}", f"{use}, which node {node_id!r} does not run")
     enabled, values, per = _build_sensors(obj.get("sensors"), f"{path}.sensors")
 
     uplink = {} if obj.get("uplink") is None else obj["uplink"]
@@ -428,7 +442,7 @@ def _build_node(obj, index: int, default_policy: Policy) -> NodeDef:
     if not isinstance(data_demand, bool):
         raise ConfigError(f"{path}.data_demand", "expected true or false")
 
-    return NodeDef(
+    node = NodeDef(
         node_id=node_id,
         cell=_build_cell(obj.get("cell"), f"{path}.cell"),
         store=_build_store(_require(obj, "store", path), f"{path}.store"),
@@ -445,6 +459,12 @@ def _build_node(obj, index: int, default_policy: Policy) -> NodeDef:
         data_demand=data_demand,
         commands=_build_commands(obj.get("commands"), f"{path}.commands"),
     )
+    readable = enabled | {c.sensor_id for c in node.commands if c.opcode is Opcode.SENSOR_ON}
+    for sensor_id in values:
+        if sensor_id not in readable:
+            raise ConfigError(f"{path}.sensors.values.{sensor_id}",
+                              "neither enabled nor switched on by a command, so nothing reads it")
+    return node
 
 
 def _build_stimulus(obj, index: int) -> StimulusDef:
@@ -511,9 +531,9 @@ def _build(cfg, issues: list[ConfigError]) -> Scenario | None:
     attempt(_str_field, cfg, "name", "scenario", "")  # a label; no output uses it
     duration = attempt(_duration, cfg)
     seed = attempt(_seed, cfg)
-    # a refused policy leaves the protocol as the default, so nodes are still checked
+    # a refused policy leaves None, and nodes are still checked as protocol nodes
     default_policy = (attempt(_build_policy, cfg["policy"], "scenario.policy")
-                      if "policy" in cfg else None) or NodeProtocol()
+                      if "policy" in cfg else NodeProtocol())
     transmitters = section("transmitters", _build_transmitter)
     nodes = section("nodes", _build_node, default_policy)
     stimuli = section("stimuli", _build_stimulus)

@@ -416,6 +416,24 @@ def _make_dual(tx):
      'nodes[0].sensors.values.01: sensor ids must be integers in decimal, as in "1"'),
     (TANK, lambda cfg: cfg["nodes"][0]["sensors"].update(values={"1_0": 12.5}),
      'nodes[0].sensors.values.1_0: sensor ids must be integers in decimal, as in "1"'),
+    *[(TANK, lambda cfg, v=enabled: cfg["nodes"][0]["sensors"].update(enabled=v),
+       "nodes[0].sensors.enabled: expected a list of integer sensor ids in [0, 255]")
+      for enabled in ([300, 1, 1], [-1], [256])],
+    (TANK, lambda cfg: cfg["nodes"][0]["sensors"].update(enabled=[1, 1]),
+     "nodes[0].sensors.enabled: duplicate sensor ids"),
+    (TANK, lambda cfg: cfg["nodes"][0]["sensors"].update(values={"1": 21.5, "7": 3.0}),
+     "nodes[0].sensors.values.7: neither enabled nor switched on by a command"),
+    *[(DEMO, lambda cfg, k=key, v=value: cfg["nodes"][0].update({k: v}),
+       f"nodes[0].{key}: {use}, which node 'buoy' does not run")
+      for key, value, use in (
+          ("v_threshold", "3.6V", "v_threshold is used only in the protocol's wake check"),
+          ("sleep_load", "sleep",
+           "sleep_load is used only in the protocol's Sleep and Harvest phases"),
+          ("uplink", {}, "uplink is used only in the protocol's CommandRx phase"),
+          ("data_demand", True, "data_demand is used only in spatial assignment"))],
+    (TANK, lambda cfg: cfg["nodes"][0].update(data_demand=False),
+     "nodes[0].data_demand: data_demand is used only in spatial assignment, "
+     "which node 'node0' does not run"),
 ], ids=["distances_list", "values_list", "divergence_100deg", "divergence_90deg",
         "zero_decode_rate", "zero_uplink_rate", "negative_sensing_time", "dual_under_spatial",
         "active_load_key", "uplink_list", "uplink_0", "uplink_false", "uplink_empty_string",
@@ -424,7 +442,11 @@ def _make_dual(tx):
         "repeated_target", "targets_under_spatial", "distance_for_an_untargeted_node",
         "empty_stream", "missing_sigma2", "string_sigma2", "list_kind", "object_kind_on_a_node",
         "list_op", "record_bits_past_the_float_range", "record_bits_past_2_53_in_a_batch",
-        "zero_padded_sensor_id", "underscored_sensor_id"])
+        "zero_padded_sensor_id", "underscored_sensor_id", "enabled_sensor_300_and_repeat",
+        "enabled_sensor_below_0", "enabled_sensor_256", "repeated_enabled_sensor",
+        "value_for_a_sensor_nothing_reads", "v_threshold_on_time_switch_node",
+        "sleep_load_on_time_switch_node", "uplink_on_time_switch_node",
+        "data_demand_on_time_switch_node", "data_demand_on_protocol_node"])
 def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit, message):
     # before these checks, the list edits died with a traceback; the others
     # validated (a falsy uplink was taken as the defaults), and a run divided
@@ -439,7 +461,9 @@ def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit,
     # or non-numeric sigma2 was reported at the turbulence object; a list or
     # object kind or op died hashing it; a record_bits whose uplink time
     # overflows a float died timing the uplink; "01" and "1_0" validated as
-    # sensors 1 and 10, the first overwriting sensor 1's own value
+    # sensors 1 and 10, the first overwriting sensor 1's own value; a sensor
+    # id no command byte can name, a repeated one, a value for a sensor the
+    # node never reads and a key the node's policy never reads all validated
     bad = _variant(tmp_path, base, edit)
     for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
         assert main(argv) == 1

@@ -321,6 +321,63 @@ def test_weak_signal_frames_fail_and_count():
     assert kinds.count("frame_arrival:error") == 2
 
 
+def _weak_links(*beams) -> dict:
+    """One charged protocol node whose two command frames arrive under the
+    given (id, beam) links, none of them strong enough to decode."""
+    return {
+        "duration": "1s",
+        "seed": 2,
+        "transmitters": [{"id": tx_id, **beam} for tx_id, beam in beams],
+        "nodes": [{
+            "id": "n0",
+            "store": _battery("20J", "10J"),  # exactly 3.6 V: charged path
+            "commands": [{"op": "sensor_on", "sensor": 1}, {"op": "send_data"}],
+        }],
+    }
+
+
+def test_a_frame_error_goes_to_the_strongest_decode_link_first_on_a_tie():
+    # 0.1 + 0.2 + 0.2 uW (less the water's loss) stays below the 1 uW
+    # sensitivity; faint comes first but is weaker, and tied ties weak
+    cfg = _weak_links(("faint", _beam("0.1uW")), ("weak", _beam("0.2uW")),
+                      ("tied", _beam("0.2uW")))
+    metrics, _ = run_scenario(build_scenario(cfg))
+    assert metrics.frame_errors == {"weak->n0": 2}
+
+
+def test_a_frame_after_its_transmitter_went_off_has_no_link():
+    # the cell settles 5 ms after the light, so both frames come after tx_off
+    cfg = _weak_links(("weak", _beam("1uW", on="0s", off="1ms")))
+    metrics, _ = run_scenario(build_scenario(cfg))
+    assert metrics.frame_errors == {"?->n0": 2}
+
+
+def test_the_engine_refuses_a_hand_built_target_that_names_no_node():
+    sc = build_scenario(_weak_links(("weak", _beam("1uW"))))
+    sc.transmitters[0].targets = ["ghost"]  # the loader refuses this in a file
+    with pytest.raises(ConfigError) as info:
+        Simulation(sc)
+    assert (info.value.path, info.value.message) == (
+        "transmitters.weak.targets", "unknown node 'ghost'")
+
+
+@pytest.mark.parametrize("name", ["turbulent_demo", "tank_1m5"])
+def test_no_run_reads_the_node_keys_its_policy_refuses(name):
+    # the loader refuses v_threshold, sleep_load and uplink on a non-protocol
+    # node and data_demand off spatial: setting them by hand moves no byte
+    def outputs(set_unread_fields: bool):
+        sc = load_scenario(SCENARIOS / f"{name}.json")
+        for nd in sc.nodes if set_unread_fields else ():
+            nd.data_demand = True
+            if not nd.policy.protocol:
+                nd.v_threshold, nd.sleep_load = 0.0, "laser_uplink"
+                nd.uplink_rate, nd.uplink_load, nd.record_bits = 1.0, "soc_mcu_3mhz", 1
+        metrics, trace = run_scenario(sc)
+        return metrics.to_dict(), list(trace)
+
+    assert outputs(True) == outputs(False)
+
+
 def test_charge_completion_matches_closed_form():
     cfg = {
         "duration": "120s",

@@ -11,7 +11,7 @@ assignment, function or class named `_x`) must be read somewhere in
 src/sliptsim or bench/, so a leftover of deleted code cannot linger.
 No validate, run or sweep, calm or turbulent, loads numpy or OpenSSL's
 libcrypto (`_hashlib`).  A model module raises DomainError, never
-ConfigError: config paths are the loader's to name.  Every unit kind in
+ConfigError: config paths are the loader's to name, in one handler.  Every unit kind in
 units._UNIT_TABLES is the kind of some field scenario.py parses.  The
 records built from the loader's values declare no parameter defaults.
 """
@@ -133,6 +133,17 @@ def test_model_modules_do_not_import_config_error(name):
     tree, lines = ast.parse(text), text.splitlines()
     imported = {**_imported(tree, lines), **_imported(tree, lines, noqa=True)}
     assert "ConfigError" not in imported, f"{name} imports ConfigError; raise DomainError"
+
+
+def test_the_loader_maps_domain_errors_in_one_place():
+    # scenario._model is the one place a model's DomainError becomes a
+    # ConfigError at its config path; a second handler would be a second copy
+    tree = ast.parse((PACKAGE / "scenario.py").read_text())
+    handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
+                and node.type is not None and "DomainError" in ast.unparse(node.type)]
+    [model] = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_model"]
+    assert len(handlers) == 1 and handlers[0] in list(ast.walk(model)), (
+        f"scenario.py handles DomainError at lines {[h.lineno for h in handlers]}")
 
 
 def _parsed_kinds() -> set[str]:

@@ -1,6 +1,8 @@
 """README.md describes the scenario format the loader accepts: every key
-scenario.py allows appears in it, in backticks or double quotes."""
+scenario.py allows appears in it, in backticks or double quotes, and its
+example scenario validates once its comments are stripped."""
 
+import json
 import re
 from pathlib import Path
 
@@ -23,3 +25,10 @@ def test_readme_names_every_accepted_key():
     missing = sorted(k for k in _accepted_keys()
                      if f"`{k}`" not in README and f'"{k}"' not in README)
     assert missing == []
+
+
+def test_readme_scenario_example_validates():
+    [example] = re.findall(r"```jsonc\n(.*?)```", README, flags=re.S)
+    # no string in the example holds "//", so each one starts a comment
+    cfg = json.loads(re.sub(r"//.*", "", example))
+    assert scenario.validate_scenario(cfg) == []

@@ -210,6 +210,18 @@ def test_spatial_constraints():
         build_scenario(cfg)
 
 
+def test_a_refused_scenario_policy_judges_no_node_key_unread():
+    # a refused policy leaves the nodes checked as protocol nodes, which read
+    # every key but data_demand; that key is not refused for it
+    cfg = json.loads((SCENARIOS / "spatial_demo.json").read_text())
+    cfg["policy"]["phase_offset"] = "-1s"
+    assert validate_scenario(cfg) == ["scenario.policy.phase_offset: must be >= 0"]
+    cfg["policy"] = {"kind": "protocol"}
+    assert validate_scenario(cfg)[0] == (
+        "nodes[0].data_demand: data_demand is used only in spatial assignment, "
+        f"which node {cfg['nodes'][0]['id']!r} does not run")
+
+
 def test_policy_validation():
     with pytest.raises(ConfigError, match="kind"):
         build_scenario(_minimal(policy={"kind": "osmotic"}))
