@@ -8,6 +8,15 @@ in closed form when a node is next touched (lazy per-node
 advancement), and charge/depletion instants are scheduled as exact
 timer events instead of being polled.
 
+A node's new power level supersedes the timer it armed before: the
+timer stays queued and its handler returns at the gen check.  Once the
+superseded timers are more than half the queue, one sweep takes them
+out.  Each one due within the run is dispatched and counted in
+events_processed as its pop would be; the ones due after the end are
+never reached, so they are dropped.  The live entries are sorted again
+(a sorted list is a heap), and since (time, seq) is a total order the
+pop order, the trace and the metrics are those of a run with no sweep.
+
 Each node caches its light pools (harvest, decode and total optical
 power over its links).  They are summed again only after a link of the
 node goes on or off or has a fade redrawn, and that sum visits only the
@@ -233,6 +242,7 @@ class _NodeRuntime:
         self.decode_in = 0.0  # optical W at the decoder
         self.decoding, self.lit, self.was_full = False, False, False
         self.timer_gen = 0
+        self.timer_queued = False  # the timer of gen timer_gen is in the heap
         # command session bookkeeping: frame i carries cfg.commands[i]
         self.uplink_until, self.slot_index = 0.0, 0
 
@@ -251,6 +261,7 @@ class Simulation:
             raise ConfigError("engine.seed", f"must be >= 0, got {seed}")
         self.now = 0.0
         self._heap: list = []
+        self._superseded = 0  # charge timers in _heap that a later gen superseded
         self._seq = itertools.count()
         self.trace: TraceSink = MemorySink() if sink is None else sink
         self.metrics = Metrics(seed=self.seed, scenario_hash=scenario.scenario_hash)
@@ -303,11 +314,11 @@ class Simulation:
         if any(nd.policy.spatial for nd in self.scenario.nodes):
             self._build_spatial_links()
             return
-        for tx in self.scenario.transmitters:
+        for i, tx in enumerate(self.scenario.transmitters):
             targets = tx.targets if tx.targets is not None else list(self.nodes)
             for node_id in targets:
                 if node_id not in self.nodes:
-                    raise ConfigError(f"transmitters.{tx.tx_id}.targets",
+                    raise ConfigError(f"transmitters[{i}].targets",  # the loader's path
                                       f"unknown node {node_id!r}")
                 n = self.nodes[node_id]
                 if tx.dual_data is not None:
@@ -360,6 +371,21 @@ class Simulation:
         # the handler's name, not a bound method: the heap keeps no
         # reference to the simulation, so it forms no reference cycle
         heapq.heappush(self._heap, (t, next(self._seq), handler, args))
+
+    def _sweep(self):
+        """Take the superseded charge timers out of the heap: see the module docstring."""
+        duration = self.scenario.duration
+        live = []
+        for entry in self._heap:
+            t, _seq, handler, args = entry
+            if handler != "_handle_charge_check" or args[1] == self.nodes[args[0]].timer_gen:
+                live.append(entry)
+            elif not t > duration:  # the loop's own test: it pops all these
+                self.metrics.events_processed += 1
+                self._handle_charge_check(t, *args)
+        live.sort()  # not heapq.heapify: tests stand in a heapq of push and pop only
+        self._heap[:] = live
+        self._superseded = 0
 
     def _schedule_next_slot(self, n: _NodeRuntime, node_id: str):
         sched = n.schedule
@@ -444,6 +470,10 @@ class Simulation:
         store = n.store
         is_full = _is_full(store)
         n.timer_gen += 1
+        if n.timer_queued:
+            self._superseded += 1
+            if 2 * self._superseded > len(self._heap):
+                self._sweep()
         net = n.harvest_elec - n.load_elec
         flavor = None
         if net > 0.0 and not is_full:
@@ -457,6 +487,7 @@ class Simulation:
             if at <= t:
                 at = math.nextafter(t, math.inf)
             self._schedule(at, "_handle_charge_check", n.cfg.node_id, n.timer_gen, flavor)
+        n.timer_queued = flavor is not None
         if is_full and not n.was_full:
             n.was_full = True
             n.metrics.charge_completions.append(t)
@@ -601,7 +632,9 @@ class Simulation:
     def _handle_charge_check(self, t: float, node_id: str, gen: int, flavor: str):
         n = self.nodes[node_id]
         if gen != n.timer_gen:
+            self._superseded -= 1
             return  # stale timer from an earlier power level
+        n.timer_queued = False
         self._advance(n, t)
         self._refresh(n, t)
         self._emit(t, node_id, f"charge_check:{flavor}", n)

@@ -94,6 +94,46 @@ def test_every_event_names_a_traced_handler(name, monkeypatch):
         assert not _refers_to(entry, sim), entry
 
 
+# Each golden case's _handle_charge_check calls with a superseded gen,
+# counted while every superseded timer was popped in time order.
+STALE_CHARGE_CHECKS = {
+    "golden_broadcast_protocol": 47,
+    "golden_dual_wavelength": 1,
+    "golden_fast_slots": 215,
+    "golden_power_split": 4,
+    "golden_targeted_protocol": 19,
+    "protocol_demo": 17,
+    "spatial_demo": 0,
+    "tank_1m5": 1,
+    "turbulent_demo": 0,
+    "vertical_supercap": 1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_the_handlers_traced_py_counts_are_called_once_per_event(name, monkeypatch):
+    # a superseded timer the sweep takes out of the heap still goes to its
+    # handler, so traced.py's event and stale counts stay those of popping it
+    traced = _traced()
+    tracer = traced.Tracer()
+    sim = engine.Simulation
+    for attr, kind in traced.HANDLERS.items():
+        monkeypatch.setattr(sim, attr, tracer.counted(f"engine.events.{kind}",
+                                                      getattr(sim, attr)))
+    stale = []
+    handle_charge_check = sim._handle_charge_check
+
+    def charge_check(self, t, node_id, gen, flavor):
+        if gen != self.nodes[node_id].timer_gen:
+            stale.append(t)
+        return handle_charge_check(self, t, node_id, gen, flavor)
+
+    monkeypatch.setattr(sim, "_handle_charge_check", charge_check)
+    metrics, _ = sim(_scenario(name)).run()
+    assert sum(tracer.counts.values()) == metrics.events_processed > 0
+    assert len(stale) == STALE_CHARGE_CHECKS[name]
+
+
 def test_node_runtime_has_timer_gen():
     cfg = {"duration": "1s", "seed": 1,
            "nodes": [{"id": "n0", "store": {"type": "battery", "capacity": "1J"}}]}

@@ -116,6 +116,22 @@ def _timed_names() -> set[str]:
     raise AssertionError("bench/traced.py has no TIMED table")
 
 
+def test_the_engine_calls_only_heappush_and_heappop():
+    # tests stand in for engine.heapq with a namespace of these two; any other
+    # heapq call would break them only on the runs where a sweep happens
+    tree = ast.parse((PACKAGE / "engine.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "heapq", f"engine.py:{node.lineno}: import heapq itself"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name != "heapq" or alias.asname is None, (
+                    f"engine.py:{node.lineno}: heapq imported under another name")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            assert node.value.id != "heapq" or node.attr in ("heappush", "heappop"), (
+                f"engine.py:{node.lineno}: heapq.{node.attr}")
+
+
 def test_engine_noqa_imports_are_the_ones_the_bench_times():
     path = PACKAGE / "engine.py"
     text = path.read_text()
