@@ -358,6 +358,9 @@ def _build_commands(obj, path: str) -> list[Command]:
                               f"unknown op {op!r} (have: {', '.join(sorted(_OPCODES))})")
         given = {}
         if "sensor" in c:
+            if op not in ("sensor_on", "sensor_off"):  # execute_command reads no other's
+                raise ConfigError(f"{cpath}.sensor",
+                                  f"{op} reads no sensor id; only sensor_on and sensor_off do")
             given["sensor_id"] = c["sensor"]
             if isinstance(c["sensor"], bool) or not isinstance(c["sensor"], int):
                 raise ConfigError(f"{cpath}.sensor", "expected an integer sensor id")

@@ -358,7 +358,7 @@ def test_the_engine_refuses_a_hand_built_target_that_names_no_node():
     with pytest.raises(ConfigError) as info:
         Simulation(sc)
     assert (info.value.path, info.value.message) == (
-        "transmitters.weak.targets", "unknown node 'ghost'")
+        "transmitters[0].targets", "unknown node 'ghost'")
 
 
 @pytest.mark.parametrize("name", ["turbulent_demo", "tank_1m5"])

@@ -340,6 +340,21 @@ def test_command_and_sensor_validation():
         build_scenario(cfg)
 
 
+@pytest.mark.parametrize("op", ["send_data", "retransmit"])
+def test_a_sensor_on_a_command_that_reads_none_is_refused(op):
+    # NodeState.execute_command reads sensor_id only for sensor_on and sensor_off
+    cfg = _minimal()
+    cfg["nodes"][0]["commands"] = [{"op": "sensor_on", "sensor": 9}, {"op": op, "sensor": 9}]
+    where = "nodes[0].commands[1].sensor"
+    message = f"{op} reads no sensor id; only sensor_on and sensor_off do"
+    assert validate_scenario(cfg) == [f"{where}: {message}"]
+    with pytest.raises(ConfigError) as e:
+        build_scenario(cfg)
+    assert (e.value.path, e.value.message) == (where, message)
+    cfg["nodes"][0]["commands"][1] = {"op": "sensor_off", "sensor": 9}
+    assert validate_scenario(cfg) == []
+
+
 def test_unknown_stimulus_rejected():
     cfg = _minimal(stimuli=[{"time": "1s", "node": "n0", "stimulus": "earthquake"}])
     with pytest.raises(ConfigError, match="unknown stimulus"):
