@@ -11,7 +11,8 @@ the SLIPTSIM_OUT environment variable; with neither set, results are
 only printed.  File writes are atomic (temp file + rename), so a
 crashed run never leaves a truncated metrics or trace file behind; the
 trace streams into its temp file while the run goes on, and `sweep`
-and a `run` without an output directory build no trace at all.
+and a `run` without an output directory build no trace at all.  So
+only `run` takes --format: `sweep --format` is a usage error.
 """
 
 import argparse
@@ -37,27 +38,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "light-powered sensor networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    p_run = sub.add_parser("run", help="simulate one scenario")
+    p_sweep = sub.add_parser("sweep", help="rerun a scenario over parameter values")
+    p_val = sub.add_parser("validate", help="check a scenario file")
+    for p in (p_run, p_sweep, p_val):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
+    for p in (p_run, p_sweep):
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario's random seed")
         p.add_argument("--out", default=None,
                        help=f"output directory (default: ${OUT_ENV_VAR})")
-        p.add_argument("--format", choices=("csv", "jsonl"), default="csv",
+    # only run writes a trace
+    p_run.add_argument("--format", choices=("csv", "jsonl"), default="csv",
                        help="trace file format (default: csv)")
-
-    add_common(sub.add_parser("run", help="simulate one scenario"))
-
-    p_sweep = sub.add_parser("sweep", help="rerun a scenario over parameter values")
-    add_common(p_sweep)
     p_sweep.add_argument("--param", required=True,
                          help="config path to vary, e.g. transmitters[0].power")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values to substitute")
-
-    p_val = sub.add_parser("validate", help="check a scenario file")
-    p_val.add_argument("--scenario", required=True, help="scenario JSON file")
     return parser
 
 
@@ -78,6 +75,10 @@ def _write_atomic(path: Path, text: str):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_metrics(path: Path, metrics):
+    _write_atomic(path, json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def _set_path(cfg, dotted: str, value):
@@ -152,8 +153,7 @@ def _cmd_run(args) -> int:
     with FileSink(out / f"trace.{args.format}", serialize) as sink:
         metrics, _ = run(scenario, seed_override=args.seed, sink=sink)
     _print_summary(metrics)
-    _write_atomic(out / "metrics.json",
-                  json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
+    _write_metrics(out / "metrics.json", metrics)
     print(f"wrote {out / 'metrics.json'} and trace.{args.format}")
     return 0
 
@@ -175,8 +175,7 @@ def _cmd_sweep(args) -> int:
         decoded = sum(m.decoded_bits for m in metrics.nodes.values())
         rows.append((raw, harvested, decoded))
         if out is not None:
-            _write_atomic(out / f"metrics_{i}.json",
-                          json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
+            _write_metrics(out / f"metrics_{i}.json", metrics)
     table = "value,harvested_J,decoded_bits\n" + "".join(
         f"{v},{h!r},{d!r}\n" for v, h, d in rows
     )

@@ -259,7 +259,6 @@ class Simulation:
         self.seed = int(seed)
         if self.seed < 0:
             raise ConfigError("engine.seed", f"must be >= 0, got {seed}")
-        self.now = 0.0
         self._heap: list = []
         self._superseded = 0  # charge timers in _heap that a later gen superseded
         self._seq = itertools.count()
@@ -362,7 +361,8 @@ class Simulation:
         for node_id, n in self.nodes.items():
             if n.schedule is not None:
                 n.cell.mode = mode_at(n.schedule, 0.0)
-                self._schedule_next_slot(n, node_id)
+                if n.schedule.t1 != 0 and n.schedule.t2 != 0:  # else one mode forever
+                    self._schedule_next_slot(n, node_id, 0.0)
             self._refresh(n, 0.0)
 
     # -- event plumbing -------------------------------------------------------
@@ -387,23 +387,21 @@ class Simulation:
         self._heap[:] = live
         self._superseded = 0
 
-    def _schedule_next_slot(self, n: _NodeRuntime, node_id: str):
+    def _schedule_next_slot(self, n: _NodeRuntime, node_id: str, now: float):
         sched = n.schedule
-        if sched is None or sched.t1 == 0 or sched.t2 == 0:
-            return  # degenerate schedule: a single mode forever, no boundaries
         # Boundary k covers: even k -> start of decode slot, odd k -> start of
         # a new period (harvest slot).  Times are recomputed from k each time
         # so the slot grid never accumulates floating-point drift.
         k = n.slot_index
         t = _boundary_time(sched, k)
-        if t <= self.now:
-            # A hand-built negative phase_offset puts early boundaries in the
-            # past: jump to the period before the one holding `now` (the
-            # margin absorbs rounding in the division), then step to the
-            # first boundary after it.
-            k = max(k, 2 * int((self.now - sched.phase_offset) // sched.period) - 2)
+        if t <= now:
+            # A hand-built negative phase_offset puts early boundaries at or
+            # before `now`, the time of the event scheduling this one: jump to
+            # the period before the one holding `now` (the margin absorbs
+            # rounding in the division), then step to the first boundary after.
+            k = max(k, 2 * int((now - sched.phase_offset) // sched.period) - 2)
             t = _boundary_time(sched, k)
-            while t <= self.now:
+            while t <= now:
                 k += 1
                 t = _boundary_time(sched, k)
             n.slot_index = k
@@ -489,13 +487,17 @@ class Simulation:
             self._schedule(at, "_handle_charge_check", n.cfg.node_id, n.timer_gen, flavor)
         n.timer_queued = flavor is not None
         if is_full and not n.was_full:
-            n.was_full = True
-            n.metrics.charge_completions.append(t)
+            self._record_full(n, t)
             if n.cfg.policy.protocol and n.state.phase is _HARVEST:
                 self._deliver(n, _FULL_CHARGE, t)
                 self._refresh(n, t)
         else:
             n.was_full = is_full
+
+    def _record_full(self, n: _NodeRuntime, t: float):
+        """The one record of a not-full -> full transition at t."""
+        n.was_full = True
+        n.metrics.charge_completions.append(t)
 
     def _advance(self, n: _NodeRuntime, t: float):
         """Integrate the node's current power snapshot from n.last_t to t.
@@ -626,7 +628,7 @@ class Simulation:
                 n.pools = None
         self._refresh(n, t)
         n.slot_index += 1
-        self._schedule_next_slot(n, node_id)
+        self._schedule_next_slot(n, node_id, t)
         self._emit(t, node_id, "slot_boundary", n)
 
     def _handle_charge_check(self, t: float, node_id: str, gen: int, flavor: str):
@@ -712,15 +714,12 @@ class Simulation:
             t, _seq, handler, args = heapq.heappop(self._heap)
             if t > duration:
                 break
-            self.now = t
             self.metrics.events_processed += 1
             getattr(self, handler)(t, *args)
-        self.now = duration
         for node_id, n in self.nodes.items():
             self._advance(n, duration)
             if not n.was_full and _is_full(n.store):
-                n.was_full = True
-                n.metrics.charge_completions.append(duration)
+                self._record_full(n, duration)
             n.metrics.stored_final_j = n.store.stored
             self._emit(duration, node_id, "end", n)
         self.metrics.end_time = duration

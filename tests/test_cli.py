@@ -79,6 +79,28 @@ def test_usage_errors_exit_2():
     assert e.value.code == 2
 
 
+def test_only_run_takes_format(tmp_path, capsys):
+    # sweep writes no trace, so a trace format is a usage error there
+    with pytest.raises(SystemExit) as e:
+        main(["sweep", "--scenario", DEMO, "--param", "seed", "--values", "7",
+              "--format", "jsonl"])
+    assert e.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    for fmt in ("csv", "jsonl"):
+        out = tmp_path / fmt
+        assert main(["run", "--scenario", DEMO, "--out", str(out), "--format", fmt]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.json", f"trace.{fmt}"]
+
+
+def test_run_and_sweep_write_the_same_metrics_file(tmp_path):
+    # turbulent_demo's own seed is 7: the one-value sweep runs the file as it is
+    assert main(["run", "--scenario", DEMO, "--out", str(tmp_path / "run")]) == 0
+    assert main(["sweep", "--scenario", DEMO, "--out", str(tmp_path / "sweep"),
+                 "--param", "seed", "--values", "7"]) == 0
+    assert ((tmp_path / "sweep" / "metrics_0.json").read_bytes()
+            == (tmp_path / "run" / "metrics.json").read_bytes())
+
+
 def test_validate_good_and_bad(tmp_path, capsys):
     assert main(["validate", "--scenario", DEMO]) == 0
     assert "scenario is valid" in capsys.readouterr().out

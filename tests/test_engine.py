@@ -394,6 +394,51 @@ def test_charge_completion_matches_closed_form():
     assert m.spilled_j == pytest.approx((120.0 - 10.0 / net) * net, rel=1e-9)
 
 
+def test_a_store_full_at_the_end_records_one_completion_there(monkeypatch):
+    # 1 J short of a 2 J store at about 1 W net: end the run 5e-13 s before
+    # the full timer, where the store is within _FULL_REL_TOL of full
+    cfg = {
+        "duration": "10s",
+        "seed": 1,
+        "policy": {"kind": "time_switch", "t1": "1s", "t2": "0s"},
+        "transmitters": [{"id": "tx1", **_beam(f"{5 * math.exp(_PURE_SEA_ATT)!r}W")}],
+        "nodes": [{"id": "n0", "store": _battery("2J", "1J")}],
+    }
+    metrics, _ = run_scenario(build_scenario(cfg), sink=NullSink())
+    [full_at] = metrics.nodes["n0"].charge_completions  # the full timer's instant
+    assert full_at == pytest.approx(1.0, rel=1e-9)
+    sc = build_scenario(cfg)
+    sc.duration = full_at - 5e-13
+    records = []
+    record_full = Simulation._record_full
+    monkeypatch.setattr(Simulation, "_record_full",
+                        lambda self, n, t: records.append(t) or record_full(self, n, t))
+    metrics, trace = run_scenario(sc)
+    m = metrics.nodes["n0"]
+    assert records == m.charge_completions == [sc.duration]
+    assert m.stored_final_j < 2.0
+    assert "charge_check:full" not in {r.event_kind for r in trace}
+
+
+def test_a_stepped_sensor_series_records_the_step_in_force():
+    # two low-voltage wakes, at 0 s and 60 s, each sense sensor 2 one second
+    # later: before and after its step at 40 s
+    cfg = {
+        "duration": "100s",
+        "seed": 1,
+        "transmitters": [{"id": "tx1", **_beam("0.01W"), "off": "20s"},
+                         {"id": "tx2", **_beam("0.01W"), "on": "60s"}],
+        "nodes": [{"id": "n0", "store": _battery("20J", "2J"),
+                   "sensors": {"enabled": [2], "seconds_per_sensor": "1s",
+                               "values": {"2": [[0, 7.0], [40, 7.5]]}}}],
+    }
+    sim = Simulation(build_scenario(cfg))
+    metrics, _ = sim.run()
+    assert metrics.nodes["n0"].protocol_errors == 0
+    assert [(r.timestamp, r.sensor_id, r.value) for r in sim.nodes["n0"].state.storage] == [
+        (1.0, 2, 7.0), (61.0, 2, 7.5)]
+
+
 def test_trace_schema_and_serializers():
     metrics, trace = run_scenario(load_scenario(SCENARIOS / "turbulent_demo.json"))
     phases = {p.value for p in Phase}
@@ -546,9 +591,8 @@ def test_catch_up_lands_on_the_first_boundary_after_now(phase_offset, t1, t2, no
     sim = Simulation(_slotted(phase_offset, t1, t2))
     n = next(iter(sim.nodes.values()))
     sim._heap.clear()
-    sim.now = now
     n.slot_index = 0
-    sim._schedule_next_slot(n, n.cfg.node_id)
+    sim._schedule_next_slot(n, n.cfg.node_id, now)
     [(t, _, handler, args)] = sim._heap
     k = n.slot_index
     assert (handler, args) == ("_handle_slot_boundary", (n.cfg.node_id,))

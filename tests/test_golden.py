@@ -414,11 +414,12 @@ class _CheckedToggles(Simulation):
         self.toggles += 1
 
 
-def _assert_lit_links_are_the_active_links(sim):
+def _assert_lit_links_are_the_active_links(sim, t: float):
+    """t: the time of the last event handled, for the failure message."""
     for n in sim.nodes.values():
         active = [link for link in n.links if link.active]
-        assert len(n.lit_links) == len(active), (n.cfg.node_id, sim.now)
-        assert all(a is b for a, b in zip(n.lit_links, active)), (n.cfg.node_id, sim.now)
+        assert len(n.lit_links) == len(active), (n.cfg.node_id, t)
+        assert all(a is b for a, b in zip(n.lit_links, active)), (n.cfg.node_id, t)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -429,14 +430,16 @@ def test_lit_links_and_the_transmitter_index(name, monkeypatch):
         expected = [link for n in sim.nodes.values() for link in n.links
                     if link.tx_id == tx.tx_id]
         assert [id(link) for link in sim._tx_links[tx.tx_id]] == list(map(id, expected))
-    pops = []
+    pops = []  # the time of each popped entry
     swept = []  # entries each sweep took out of the heap
     sweep = sim._sweep
 
     def checking_pop(heap):
-        _assert_lit_links_are_the_active_links(sim)  # after the event before
-        pops.append(None)
-        return heapq.heappop(heap)
+        # after the event before
+        _assert_lit_links_are_the_active_links(sim, pops[-1] if pops else 0.0)
+        entry = heapq.heappop(heap)
+        pops.append(entry[0])
+        return entry
 
     def counting_sweep():
         before = len(sim._heap)
@@ -447,7 +450,7 @@ def test_lit_links_and_the_transmitter_index(name, monkeypatch):
                                                          heappop=checking_pop))
     monkeypatch.setattr(sim, "_sweep", counting_sweep)
     assert _digests_of(*sim.run()) == GOLDEN[name]
-    _assert_lit_links_are_the_active_links(sim)
+    _assert_lit_links_are_the_active_links(sim, sim.scenario.duration)
     # a swept entry is counted without a pop, and so is not checked here:
     # its handler returns at the gen check, so it changes no link
     assert len(pops) + sum(swept) >= sim.metrics.events_processed > 0

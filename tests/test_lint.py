@@ -11,7 +11,8 @@ assignment, function or class named `_x`) must be read somewhere in
 src/sliptsim or bench/, so a leftover of deleted code cannot linger.
 No validate, run or sweep, calm or turbulent, loads numpy or OpenSSL's
 libcrypto (`_hashlib`).  A model module raises DomainError, never
-ConfigError: config paths are the loader's to name, in one handler.  Every unit kind in
+ConfigError: config paths are the loader's to name, in one handler.  The
+engine records a full charge in one method.  Every unit kind in
 units._UNIT_TABLES is the kind of some field scenario.py parses.  The
 records built from the loader's values declare no parameter defaults.
 """
@@ -160,6 +161,18 @@ def test_the_loader_maps_domain_errors_in_one_place():
     [model] = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_model"]
     assert len(handlers) == 1 and handlers[0] in list(ast.walk(model)), (
         f"scenario.py handles DomainError at lines {[h.lineno for h in handlers]}")
+
+
+def test_the_engine_records_a_full_charge_in_one_place():
+    # Simulation._record_full is the one place a not-full -> full transition
+    # is recorded; _refresh and the end of run both call it
+    tree = ast.parse((PACKAGE / "engine.py").read_text())
+    appends = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and ast.unparse(node.func).endswith("charge_completions.append")]
+    [sim] = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "Simulation"]
+    [record] = [f for f in sim.body if isinstance(f, ast.FunctionDef) and f.name == "_record_full"]
+    assert len(appends) == 1 and appends[0] in list(ast.walk(record)), (
+        f"engine.py appends to charge_completions at lines {[a.lineno for a in appends]}")
 
 
 def _parsed_kinds() -> set[str]:
