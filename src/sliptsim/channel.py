@@ -63,6 +63,9 @@ class BeamGeometry:
     distance: propagation length through the water [m]
     """
 
+    __slots__ = ("initial_radius", "half_angle_divergence", "receiver_aperture_radius",
+                 "distance")
+
     def __init__(self, initial_radius: float, half_angle_divergence: float,
                  receiver_aperture_radius: float, distance: float):
         self.initial_radius = initial_radius
@@ -107,6 +110,8 @@ class TurbulenceModel:
 class LinkParams:
     """Everything needed to evaluate one optical path; wavelength [nm]
     selects the water entry and is not used numerically."""
+
+    __slots__ = ("tx_power", "wavelength", "water", "geometry", "turbulence")
 
     def __init__(self, tx_power: float, wavelength: float, water: WaterProperties,
                  geometry: BeamGeometry, turbulence: TurbulenceModel = TurbulenceModel()):

@@ -169,13 +169,16 @@ def _cmd_sweep(args) -> int:
         # in place: build_scenario never writes to cfg, and each value
         # replaces the one before it at the same path
         _set_path(cfg, args.param, _parse_value(raw))
-        scenario = build_scenario(cfg)
-        metrics, _ = run(scenario, seed_override=args.seed, sink=NullSink())
+        # one value's scenario and metrics are alive at a time: no name holds
+        # the scenario, freed once its run returns, and the metrics go before
+        # the next value builds
+        metrics, _ = run(build_scenario(cfg), seed_override=args.seed, sink=NullSink())
         harvested = sum(m.harvested_j for m in metrics.nodes.values())
         decoded = sum(m.decoded_bits for m in metrics.nodes.values())
         rows.append((raw, harvested, decoded))
         if out is not None:
             _write_metrics(out / f"metrics_{i}.json", metrics)
+        del metrics
     table = "value,harvested_J,decoded_bits\n" + "".join(
         f"{v},{h!r},{d!r}\n" for v, h, d in rows
     )

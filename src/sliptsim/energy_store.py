@@ -20,7 +20,10 @@ class EnergyStore:
 
     A store has `stored` and `capacity` in joules, its own
     terminal_voltage curve, and copy(), a new store in the same state.
+    Each subclass declares its attributes in __slots__.
     """
+
+    __slots__ = ()
 
     stored: float
     capacity: float
@@ -50,6 +53,8 @@ class Battery(EnergyStore):
     which puts 50% SOC at 3.6 V.
     """
 
+    __slots__ = ("capacity", "stored", "v_empty", "v_full")
+
     def __init__(self, capacity: float, stored: float = 0.0, v_empty: float = 3.0,
                  v_full: float = 4.2):
         if capacity <= 0:
@@ -73,6 +78,8 @@ class Battery(EnergyStore):
 class Supercapacitor(EnergyStore):
     """Ideal supercapacitor (capacitance in F, rated_voltage in V, stored
     in J); capacity is the energy at rated voltage."""
+
+    __slots__ = ("capacitance", "rated_voltage", "stored", "capacity")
 
     def __init__(self, capacitance: float = 5.0, rated_voltage: float = 5.0,
                  stored: float = 0.0):

@@ -117,7 +117,13 @@ def _boundary_time(sched: TimeSwitchSchedule, k: int) -> float:
 
 
 # No field has a default: the loader states every value a file leaves out.
+# A class built once per transmitter, node, link or record declares its
+# attributes in __slots__: an instance then holds them in one fixed-size
+# block, with no per-instance dict, and assigning any other name raises
+# AttributeError.
 class TransmitterDef:
+    __slots__ = ("tx_id", "beam", "on_time", "off_time", "targets", "dual_data", "distances")
+
     def __init__(self, tx_id: str, beam: LinkParams, on_time: float, off_time: float | None,
                  targets: list[str] | None,  # None = every node
                  dual_data: LinkParams | None,  # a dual pair's data beam; beam is its energy
@@ -127,6 +133,10 @@ class TransmitterDef:
 
 
 class NodeDef:
+    __slots__ = ("node_id", "cell", "store", "policy", "v_threshold", "enabled_sensors",
+                 "active_load", "sleep_load", "sense_seconds_per_sensor", "sensor_values",
+                 "uplink_rate", "uplink_load", "record_bits", "data_demand", "commands")
+
     def __init__(self, node_id: str, cell: SolarCell, store: EnergyStore, policy: Policy,
                  v_threshold: float, enabled_sensors: set[int], active_load: str,
                  sleep_load: str, sense_seconds_per_sensor: float,
@@ -159,6 +169,10 @@ class Scenario:
 
 
 class NodeMetrics:
+    __slots__ = ("harvested_j", "consumed_j", "spilled_j", "decoded_bits", "delivered_records",
+                 "outage_s", "protocol_errors", "phase_occupancy", "charge_completions",
+                 "stored_initial_j", "stored_final_j")
+
     def __init__(self, stored_initial_j: float):
         self.harvested_j, self.consumed_j, self.spilled_j = 0.0, 0.0, 0.0
         self.decoded_bits, self.delivered_records = 0.0, 0
@@ -209,6 +223,9 @@ class Metrics:
 
 
 class _LinkRuntime:
+    __slots__ = ("tx_id", "node_id", "in_harvest", "in_decode", "active", "fade", "base_power",
+                 "rng", "turbulence")
+
     def __init__(self, tx_id: str, node_id: str,
                  in_harvest: bool,  # contributes to the harvest pool
                  in_decode: bool,  # contributes to the decode pool
@@ -223,6 +240,11 @@ class _LinkRuntime:
 
 
 class _NodeRuntime:
+    __slots__ = ("cfg", "cell", "store", "state", "metrics", "links", "lit_links", "loads",
+                 "schedule", "pools", "last_t", "harvest_elec", "load_elec", "decode_in",
+                 "decoding", "lit", "was_full", "timer_gen", "timer_queued", "uplink_until",
+                 "slot_index")
+
     def __init__(self, cfg: NodeDef, cell: SolarCell, store: EnergyStore, state: NodeState,
                  metrics: NodeMetrics,
                  loads: tuple[float, float, float],  # (sleep, active, uplink) W
@@ -279,9 +301,7 @@ class Simulation:
     # -- construction --------------------------------------------------------
 
     def _build_nodes(self):
-        # each run gets its own cell and store, built by __init__: a copy.copy
-        # would keep their attributes in a dict, which CPython reads about half
-        # as fast as those an __init__ sets, and the loop reads them per event
+        # each run gets its own cell and store, so a run leaves the scenario's as built
         for nd in self.scenario.nodes:
             n = _NodeRuntime(
                 cfg=nd,

@@ -27,6 +27,9 @@ class SolarCell:
     ready_at: when the relay has settled after the last switch [s]
     """
 
+    __slots__ = ("conversion_efficiency", "decode_rate", "sensitivity", "mode",
+                 "switch_latency", "ready_at")
+
     def __init__(self, conversion_efficiency: float = 0.2, decode_rate: float = 500e3,
                  sensitivity: float = 1e-6, mode: CellMode = CellMode.PHOTOVOLTAIC,
                  switch_latency: float = 5e-3, ready_at: float = 0.0):
@@ -36,8 +39,8 @@ class SolarCell:
             raise DomainError("switch_latency must be >= 0")
         if decode_rate <= 0:  # a frame lasts 32 bits / decode_rate
             raise DomainError("decode_rate must be > 0")
-        if sensitivity < 0:
-            raise DomainError("sensitivity must be >= 0")
+        if sensitivity <= 0:  # at 0 W, a cell in the dark would decode
+            raise DomainError("sensitivity must be > 0")
         self.conversion_efficiency = conversion_efficiency
         self.decode_rate = decode_rate
         self.sensitivity = sensitivity

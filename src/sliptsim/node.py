@@ -65,6 +65,8 @@ _SENSOR_ON, _SENSOR_OFF, _SEND_DATA = Opcode.SENSOR_ON, Opcode.SENSOR_OFF, Opcod
 class Command:
     """One node command; sensor_id doubles as the raw payload byte."""
 
+    __slots__ = ("opcode", "sensor_id")
+
     def __init__(self, opcode: Opcode, sensor_id: int = 0):
         if not 0 <= sensor_id <= 0xFF:
             raise DomainError("sensor_id must fit in one byte")
@@ -75,6 +77,8 @@ class Command:
 class SensorRecord:
     """One measurement: timestamp [s], and value in the sensor's physical
     units (degC, NTU, ...)."""
+
+    __slots__ = ("timestamp", "sensor_id", "value")
 
     def __init__(self, timestamp: float, sensor_id: int, value: float):
         self.timestamp = timestamp
@@ -181,6 +185,8 @@ class NodeState:
     storage is append-only during a run; records leave only through an
     acknowledged data transmission.
     """
+
+    __slots__ = ("phase", "v_threshold", "storage", "enabled_sensors", "last_sent")
 
     def __init__(self, v_threshold: float, enabled_sensors: set[int]):
         self.phase = Phase.SLEEP

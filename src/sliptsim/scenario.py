@@ -418,6 +418,9 @@ def _build_node(obj, index: int, default_policy: Policy | None) -> NodeDef:
     path = f"nodes[{index}]"
     _check_keys(obj, _NODE_KEYS, path)
     node_id = _str_field(obj, "id", path, f"node{index}")
+    if any(c in node_id for c in ',"\r\n'):
+        raise ConfigError(f"{path}.id", "must hold no ',', '\"', CR or LF: "
+                                         "the CSV trace writes ids unquoted")
     policy = (_build_policy(obj["policy"], f"{path}.policy")
               if "policy" in obj else default_policy)
     if policy is None:  # the scenario's policy was refused: no key is judged unread

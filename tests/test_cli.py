@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+import sliptsim.cli as cli
 from sliptsim.cli import OUT_ENV_VAR, main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -151,6 +153,32 @@ def test_sweep_equals_one_fresh_config_per_value(name, param, values, tmp_path):
                 == (one / "metrics_0.json").read_bytes())
         rows += (one / "sweep.csv").read_text().splitlines(keepends=True)[1:]
     assert (tmp_path / "all" / "sweep.csv").read_text() == "".join(rows)
+
+
+def test_sweep_holds_one_values_scenario_at_a_time(monkeypatch, capsys, tmp_path):
+    built, ran = [], []  # a weak reference to each value's scenario and metrics
+    build, run = cli.build_scenario, cli.run
+
+    def tracking_build(cfg):
+        assert [ref() for ref in built + ran] == [None] * (len(built) + len(ran)), (
+            f"value {len(built) - 1}'s scenario or metrics is alive "
+            f"while value {len(built)} builds")
+        scenario = build(cfg)
+        built.append(weakref.ref(scenario))
+        return scenario
+
+    def tracking_run(*args, **kwargs):
+        metrics, sink = run(*args, **kwargs)
+        ran.append(weakref.ref(metrics))
+        return metrics, sink
+
+    monkeypatch.setattr(cli, "build_scenario", tracking_build)
+    monkeypatch.setattr(cli, "run", tracking_run)
+    assert main(["sweep", "--scenario", DEMO, "--param", "transmitters[0].power",
+                 "--values", "1mW,2mW,4mW", "--out", str(tmp_path)]) == 0
+    assert len(built) == len(ran) == 3 and len(capsys.readouterr().out.splitlines()) == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "metrics_0.json", "metrics_1.json", "metrics_2.json", "sweep.csv"]
 
 
 def test_sweep_rejects_bad_param_paths(capsys):
@@ -456,6 +484,12 @@ def _make_dual(tx):
     (TANK, lambda cfg: cfg["nodes"][0].update(data_demand=False),
      "nodes[0].data_demand: data_demand is used only in spatial assignment, "
      "which node 'node0' does not run"),
+    (DEMO, lambda cfg: (cfg["transmitters"][0].update(on="50s"),
+                        cfg["nodes"][0]["cell"].update(sensitivity="0W")),
+     "nodes[0].cell: sensitivity must be > 0"),
+    *[(DEMO, lambda cfg, v=node_id: cfg["nodes"][0].update(id=v),
+       "nodes[0].id: must hold no ',', '\"', CR or LF: the CSV trace writes ids unquoted")
+      for node_id in ("buoy,1", 'buoy"1', "buoy\r", "buoy\n1")],
 ], ids=["distances_list", "values_list", "divergence_100deg", "divergence_90deg",
         "zero_decode_rate", "zero_uplink_rate", "negative_sensing_time", "dual_under_spatial",
         "active_load_key", "uplink_list", "uplink_0", "uplink_false", "uplink_empty_string",
@@ -468,7 +502,9 @@ def _make_dual(tx):
         "enabled_sensor_below_0", "enabled_sensor_256", "repeated_enabled_sensor",
         "value_for_a_sensor_nothing_reads", "v_threshold_on_time_switch_node",
         "sleep_load_on_time_switch_node", "uplink_on_time_switch_node",
-        "data_demand_on_time_switch_node", "data_demand_on_protocol_node"])
+        "data_demand_on_time_switch_node", "data_demand_on_protocol_node",
+        "zero_sensitivity", "comma_in_node_id", "quote_in_node_id", "cr_in_node_id",
+        "lf_in_node_id"])
 def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit, message):
     # before these checks, the list edits died with a traceback; the others
     # validated (a falsy uplink was taken as the defaults), and a run divided
@@ -485,7 +521,9 @@ def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit,
     # overflows a float died timing the uplink; "01" and "1_0" validated as
     # sensors 1 and 10, the first overwriting sensor 1's own value; a sensor
     # id no command byte can name, a repeated one, a value for a sensor the
-    # node never reads and a key the node's policy never reads all validated
+    # node never reads and a key the node's policy never reads all validated;
+    # a 0 W sensitivity validated and decoded in the dark, and a node id with
+    # a comma, quote or line break validated and broke the CSV trace's rows
     bad = _variant(tmp_path, base, edit)
     for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
         assert main(argv) == 1

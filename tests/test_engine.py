@@ -25,7 +25,7 @@ from sliptsim.node import Phase, Stimulus
 from sliptsim.policy import TimeSwitchSchedule
 from sliptsim.scenario import build_scenario, load_scenario
 
-from test_golden import GOLDEN, INLINE, _scenario
+from test_golden import GOLDEN, INLINE, _attrs, _scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -533,8 +533,8 @@ def _is_plain(link) -> bool:
     """A calm link: a bare _LinkRuntime with no attribute beyond those its
     constructor sets, and neither a stream nor a turbulence model."""
     return (type(link) is _LinkRuntime and link.rng is None and link.turbulence is None
-            and set(vars(link)) == set(vars(_LinkRuntime("tx", "node", True, True, 0.0,
-                                                         None, None))))
+            and _attrs(link).keys() == _attrs(_LinkRuntime("tx", "node", True, True, 0.0,
+                                                           None, None)).keys())
 
 
 def test_only_turbulent_links_get_a_stream(monkeypatch):

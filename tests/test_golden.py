@@ -296,6 +296,14 @@ def _scenario(name: str):
     return load_scenario(SCENARIOS / f"{name}.json")
 
 
+def _attrs(obj) -> dict:
+    """Every attribute an instance holds, by name: the __slots__ of its
+    class and its bases that are set, then its __dict__, if it has one."""
+    names = [name for cls in type(obj).__mro__ for name in cls.__dict__.get("__slots__", ())]
+    held = {name: getattr(obj, name) for name in names if hasattr(obj, name)}
+    return {**held, **getattr(obj, "__dict__", {})}
+
+
 def _digests_of(metrics, trace) -> tuple[str, str]:
     metrics_text = json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
     return (_sha256(trace_to_csv(trace).encode("utf-8")),
@@ -321,6 +329,25 @@ def test_a_built_scenario_runs_twice_to_the_same_bytes(name):
     assert _digests_of(*run(sc)) == GOLDEN[name]
     assert _digests_of(*run(sc)) == GOLDEN[name]
     assert [(nd.cell.mode, nd.cell.ready_at, nd.store.stored) for nd in sc.nodes] == before
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_objects_built_per_item_hold_no_instance_dict(name):
+    # one per transmitter, node, link, command or record: each keeps its
+    # attributes in __slots__, so a fleet's memory grows by those alone
+    sim = Simulation(_scenario(name))
+    sim.run()  # records are appended as the run goes
+    per_item = list(sim.scenario.transmitters)
+    for tx in sim.scenario.transmitters:
+        per_item += [beam for beam in (tx.beam, tx.dual_data) if beam is not None]
+        per_item.append(tx.beam.geometry)
+    for nd in sim.scenario.nodes:
+        per_item += [nd, nd.cell, nd.store, *nd.commands]
+    for n in sim.nodes.values():
+        per_item += [n, n.cell, n.store, n.state, n.metrics, *n.links,
+                     *n.state.storage, *n.state.last_sent]
+    assert sim.nodes and any(n.links for n in sim.nodes.values())
+    assert [type(obj).__name__ for obj in per_item if hasattr(obj, "__dict__")] == []
 
 
 def test_every_bundled_scenario_is_pinned():

@@ -72,3 +72,14 @@ def test_validation():
         SolarCell(conversion_efficiency=1.2)
     with pytest.raises(DomainError):
         SolarCell(switch_latency=-0.1)
+    for sensitivity in (0.0, -1e-6):  # at 0 W a cell in the dark would decode
+        with pytest.raises(DomainError, match="sensitivity must be > 0"):
+            SolarCell(sensitivity=sensitivity)
+
+
+def test_a_misspelt_attribute_is_refused():
+    # __slots__ fixes a cell's attributes, so a typo cannot add a new one
+    cell = SolarCell()
+    with pytest.raises(AttributeError):
+        cell.sensitivty = 1e-3
+    assert cell.sensitivity == 1e-6

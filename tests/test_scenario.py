@@ -24,7 +24,7 @@ from sliptsim.scenario import (
     validate_scenario,
 )
 
-from test_golden import GOLDEN, INLINE
+from test_golden import GOLDEN, INLINE, _attrs
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -288,18 +288,18 @@ def test_omitted_keys_build_to_the_defaults():
     sc = build_scenario(cfg)
     battery_node, supercap_node = sc.nodes
     for node in sc.nodes:
-        assert vars(node.cell) == vars(SolarCell())
-    assert vars(battery_node.store) == vars(Battery(10.0))
-    assert vars(supercap_node.store) == vars(Supercapacitor())
-    assert vars(sc.transmitters[0].beam.turbulence) == vars(TurbulenceModel())
+        assert _attrs(node.cell) == _attrs(SolarCell())
+    assert _attrs(battery_node.store) == _attrs(Battery(10.0))
+    assert _attrs(supercap_node.store) == _attrs(Supercapacitor())
+    assert _attrs(sc.transmitters[0].beam.turbulence) == _attrs(TurbulenceModel())
     for kind, cls in (("time_switch", TimeSwitchSchedule), ("spatial", SpatialSplit)):
         policy = {"kind": kind, "t1": "1s", "t2": "2s"}
         built = build_scenario(_minimal(policy=policy, transmitters=[tx])).nodes[0].policy
-        assert type(built) is cls and vars(built) == vars(cls(1.0, 2.0))
+        assert type(built) is cls and _attrs(built) == _attrs(cls(1.0, 2.0))
     with_command = _minimal()
     with_command["nodes"][0]["commands"] = [{"op": "sensor_on"}]
     [command] = build_scenario(with_command).nodes[0].commands
-    assert vars(command) == vars(Command(Opcode.SENSOR_ON))
+    assert _attrs(command) == _attrs(Command(Opcode.SENSOR_ON))
 
     cell, battery, supercap = battery_node.cell, battery_node.store, supercap_node.store
     assert (cell.conversion_efficiency, cell.decode_rate, cell.sensitivity,
@@ -310,7 +310,7 @@ def test_omitted_keys_build_to_the_defaults():
     assert built.phase_offset == 0.0 and command.sensor_id == 0
     expected_tx = {"on_time": 0.0, "off_time": None, "targets": None, "dual_data": None,
                    "distances": {}}
-    assert {key: vars(sc.transmitters[0])[key] for key in expected_tx} == expected_tx
+    assert {key: _attrs(sc.transmitters[0])[key] for key in expected_tx} == expected_tx
     assert sc.transmitters[0].beam.wavelength == 450.0
     expected_node = {
         "v_threshold": 3.6, "enabled_sensors": set(), "active_load": "sense_and_save",
@@ -319,7 +319,7 @@ def test_omitted_keys_build_to_the_defaults():
         "data_demand": False, "commands": [],
     }
     for node in sc.nodes:
-        assert {key: vars(node)[key] for key in expected_node} == expected_node
+        assert {key: _attrs(node)[key] for key in expected_node} == expected_node
     assert sc.stimuli == []
 
 
