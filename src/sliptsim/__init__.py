@@ -9,81 +9,34 @@ IoUT sensor nodes.
 The package builds no dataclasses: importing dataclasses loads inspect,
 ast, dis and tokenize, and the decorators with that import cost about
 30-40 ms of every CLI process start, so each class writes out its __init__.
+The names below are imported from their module when first read (PEP 562),
+so importing the package, or `python -m sliptsim.cli validate`, loads no
+module the command does not use.
 """
 
-from sliptsim.channel import (
-    BeamGeometry,
-    LinkParams,
-    TurbulenceModel,
-    WaterProperties,
-    attenuate,
-    geometric_capture,
-    sample_fading,
-)
-from sliptsim.energy_store import Battery, Supercapacitor
-from sliptsim.engine import Metrics, run
-from sliptsim.errors import (
-    ConfigError,
-    DomainError,
-    FrameError,
-    GeometryError,
-    NeverFullError,
-    SimError,
-)
-from sliptsim.harvester import CellMode, SolarCell
-from sliptsim.node import Command, LoadProfile, NodeState, Opcode, Phase, SensorRecord
-from sliptsim.policy import (
-    DualWavelength,
-    NodeProtocol,
-    Policy,
-    PowerSplit,
-    SpatialAssignment,
-    SpatialSplit,
-    TimeSwitchSchedule,
-    assign_spatial,
-    mode_at,
-    split,
-)
-from sliptsim.scenario import load_scenario, validate_scenario
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "WaterProperties",
-    "BeamGeometry",
-    "TurbulenceModel",
-    "LinkParams",
-    "attenuate",
-    "geometric_capture",
-    "sample_fading",
-    "SolarCell",
-    "CellMode",
-    "Battery",
-    "Supercapacitor",
-    "NodeState",
-    "Phase",
-    "Command",
-    "Opcode",
-    "SensorRecord",
-    "LoadProfile",
-    "Policy",
-    "NodeProtocol",
-    "TimeSwitchSchedule",
-    "PowerSplit",
-    "DualWavelength",
-    "SpatialSplit",
-    "SpatialAssignment",
-    "mode_at",
-    "split",
-    "assign_spatial",
-    "Metrics",
-    "run",
-    "load_scenario",
-    "validate_scenario",
-    "SimError",
-    "DomainError",
-    "GeometryError",
-    "FrameError",
-    "ConfigError",
-    "NeverFullError",
-]
+# exported name -> the module of the package that defines it
+_EXPORTS = {name: module for module, names in {
+    "channel": ("WaterProperties", "BeamGeometry", "TurbulenceModel", "LinkParams",
+                "attenuate", "geometric_capture", "sample_fading"),
+    "harvester": ("SolarCell", "CellMode"),
+    "energy_store": ("Battery", "Supercapacitor"),
+    "node": ("NodeState", "Phase", "Command", "Opcode", "SensorRecord", "LoadProfile"),
+    "policy": ("Policy", "NodeProtocol", "TimeSwitchSchedule", "PowerSplit", "DualWavelength",
+               "SpatialSplit", "SpatialAssignment", "mode_at", "split", "assign_spatial"),
+    "engine": ("Metrics", "run"),
+    "scenario": ("load_scenario", "validate_scenario"),
+    "errors": ("SimError", "DomainError", "GeometryError", "FrameError", "ConfigError",
+               "NeverFullError"),
+}.items() for name in names}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

@@ -7,24 +7,30 @@
 
 Exit codes: 0 on success, 1 on configuration or simulation errors, 2 on
 command-line usage errors.  Output files go to --out, falling back to
-the SLIPTSIM_OUT environment variable; with neither set, results are
-only printed.  File writes are atomic (temp file + rename), so a
-crashed run never leaves a truncated metrics or trace file behind; the
-trace streams into its temp file while the run goes on, and `sweep`
-and a `run` without an output directory build no trace at all.  So
-only `run` takes --format: `sweep --format` is a usage error.
+the SLIPTSIM_OUT environment variable; with neither set (or the variable
+empty), results are only printed.  File writes are atomic (temp file +
+rename), so a crashed run never leaves a truncated metrics or trace file
+behind; the trace streams into its temp file while the run goes on, and
+`sweep` and a `run` without an output directory build no trace at all.
+So only `run` takes --format: `sweep --format` is a usage error.
+
+Every file is written as UTF-8 with "\n" line ends, whatever the locale;
+a character the terminal's encoding cannot show is printed escaped.  The
+event loop (sliptsim.engine) is imported by the first run(), so
+`validate` loads only the loader and the models.
 """
 
 import argparse
+import io
 import json
 import os
 import re
 import sys
 from pathlib import Path
 
-from sliptsim.engine import FileSink, NullSink, run, trace_to_csv, trace_to_jsonl
 from sliptsim.errors import ConfigError, SimError
 from sliptsim.scenario import build_scenario, load_scenario, read_config, validate_scenario
+from sliptsim.trace import FileSink, NullSink, trace_to_csv, trace_to_jsonl
 
 OUT_ENV_VAR = "SLIPTSIM_OUT"
 
@@ -58,8 +64,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run(scenario, seed_override=None, sink=None):
+    """sliptsim.engine.run, imported on the first call."""
+    from sliptsim.engine import run as run_scenario
+    return run_scenario(scenario, seed_override, sink)
+
+
 def _out_dir(args) -> Path | None:
-    out = args.out if args.out is not None else os.environ.get(OUT_ENV_VAR)
+    # an empty variable is unset: Path("") would be the working directory
+    out = args.out if args.out is not None else os.environ.get(OUT_ENV_VAR) or None
     if out is None:
         return None
     path = Path(out)
@@ -70,7 +83,7 @@ def _out_dir(args) -> Path | None:
 def _write_atomic(path: Path, text: str):
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8", newline="\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -160,7 +173,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = read_config(args.scenario)
-    values = [v for v in args.values.split(",") if v != ""]
+    # scenario text, so UTF-8 as the file is; a locale that cannot decode
+    # the bytes (LC_ALL=C) passes them on as surrogate escapes
+    try:
+        text = args.values.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError("--values", "not UTF-8 text") from None
+    values = [v for v in text.split(",") if v != ""]
     if not values:
         raise ConfigError("--values", "no values given")
     rows = []
@@ -190,6 +209,8 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):  # a node id the locale cannot encode
+        sys.stdout.reconfigure(errors="backslashreplace")  # prints escaped, not a traceback
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":

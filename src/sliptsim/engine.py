@@ -49,45 +49,31 @@ that a wrapper installed on engine.sample_fading sees every draw.
 
 import heapq
 import itertools
-import json
 import math
-import os
 import random
 import zlib
-from collections import namedtuple
 from operator import attrgetter
-from typing import Protocol
 
 from sliptsim.channel import (LinkParams, TurbulenceModel, attenuate, geometric_capture,
                               sample_fading)
 from sliptsim.energy_store import EnergyStore
 from sliptsim.errors import ConfigError
 from sliptsim.harvester import CellMode, SolarCell
-from sliptsim.node import Command, NodeState, Opcode, Stimulus, load_power
+from sliptsim.node import NodeState, Opcode, Stimulus, load_power
 from sliptsim.node import (_COMMAND_RX, _COMMANDS_COMPLETE,  # members as globals: see node.py
                            _FULL_CHARGE, _HARVEST, _LIGHT_DETECTED, _PC, _PV,
                            _SENSE_COMPLETE, _SENSE_SAVE, _SLEEP)
 from sliptsim.node import decode_command, encode_command  # noqa: F401 - bench/traced.py times them
-from sliptsim.policy import Policy, TimeSwitchSchedule, TxRole, assign_spatial, mode_at
+from sliptsim.policy import TimeSwitchSchedule, TxRole, assign_spatial, mode_at
 from sliptsim.policy import split  # noqa: F401 - bench/traced.py times engine.split
+from sliptsim.scenario import NodeDef, Scenario, TransmitterDef
+from sliptsim.trace import MemorySink, TraceSink
 
 FRAME_BITS = 32  # 4-byte command frame
 _FULL_REL_TOL = 1e-12
 _node_id_of = attrgetter("node_id")
 _RESTING_PHASES = (_SLEEP, _HARVEST)
 _FRAME_KINDS = {op: f"frame_arrival:{op.name.lower()}" for op in Opcode}
-
-TRACE_FIELDS = (
-    "time",
-    "node_id",
-    "event_kind",
-    "phase",
-    "stored_J",
-    "V_B",
-    "harvested_J_cum",
-    "decoded_bits_cum",
-)
-TraceRow = namedtuple("TraceRow", TRACE_FIELDS)
 
 
 def rng_stream(master_seed: int, purpose: str) -> random.Random:
@@ -111,58 +97,6 @@ def _boundary_time(sched: TimeSwitchSchedule, k: int) -> float:
     period_idx, half = divmod(k, 2)
     return (sched.phase_offset + period_idx * sched.period
             + (sched.t1 if half == 0 else sched.period))
-
-
-# -- Scenario definition (built by sliptsim.scenario from config files) ------
-
-
-# No field has a default: the loader states every value a file leaves out.
-# A class built once per transmitter, node, link or record declares its
-# attributes in __slots__: an instance then holds them in one fixed-size
-# block, with no per-instance dict, and assigning any other name raises
-# AttributeError.
-class TransmitterDef:
-    __slots__ = ("tx_id", "beam", "on_time", "off_time", "targets", "dual_data", "distances")
-
-    def __init__(self, tx_id: str, beam: LinkParams, on_time: float, off_time: float | None,
-                 targets: list[str] | None,  # None = every node
-                 dual_data: LinkParams | None,  # a dual pair's data beam; beam is its energy
-                 distances: dict[str, float]):  # per-node range [m]
-        self.tx_id, self.beam, self.on_time, self.off_time = tx_id, beam, on_time, off_time
-        self.targets, self.dual_data, self.distances = targets, dual_data, distances
-
-
-class NodeDef:
-    __slots__ = ("node_id", "cell", "store", "policy", "v_threshold", "enabled_sensors",
-                 "active_load", "sleep_load", "sense_seconds_per_sensor", "sensor_values",
-                 "uplink_rate", "uplink_load", "record_bits", "data_demand", "commands")
-
-    def __init__(self, node_id: str, cell: SolarCell, store: EnergyStore, policy: Policy,
-                 v_threshold: float, enabled_sensors: set[int], active_load: str,
-                 sleep_load: str, sense_seconds_per_sensor: float,
-                 sensor_values: dict[int, object],  # const or [(t, v)] steps
-                 uplink_rate: float, uplink_load: str, record_bits: int,
-                 data_demand: bool, commands: list[Command]):
-        self.node_id, self.cell, self.store, self.policy = node_id, cell, store, policy
-        self.v_threshold, self.enabled_sensors = v_threshold, enabled_sensors
-        self.active_load, self.sleep_load = active_load, sleep_load
-        self.sense_seconds_per_sensor, self.sensor_values = sense_seconds_per_sensor, sensor_values
-        self.uplink_rate, self.uplink_load = uplink_rate, uplink_load
-        self.record_bits, self.data_demand, self.commands = record_bits, data_demand, commands
-
-
-class StimulusDef:
-    def __init__(self, time: float, node_id: str, stimulus: Stimulus):
-        self.time, self.node_id, self.stimulus = time, node_id, stimulus
-
-
-class Scenario:
-    def __init__(self, duration: float, seed: int | None,
-                 transmitters: list[TransmitterDef], nodes: list[NodeDef],
-                 stimuli: list[StimulusDef], scenario_hash: str):
-        self.duration, self.seed = duration, seed
-        self.transmitters, self.nodes, self.stimuli = transmitters, nodes, stimuli
-        self.scenario_hash = scenario_hash
 
 
 # -- Metrics ------------------------------------------------------------------
@@ -751,139 +685,3 @@ def run(scenario: Scenario, seed_override: int | None = None,
         sink: "TraceSink | None" = None) -> "tuple[Metrics, TraceSink]":
     """Validate nothing, just simulate: build a Simulation and run it."""
     return Simulation(scenario, seed_override, sink).run()
-
-
-# -- trace sinks and serialization ---------------------------------------------
-
-CSV_HEADER = ",".join(TRACE_FIELDS) + "\n"
-
-
-# One CSV line: the numeric columns as repr, which round-trips a float
-# exactly, and the text columns as str.
-_CSV_ROW = "%r,%s,%s,%s,%r,%r,%r,%r\n"
-
-
-# Both serializers take any tuples of values in TRACE_FIELDS order: the
-# TraceRows of a MemorySink or the plain tuples of a FileSink chunk.
-def trace_to_csv(records) -> str:
-    row = _CSV_ROW
-    return CSV_HEADER + "".join([row % r for r in records])
-
-
-def trace_to_jsonl(records) -> str:
-    return "".join([json.dumps(dict(zip(TRACE_FIELDS, r)), separators=(",", ":")) + "\n"
-                    for r in records])
-
-
-class TraceSink(Protocol):
-    """Where the engine sends trace rows.
-
-    write() takes one row's values in TRACE_FIELDS order; a sink whose
-    builds_rows is False is called with no values, and the engine skips
-    building the row.  The engine calls close() once, after the last
-    row of a run that finished; len() is the number of rows produced.
-    """
-
-    builds_rows: bool
-
-    def write(self, *values) -> None: ...
-
-    def close(self) -> None: ...
-
-    def __len__(self) -> int: ...
-
-
-class MemorySink(list):
-    """Keeps every row as a TraceRow, a namedtuple of TRACE_FIELDS (the default)."""
-
-    builds_rows = True
-
-    def write(self, *values):
-        self.append(TraceRow._make(values))
-
-    def close(self):
-        pass
-
-
-class NullSink:
-    """Counts rows and keeps none."""
-
-    builds_rows = False
-
-    def __init__(self):
-        self.rows = 0
-
-    def write(self, *values):
-        self.rows += 1
-
-    def close(self):
-        pass
-
-    def __len__(self) -> int:
-        return self.rows
-
-
-class FileSink:
-    """Streams rows to `path` through `serialize` (trace_to_csv or
-    trace_to_jsonl), `chunk_rows` rows at a time, so memory stays flat
-    however long the run; the CSV header goes out once.
-
-    Rows go to `<path>.tmp`, which close() renames to `path`.  Used as a
-    context manager, an exception in the block (or in close) removes the
-    temp file and leaves `path` as it was.
-    """
-
-    builds_rows = True
-    chunk_rows = 4096
-
-    def __init__(self, path, serialize):
-        self._path = path
-        self._tmp = os.fspath(path) + ".tmp"
-        self._serialize = serialize
-        self._chunk: list[tuple] = []
-        self._written = 0
-        self._file = open(self._tmp, "w")
-
-    def write(self, *values):
-        self._chunk.append(values)
-        if len(self._chunk) >= self.chunk_rows:
-            self._flush()
-
-    def _flush(self):
-        text = self._serialize(self._chunk)
-        if self._written and text.startswith(CSV_HEADER):
-            text = text[len(CSV_HEADER):]
-        self._file.write(text)
-        self._written += len(self._chunk)
-        self._chunk = []
-
-    def close(self):
-        try:
-            if self._chunk or not self._written:
-                self._flush()
-            self._file.close()
-            os.replace(self._tmp, self._path)
-        except BaseException:
-            self._discard()
-            raise
-
-    def _discard(self):
-        """Close and remove the temp file; `path` is not touched."""
-        self._file.close()
-        try:
-            os.remove(self._tmp)
-        except FileNotFoundError:
-            pass
-
-    def __len__(self) -> int:
-        return self._written + len(self._chunk)
-
-    def __enter__(self) -> "FileSink":
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if not self._file.closed:
-            if exc_type is None:
-                self.close()
-            else:
-                self._discard()

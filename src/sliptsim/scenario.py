@@ -1,13 +1,14 @@
 """Scenario files: parsing, validation, canonical hashing.
 
 A scenario is a JSON object with unit-suffixed quantities ("840mWh",
-"1.5m", "500kbit/s").  This module turns one into the runtime Scenario the
-engine consumes, strictly: unknown keys, missing required fields, bad
-units and dangling references are all ConfigErrors that name the
-config path they occurred at.  One pass (_build) walks the config and
-collects every such issue: build_scenario raises the first, and
-validate_scenario reports them all.  Every number must be finite: a NaN
-or Infinity literal fails the same field checks as 1e999.
+"1.5m", "500kbit/s").  This module defines the runtime Scenario the
+engine consumes, and the records it holds, and turns a file into one,
+strictly: unknown keys, missing required fields, bad units and dangling
+references are all ConfigErrors that name the config path they occurred
+at.  One pass (_build) walks the config and collects every such issue:
+build_scenario raises the first, and validate_scenario reports them all.
+Every number must be finite: a NaN or Infinity literal fails the same
+field checks as 1e999.  Files are read as UTF-8, whatever the locale.
 """
 
 import json
@@ -27,14 +28,66 @@ except ImportError:
 
 from sliptsim.channel import (BeamGeometry, LinkParams, TurbulenceModel, WaterProperties,
                               geometric_capture)
-from sliptsim.energy_store import Battery, Supercapacitor
-from sliptsim.engine import NodeDef, Scenario, StimulusDef, TransmitterDef
+from sliptsim.energy_store import Battery, EnergyStore, Supercapacitor
 from sliptsim.errors import ConfigError, DomainError
 from sliptsim.harvester import SolarCell
 from sliptsim.node import LOAD_CATALOG, Command, Opcode, Stimulus
 from sliptsim.policy import (DualWavelength, NodeProtocol, Policy, PowerSplit,
                              SpatialSplit, TimeSwitchSchedule)
 from sliptsim.units import parse_quantity
+
+
+# -- Scenario records (built here, run by the engine) -------------------------
+
+
+# No field has a default: the loader states every value a file leaves out.
+# A class built once per transmitter, node, link or record declares its
+# attributes in __slots__: an instance then holds them in one fixed-size
+# block, with no per-instance dict, and assigning any other name raises
+# AttributeError.
+class TransmitterDef:
+    __slots__ = ("tx_id", "beam", "on_time", "off_time", "targets", "dual_data", "distances")
+
+    def __init__(self, tx_id: str, beam: LinkParams, on_time: float, off_time: float | None,
+                 targets: list[str] | None,  # None = every node
+                 dual_data: LinkParams | None,  # a dual pair's data beam; beam is its energy
+                 distances: dict[str, float]):  # per-node range [m]
+        self.tx_id, self.beam, self.on_time, self.off_time = tx_id, beam, on_time, off_time
+        self.targets, self.dual_data, self.distances = targets, dual_data, distances
+
+
+class NodeDef:
+    __slots__ = ("node_id", "cell", "store", "policy", "v_threshold", "enabled_sensors",
+                 "active_load", "sleep_load", "sense_seconds_per_sensor", "sensor_values",
+                 "uplink_rate", "uplink_load", "record_bits", "data_demand", "commands")
+
+    def __init__(self, node_id: str, cell: SolarCell, store: EnergyStore, policy: Policy,
+                 v_threshold: float, enabled_sensors: set[int], active_load: str,
+                 sleep_load: str, sense_seconds_per_sensor: float,
+                 sensor_values: dict[int, object],  # const or [(t, v)] steps
+                 uplink_rate: float, uplink_load: str, record_bits: int,
+                 data_demand: bool, commands: list[Command]):
+        self.node_id, self.cell, self.store, self.policy = node_id, cell, store, policy
+        self.v_threshold, self.enabled_sensors = v_threshold, enabled_sensors
+        self.active_load, self.sleep_load = active_load, sleep_load
+        self.sense_seconds_per_sensor, self.sensor_values = sense_seconds_per_sensor, sensor_values
+        self.uplink_rate, self.uplink_load = uplink_rate, uplink_load
+        self.record_bits, self.data_demand, self.commands = record_bits, data_demand, commands
+
+
+class StimulusDef:
+    def __init__(self, time: float, node_id: str, stimulus: Stimulus):
+        self.time, self.node_id, self.stimulus = time, node_id, stimulus
+
+
+class Scenario:
+    def __init__(self, duration: float, seed: int | None,
+                 transmitters: list[TransmitterDef], nodes: list[NodeDef],
+                 stimuli: list[StimulusDef], scenario_hash: str):
+        self.duration, self.seed = duration, seed
+        self.transmitters, self.nodes, self.stimuli = transmitters, nodes, stimuli
+        self.scenario_hash = scenario_hash
+
 
 _OPCODES = {
     "sensor_on": Opcode.SENSOR_ON,
@@ -618,11 +671,11 @@ def read_config(path):
     missing file, bad syntax, and digits or nesting past the parser's
     limits.  _build checks the rest, the NaN and Infinity literals included."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as e:
         raise ConfigError(str(path), f"cannot read scenario file: {e}") from None
     try:
-        return json.loads(text)
+        return json.loads(data)  # UTF-8 (RFC 8259) whatever the locale
     except (ValueError, RecursionError) as e:  # also digit and nesting limits
         raise ConfigError(str(path), f"invalid JSON: {e}") from None
 

@@ -1,0 +1,157 @@
+"""Trace rows and where they go: the row layout, its CSV and JSON-lines
+text, and the sinks the engine writes rows to.
+
+Every file a sink writes is UTF-8 with "\\n" line ends, whatever the
+locale and the platform, so (scenario, seed) gives the same bytes
+everywhere.
+"""
+
+import json
+import os
+from collections import namedtuple
+from typing import Protocol
+
+TRACE_FIELDS = (
+    "time",
+    "node_id",
+    "event_kind",
+    "phase",
+    "stored_J",
+    "V_B",
+    "harvested_J_cum",
+    "decoded_bits_cum",
+)
+TraceRow = namedtuple("TraceRow", TRACE_FIELDS)
+
+CSV_HEADER = ",".join(TRACE_FIELDS) + "\n"
+
+
+# One CSV line: the numeric columns as repr, which round-trips a float
+# exactly, and the text columns as str.
+_CSV_ROW = "%r,%s,%s,%s,%r,%r,%r,%r\n"
+
+
+# Both serializers take any tuples of values in TRACE_FIELDS order: the
+# TraceRows of a MemorySink or the plain tuples of a FileSink chunk.
+def trace_to_csv(records) -> str:
+    row = _CSV_ROW
+    return CSV_HEADER + "".join([row % r for r in records])
+
+
+def trace_to_jsonl(records) -> str:
+    return "".join([json.dumps(dict(zip(TRACE_FIELDS, r)), separators=(",", ":")) + "\n"
+                    for r in records])
+
+
+class TraceSink(Protocol):
+    """Where the engine sends trace rows.
+
+    write() takes one row's values in TRACE_FIELDS order; a sink whose
+    builds_rows is False is called with no values, and the engine skips
+    building the row.  The engine calls close() once, after the last
+    row of a run that finished; len() is the number of rows produced.
+    """
+
+    builds_rows: bool
+
+    def write(self, *values) -> None: ...
+
+    def close(self) -> None: ...
+
+    def __len__(self) -> int: ...
+
+
+class MemorySink(list):
+    """Keeps every row as a TraceRow, a namedtuple of TRACE_FIELDS (the default)."""
+
+    builds_rows = True
+
+    def write(self, *values):
+        self.append(TraceRow._make(values))
+
+    def close(self):
+        pass
+
+
+class NullSink:
+    """Counts rows and keeps none."""
+
+    builds_rows = False
+
+    def __init__(self):
+        self.rows = 0
+
+    def write(self, *values):
+        self.rows += 1
+
+    def close(self):
+        pass
+
+    def __len__(self) -> int:
+        return self.rows
+
+
+class FileSink:
+    """Streams rows to `path` through `serialize` (trace_to_csv or
+    trace_to_jsonl), `chunk_rows` rows at a time, so memory stays flat
+    however long the run; the CSV header goes out once.
+
+    Rows go to `<path>.tmp`, which close() renames to `path`.  Used as a
+    context manager, an exception in the block (or in close) removes the
+    temp file and leaves `path` as it was.
+    """
+
+    builds_rows = True
+    chunk_rows = 4096
+
+    def __init__(self, path, serialize):
+        self._path = path
+        self._tmp = os.fspath(path) + ".tmp"
+        self._serialize = serialize
+        self._chunk: list[tuple] = []
+        self._written = 0
+        self._file = open(self._tmp, "w", encoding="utf-8", newline="\n")
+
+    def write(self, *values):
+        self._chunk.append(values)
+        if len(self._chunk) >= self.chunk_rows:
+            self._flush()
+
+    def _flush(self):
+        text = self._serialize(self._chunk)
+        if self._written and text.startswith(CSV_HEADER):
+            text = text[len(CSV_HEADER):]
+        self._file.write(text)
+        self._written += len(self._chunk)
+        self._chunk = []
+
+    def close(self):
+        try:
+            if self._chunk or not self._written:
+                self._flush()
+            self._file.close()
+            os.replace(self._tmp, self._path)
+        except BaseException:
+            self._discard()
+            raise
+
+    def _discard(self):
+        """Close and remove the temp file; `path` is not touched."""
+        self._file.close()
+        try:
+            os.remove(self._tmp)
+        except FileNotFoundError:
+            pass
+
+    def __len__(self) -> int:
+        return self._written + len(self._chunk)
+
+    def __enter__(self) -> "FileSink":
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if not self._file.closed:
+            if exc_type is None:
+                self.close()
+            else:
+                self._discard()

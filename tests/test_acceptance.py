@@ -15,10 +15,11 @@ import numpy as np
 
 from sliptsim.channel import TurbulenceModel, attenuate, sample_fading
 from sliptsim.energy_store import Battery
-from sliptsim.engine import Simulation, rng_stream, trace_to_csv
+from sliptsim.engine import Simulation, rng_stream
 from sliptsim.node import NodeState, Phase, Stimulus
 from sliptsim.policy import PowerSplit, TxRole, assign_spatial, split
 from sliptsim.scenario import build_scenario, load_scenario
+from sliptsim.trace import trace_to_csv
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 

@@ -17,6 +17,7 @@ import sliptsim.scenario as scenario
 from sliptsim.energy_store import Battery, Supercapacitor
 from sliptsim.harvester import SolarCell
 from sliptsim.node import NodeState
+from sliptsim.trace import FileSink, MemorySink, NullSink
 
 from test_golden import GOLDEN, _scenario
 
@@ -147,10 +148,10 @@ def test_cli_run_returns_a_trace_whose_len_counts_the_rows(tmp_path, monkeypatch
     sc = scenario.load_scenario(scenario_file)
     rows = len(cli.run(sc)[1])
     assert rows > 1
-    assert len(cli.run(sc, seed_override=3, sink=engine.MemorySink())[1]) == rows
-    assert len(cli.run(sc, seed_override=3, sink=engine.NullSink())[1]) == rows
-    monkeypatch.setattr(engine.FileSink, "chunk_rows", 7)
+    assert len(cli.run(sc, seed_override=3, sink=MemorySink())[1]) == rows
+    assert len(cli.run(sc, seed_override=3, sink=NullSink())[1]) == rows
+    monkeypatch.setattr(FileSink, "chunk_rows", 7)
     for fmt, serialize in (("csv", cli.trace_to_csv), ("jsonl", cli.trace_to_jsonl)):
-        with engine.FileSink(tmp_path / f"trace.{fmt}", serialize) as sink:
+        with FileSink(tmp_path / f"trace.{fmt}", serialize) as sink:
             _, trace = cli.run(sc, seed_override=3, sink=sink)
         assert len(trace) == rows

@@ -17,10 +17,11 @@ from sliptsim.channel import (
     sample_fading,
 )
 from sliptsim.energy_store import Battery
-from sliptsim.engine import NodeDef, Scenario, Simulation, TransmitterDef, rng_stream
+from sliptsim.engine import Simulation, rng_stream
 from sliptsim.errors import DomainError, GeometryError
 from sliptsim.harvester import SolarCell
 from sliptsim.policy import NodeProtocol
+from sliptsim.scenario import NodeDef, Scenario, TransmitterDef
 
 # Frozen against a 50-digit arbitrary-precision evaluation of I*exp(-a*z).
 ATTENUATE_ORACLE = [

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -58,6 +59,57 @@ def test_run_without_out_prints_only(tmp_path, capsys):
     assert rc == 0
     assert "harvested" in capsys.readouterr().out
     assert not list(tmp_path.iterdir())
+
+
+def test_an_empty_out_env_var_is_unset(tmp_path, monkeypatch, capsys):
+    # Path("") is the working directory: an empty variable used to write there
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(OUT_ENV_VAR, "")
+    assert main(["run", "--scenario", DEMO]) == 0
+    assert main(["sweep", "--scenario", DEMO, "--param", "transmitters[0].power",
+                 "--values", "1W"]) == 0
+    assert "harvested" in capsys.readouterr().out
+    assert not list(tmp_path.iterdir())
+
+
+_LOCALE_PROBE = "import codecs, locale; print(codecs.lookup(locale.getpreferredencoding(False)).name)"
+
+
+def test_an_ascii_locale_reads_and_writes_the_same_utf8_bytes(tmp_path):
+    """Under LC_ALL=C with UTF-8 mode off the locale encoding is ASCII; the
+    README's µs, µW and ° units, a node id and a sweep value outside ASCII
+    still read and write as UTF-8, byte for byte, with no traceback."""
+    cfg = json.loads((SCENARIOS / "vertical_supercap.json").read_text(encoding="utf-8"))
+    cfg["duration"] = "60s"
+    cfg["transmitters"][0].update(power="1569130.7µW", divergence="30°")
+    cfg["nodes"][0]["id"] = "capteur_é"
+    cfg["nodes"][0]["cell"]["switch_latency"] = "5000µs"
+    scenario = tmp_path / "utf8.json"
+    scenario.write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
+    ascii_env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0"}
+    probe = subprocess.run([sys.executable, "-c", _LOCALE_PROBE], env=ascii_env,
+                           capture_output=True, text=True)
+    assert probe.stdout.strip() == "ascii"
+    written = {}
+    for name, env in (("ascii", ascii_env), ("utf8", {**os.environ, "PYTHONUTF8": "1"})):
+        out = tmp_path / name
+        for argv in (["validate"], ["run"], ["run", "--out", str(out / "run")],
+                     ["sweep", "--out", str(out / "sweep"), "--param", "nodes[0].id",
+                      "--values", "nœud,capteur_é"]):
+            proc = subprocess.run([sys.executable, "-m", "sliptsim.cli", *argv,
+                                   "--scenario", str(scenario)], env=env, capture_output=True)
+            assert (proc.returncode, proc.stderr) == (0, b""), argv
+        written[name] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*.*")}
+    assert len(written["ascii"]) == 5  # trace.csv, 3 metrics files and sweep.csv
+    assert written["ascii"] == written["utf8"]
+
+
+def test_sweep_refuses_values_that_are_not_utf8(capsys):
+    # a C locale hands a byte it cannot decode (0xe9, a Latin-1 é) to argv
+    # as the surrogate escape \udce9
+    assert main(["sweep", "--scenario", DEMO, "--param", "transmitters[0].power",
+                 "--values", "1W,\udce9"]) == 1
+    assert "error: --values: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_missing_scenario_file_is_a_clean_failure(tmp_path, capsys):

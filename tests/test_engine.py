@@ -8,22 +8,14 @@ import pytest
 import sliptsim.engine as engine
 from sliptsim.channel import BeamGeometry, LinkParams, attenuate, geometric_capture
 from sliptsim.energy_store import Battery, Supercapacitor
-from sliptsim.engine import (
-    FRAME_BITS,
-    NullSink,
-    Simulation,
-    TRACE_FIELDS,
-    _LinkRuntime,
-    rng_stream,
-    trace_to_csv,
-    trace_to_jsonl,
-)
+from sliptsim.engine import FRAME_BITS, Simulation, _LinkRuntime, rng_stream
 from sliptsim.engine import run as run_scenario
 from sliptsim.errors import ConfigError
 from sliptsim.harvester import CellMode
 from sliptsim.node import Phase, Stimulus
 from sliptsim.policy import TimeSwitchSchedule
 from sliptsim.scenario import build_scenario, load_scenario
+from sliptsim.trace import TRACE_FIELDS, NullSink, trace_to_csv, trace_to_jsonl
 
 from test_golden import GOLDEN, INLINE, _attrs, _scenario
 

@@ -28,8 +28,9 @@ import pytest
 
 import sliptsim.engine as engine
 from sliptsim.cli import main
-from sliptsim.engine import Simulation, run, trace_to_csv, trace_to_jsonl
+from sliptsim.engine import Simulation, run
 from sliptsim.scenario import build_scenario, load_scenario, read_config, scenario_hash
+from sliptsim.trace import trace_to_csv, trace_to_jsonl
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -4,10 +4,11 @@ import pytest
 
 from sliptsim.channel import BeamGeometry, LinkParams, WaterProperties
 from sliptsim.energy_store import Battery
-from sliptsim.engine import NodeDef, Scenario, Simulation, TransmitterDef
+from sliptsim.engine import Simulation
 from sliptsim.errors import DomainError
 from sliptsim.harvester import CellMode, SolarCell
 from sliptsim.policy import Policy
+from sliptsim.scenario import NodeDef, Scenario, TransmitterDef
 
 
 def _run_cell(cell: SolarCell, light: float, duration: float = 2.0):

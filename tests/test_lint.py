@@ -2,19 +2,20 @@
 
 Every name a module of src/sliptsim imports must be used in that module
 (string annotations count), unless its import statement carries
-`# noqa: F401`; the package's __all__ counts as a use of what
-__init__.py re-exports.  Every name in sliptsim.__all__ must resolve,
-once.  The engine keeps a few imports it does not use only so that
+`# noqa: F401`.  Every name in sliptsim.__all__ must resolve, once.
+The engine keeps a few imports it does not use only so that
 bench/traced.py can time them as `engine.<name>`; each of those must
 still be in traced.py's TIMED table.  A private module-level name (an
 assignment, function or class named `_x`) must be read somewhere in
 src/sliptsim or bench/, so a leftover of deleted code cannot linger.
 No validate, run or sweep, calm or turbulent, loads numpy or OpenSSL's
-libcrypto (`_hashlib`).  A model module raises DomainError, never
-ConfigError: config paths are the loader's to name, in one handler.  The
-engine records a full charge in one method.  Every unit kind in
-units._UNIT_TABLES is the kind of some field scenario.py parses.  The
-records built from the loader's values declare no parameter defaults.
+libcrypto (`_hashlib`), and no validate loads the event loop: the
+loader and the trace module import nothing from the engine.  A model
+module raises DomainError, never ConfigError: config paths are the
+loader's to name, in one handler.  The engine records a full charge in
+one method.  Every unit kind in units._UNIT_TABLES is the kind of some
+field scenario.py parses.  The records built from the loader's values
+declare no parameter defaults.
 """
 
 import ast
@@ -69,12 +70,7 @@ def _string_annotations(tree: ast.Module):
 
 def _used(tree: ast.Module) -> set[str]:
     trees = [tree, *_string_annotations(tree)]
-    used = {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
-    for node in tree.body:  # __all__ = [...] re-exports its names
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used |= {e.value for e in node.value.elts}
-    return used
+    return {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
 def test_numpy_is_no_runtime_dependency():
@@ -163,6 +159,19 @@ def test_the_loader_maps_domain_errors_in_one_place():
         f"scenario.py handles DomainError at lines {[h.lineno for h in handlers]}")
 
 
+@pytest.mark.parametrize("name", ["scenario.py", "trace.py"])
+def test_the_loader_and_the_trace_import_nothing_from_the_engine(name):
+    # the engine imports these two, so validate can load them without the loop
+    for node in ast.walk(ast.parse((PACKAGE / name).read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        assert "sliptsim.engine" not in modules, f"{name}:{node.lineno}"
+
+
 def test_the_engine_records_a_full_charge_in_one_place():
     # Simulation._record_full is the one place a not-full -> full transition
     # is recorded; _refresh and the end of run both call it
@@ -208,7 +217,7 @@ def test_every_unit_kind_is_parsed_by_some_field():
 
 # records built only from the loader's values (NodeState by the engine, from
 # a NodeDef): the loader states every value a file leaves out
-RECORDS = {"engine.py": ["TransmitterDef", "NodeDef", "StimulusDef", "Scenario"],
+RECORDS = {"scenario.py": ["TransmitterDef", "NodeDef", "StimulusDef", "Scenario"],
            "node.py": ["NodeState"]}
 
 
@@ -257,22 +266,33 @@ def test_every_private_module_name_is_read():
 
 
 # runs each argv through main() in one fresh interpreter, then prints
-# which of the heavy modules got imported
+# which of the watched modules got imported
 _IMPORT_PROBE = """
 import json, sys
 from sliptsim.cli import main
-for argv in json.loads(sys.argv[1]):
+argvs, watched = json.loads(sys.argv[1])
+for argv in argvs:
     assert main(argv) == 0, argv
-heavy = ("_hashlib", "numpy", "dataclasses", "inspect")
-print(json.dumps(sorted(m for m in heavy if m in sys.modules)))
+print(json.dumps(sorted(m for m in watched if m in sys.modules)))
 """
+HEAVY = ["_hashlib", "numpy", "dataclasses", "inspect"]
 
 
-def _heavy_modules_after(argvs: list[list[str]]) -> list[str]:
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+def _modules_after(argvs: list[list[str]], watched: list[str] = HEAVY) -> list[str]:
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps([argvs, watched])],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_validate_loads_no_event_loop():
+    """validate checks every bundled file with the loader and the models
+    alone; the first run imports the loop."""
+    argvs = [["validate", "--scenario", str(path)] for path in sorted(SCENARIOS.glob("*.json"))]
+    assert argvs
+    assert _modules_after(argvs, ["sliptsim.engine"]) == []
+    run = ["run", "--scenario", str(SCENARIOS / "vertical_supercap.json")]
+    assert _modules_after([*argvs, run], ["sliptsim.engine"]) == ["sliptsim.engine"]
 
 
 def test_a_calm_run_loads_no_numpy_openssl_dataclasses_or_inspect(tmp_path):
@@ -285,7 +305,7 @@ def test_a_calm_run_loads_no_numpy_openssl_dataclasses_or_inspect(tmp_path):
              ["sweep", "--scenario", tank, "--out", str(tmp_path / "sweep"),
               "--param", "transmitters[0].power", "--values", "1W,2W,3W"],
              ["run", "--scenario", str(SCENARIOS / "vertical_supercap.json")]]
-    assert _heavy_modules_after(argvs) == []
+    assert _modules_after(argvs) == []
 
 
 def test_a_turbulent_run_loads_no_numpy_openssl_dataclasses_or_inspect(tmp_path):
@@ -295,4 +315,4 @@ def test_a_turbulent_run_loads_no_numpy_openssl_dataclasses_or_inspect(tmp_path)
     argvs = [["run", "--scenario", demo, "--out", str(tmp_path / "demo")],
              ["sweep", "--scenario", demo, "--out", str(tmp_path / "demo_sweep"),
               "--param", "transmitters[0].power", "--values", "1W,2W"]]
-    assert _heavy_modules_after(argvs) == []
+    assert _modules_after(argvs) == []

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import sliptsim.cli as cli
 import sliptsim.engine as engine
 from sliptsim.energy_store import Battery
-from sliptsim.engine import FileSink, MemorySink, NullSink, trace_to_csv, trace_to_jsonl
 from sliptsim.errors import SimError
 from sliptsim.scenario import build_scenario, load_scenario
+from sliptsim.trace import (CSV_HEADER, TRACE_FIELDS, FileSink, MemorySink, NullSink, TraceRow,
+                            trace_to_csv, trace_to_jsonl)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 DEMO = SCENARIOS / "turbulent_demo.json"
@@ -55,7 +56,7 @@ _ROWS = st.lists(st.tuples(_NUMBERS, st.text(), st.text(), st.text(),
 @settings(max_examples=300, deadline=None)
 @given(_ROWS)
 def test_csv_rows_follow_the_reference_rule(rows):
-    expected = engine.CSV_HEADER + "".join([_csv_row(row) for row in rows])
+    expected = CSV_HEADER + "".join([_csv_row(row) for row in rows])
     assert trace_to_csv(rows) == expected
 
 
@@ -125,8 +126,8 @@ def test_null_sink_counts_rows_and_builds_none(monkeypatch):
 def test_memory_sink_is_the_default_and_holds_trace_rows():
     _, trace = engine.run(load_scenario(DEMO))
     assert isinstance(trace, MemorySink) and isinstance(trace, list)
-    assert all(type(row) is engine.TraceRow for row in trace)
-    assert trace[0]._fields == engine.TRACE_FIELDS
+    assert all(type(row) is TraceRow for row in trace)
+    assert trace[0]._fields == TRACE_FIELDS
     assert trace[-1].event_kind == "end"
 
 
