@@ -61,6 +61,8 @@ class Battery(EnergyStore):
             raise DomainError("capacity must be > 0")
         if not 0.0 <= stored <= capacity:
             raise DomainError("stored must be within [0, capacity]")
+        if v_empty < 0:
+            raise DomainError("v_empty must be >= 0")
         if v_empty >= v_full:
             raise DomainError("v_empty must be < v_full")
         self.capacity = capacity

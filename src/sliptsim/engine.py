@@ -17,12 +17,11 @@ never reached, so they are dropped.  The live entries are sorted again
 (a sorted list is a heap), and since (time, seq) is a total order the
 pop order, the trace and the metrics are those of a run with no sweep.
 
-Each node caches its light pools (harvest, decode and total optical
-power over its links).  They are summed again only after a link of the
-node goes on or off or has a fade redrawn, and that sum visits only the
-node's lit links, kept in link order whenever a transmitter toggles.  A
-dark link would add +0.0, and s + 0.0 == s bit for bit for every partial
-sum s >= 0, so the pools are the same floats as a sum over every link.
+Each refresh sums a node's light pools (harvest, decode and total
+optical power) over its lit links only, kept in link order whenever a
+transmitter toggles.  A dark link would add +0.0, and s + 0.0 == s bit
+for bit for every partial sum s >= 0, so the pools are the same floats
+as a sum over every link.
 
 Whatever cannot change during a run is resolved when the Simulation is
 built: each link's mean power, from its transmitter's own beam over the
@@ -175,7 +174,7 @@ class _LinkRuntime:
 
 class _NodeRuntime:
     __slots__ = ("cfg", "cell", "store", "state", "metrics", "links", "lit_links", "loads",
-                 "schedule", "pools", "last_t", "harvest_elec", "load_elec", "decode_in",
+                 "schedule", "last_t", "harvest_elec", "load_elec", "decode_in",
                  "decoding", "lit", "was_full", "timer_gen", "timer_queued", "uplink_until",
                  "slot_index")
 
@@ -188,9 +187,6 @@ class _NodeRuntime:
         self.links: list[_LinkRuntime] = []
         self.lit_links: list[_LinkRuntime] = []  # the active links, in links order
         self.loads, self.schedule = loads, schedule
-        # (harvest_pool, decode_pool, total) optical W over the links; None once
-        # a link's active or fade has changed, until _refresh sums them again
-        self.pools: tuple[float, float, float] | None = None
         # piecewise-constant snapshot, valid since last_t
         self.last_t = 0.0
         self.harvest_elec = 0.0  # W into the store
@@ -345,20 +341,15 @@ class Simulation:
         sched = n.schedule
         # Boundary k covers: even k -> start of decode slot, odd k -> start of
         # a new period (harvest slot).  Times are recomputed from k each time
-        # so the slot grid never accumulates floating-point drift.
+        # so the slot grid never accumulates floating-point drift, and the
+        # walk steps over every boundary at or before `now`, the time of the
+        # event scheduling this one.
         k = n.slot_index
         t = _boundary_time(sched, k)
-        if t <= now:
-            # A hand-built negative phase_offset puts early boundaries at or
-            # before `now`, the time of the event scheduling this one: jump to
-            # the period before the one holding `now` (the margin absorbs
-            # rounding in the division), then step to the first boundary after.
-            k = max(k, 2 * int((now - sched.phase_offset) // sched.period) - 2)
+        while t <= now:
+            k += 1
             t = _boundary_time(sched, k)
-            while t <= now:
-                k += 1
-                t = _boundary_time(sched, k)
-            n.slot_index = k
+        n.slot_index = k
         self._schedule(t, "_handle_slot_boundary", node_id)
 
     # -- power bookkeeping ----------------------------------------------------
@@ -394,20 +385,16 @@ class Simulation:
     def _refresh(self, n: _NodeRuntime, t: float):
         """Recompute the piecewise-constant power snapshot at time t and
         (re)arm the node's charge / depletion timer."""
-        if n.pools is None:
-            harvest_pool = 0.0
-            decode_pool = 0.0
-            total = 0.0
-            for link in n.lit_links:  # a dark link adds +0.0: see the module docstring
-                p = link.base_power * link.fade
-                total += p
-                if link.in_harvest:
-                    harvest_pool += p
-                if link.in_decode:
-                    decode_pool += p
-            n.pools = (harvest_pool, decode_pool, total)
-        else:
-            harvest_pool, decode_pool, total = n.pools
+        harvest_pool = 0.0
+        decode_pool = 0.0
+        total = 0.0
+        for link in n.lit_links:  # a dark link adds +0.0: see the module docstring
+            p = link.base_power * link.fade
+            total += p
+            if link.in_harvest:
+                harvest_pool += p
+            if link.in_decode:
+                decode_pool += p
         n.lit = total > 0.0
 
         cell = n.cell
@@ -561,7 +548,6 @@ class Simulation:
                 n.lit_links = [lit for lit in n.links if lit.active]
             else:
                 n.lit_links = list(group)  # the node's only lit links, in order
-            n.pools = None
             self._advance(n, t)
             was_lit = n.lit
             self._refresh(n, t)
@@ -579,7 +565,6 @@ class Simulation:
         for link in n.lit_links:  # fading coherence is tied to the slot length
             if link.rng is not None:
                 link.fade = sample_fading(link.turbulence, link.rng)
-                n.pools = None
         self._refresh(n, t)
         n.slot_index += 1
         self._schedule_next_slot(n, node_id, t)

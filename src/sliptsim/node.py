@@ -22,7 +22,7 @@ id for SensorOn/SensorOff and a free byte (conventionally 0) otherwise.
 import enum
 
 from sliptsim.energy_store import EnergyStore
-from sliptsim.errors import ConfigError, DomainError, FrameError
+from sliptsim.errors import DomainError, FrameError
 from sliptsim.harvester import CellMode
 
 SYNC_BYTE = 0xAA
@@ -122,13 +122,11 @@ LOAD_CATALOG: dict[str, LoadProfile] = {
 
 
 def load_power(profile_name: str) -> float:
-    """Electrical draw [W] of a catalog row; ConfigError if unknown."""
+    """Electrical draw [W] of a catalog row; DomainError if unknown."""
     profile = LOAD_CATALOG.get(profile_name)
     if profile is None:
-        raise ConfigError(
-            f"load:{profile_name}",
-            f"unknown load profile (have: {', '.join(sorted(LOAD_CATALOG))})",
-        )
+        raise DomainError(f"unknown load profile {profile_name!r} "
+                          f"(have: {', '.join(sorted(LOAD_CATALOG))})")
     return profile.power
 
 

@@ -59,6 +59,8 @@ class TimeSwitchSchedule(Policy):
             raise DomainError("slot lengths must be >= 0")
         if t1 + t2 <= 0:
             raise DomainError("t1 + t2 must be > 0")
+        if not phase_offset >= 0:
+            raise DomainError("phase_offset must be >= 0")
         self.t1 = t1
         self.t2 = t2
         self.phase_offset = phase_offset

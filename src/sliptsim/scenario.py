@@ -31,7 +31,7 @@ from sliptsim.channel import (BeamGeometry, LinkParams, TurbulenceModel, WaterPr
 from sliptsim.energy_store import Battery, EnergyStore, Supercapacitor
 from sliptsim.errors import ConfigError, DomainError
 from sliptsim.harvester import SolarCell
-from sliptsim.node import LOAD_CATALOG, Command, Opcode, Stimulus
+from sliptsim.node import Command, Opcode, Stimulus, load_power
 from sliptsim.policy import (DualWavelength, NodeProtocol, Policy, PowerSplit,
                              SpatialSplit, TimeSwitchSchedule)
 from sliptsim.units import parse_quantity
@@ -204,11 +204,7 @@ def _str_field(obj: dict, key: str, path: str, default: str) -> str:
 
 def _load_name(obj: dict, key: str, path: str, default: str) -> str:
     name = _str_field(obj, key, path, default)
-    if name not in LOAD_CATALOG:
-        raise ConfigError(
-            f"{path}.{key}",
-            f"unknown load profile {name!r} (have: {', '.join(sorted(LOAD_CATALOG))})",
-        )
+    _model(f"{path}.{key}", load_power, name)  # the catalog refuses an unknown name
     return name
 
 
@@ -474,6 +470,11 @@ def _build_node(obj, index: int, default_policy: Policy | None) -> NodeDef:
     if any(c in node_id for c in ',"\r\n'):
         raise ConfigError(f"{path}.id", "must hold no ',', '\"', CR or LF: "
                                          "the CSV trace writes ids unquoted")
+    try:
+        node_id.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, which JSON spells as "\ud800"
+        raise ConfigError(f"{path}.id", "must be text UTF-8 can encode: "
+                                         "the trace is written in UTF-8") from None
     policy = (_build_policy(obj["policy"], f"{path}.policy")
               if "policy" in obj else default_policy)
     if policy is None:  # the scenario's policy was refused: no key is judged unread

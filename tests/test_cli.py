@@ -542,6 +542,11 @@ def _make_dual(tx):
     *[(DEMO, lambda cfg, v=node_id: cfg["nodes"][0].update(id=v),
        "nodes[0].id: must hold no ',', '\"', CR or LF: the CSV trace writes ids unquoted")
       for node_id in ("buoy,1", 'buoy"1', "buoy\r", "buoy\n1")],
+    (DEMO, lambda cfg: cfg["nodes"][0].update(id="n\ud800"),
+     "nodes[0].id: must be text UTF-8 can encode: the trace is written in UTF-8"),
+    *[(TANK, lambda cfg, v=volts: cfg["nodes"][0]["store"].update(zip(("v_empty", "v_full"), v)),
+       "nodes[0].store: v_empty must be >= 0")
+      for volts in (("-3V",), ("-1e308V", "1e308V"))],
 ], ids=["distances_list", "values_list", "divergence_100deg", "divergence_90deg",
         "zero_decode_rate", "zero_uplink_rate", "negative_sensing_time", "dual_under_spatial",
         "active_load_key", "uplink_list", "uplink_0", "uplink_false", "uplink_empty_string",
@@ -556,7 +561,8 @@ def _make_dual(tx):
         "sleep_load_on_time_switch_node", "uplink_on_time_switch_node",
         "data_demand_on_time_switch_node", "data_demand_on_protocol_node",
         "zero_sensitivity", "comma_in_node_id", "quote_in_node_id", "cr_in_node_id",
-        "lf_in_node_id"])
+        "lf_in_node_id", "lone_surrogate_in_node_id", "negative_v_empty",
+        "v_full_minus_v_empty_overflows"])
 def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit, message):
     # before these checks, the list edits died with a traceback; the others
     # validated (a falsy uplink was taken as the defaults), and a run divided
@@ -574,8 +580,11 @@ def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit,
     # sensors 1 and 10, the first overwriting sensor 1's own value; a sensor
     # id no command byte can name, a repeated one, a value for a sensor the
     # node never reads and a key the node's policy never reads all validated;
-    # a 0 W sensitivity validated and decoded in the dark, and a node id with
-    # a comma, quote or line break validated and broke the CSV trace's rows
+    # a 0 W sensitivity validated and decoded in the dark, a node id with
+    # a comma, quote or line break validated and broke the CSV trace's rows,
+    # and one with a lone surrogate validated and could not be written; a
+    # negative v_empty validated and wrote negative voltages, or NaN and inf
+    # where v_full - v_empty overflowed
     bad = _variant(tmp_path, base, edit)
     for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad]):
         assert main(argv) == 1

@@ -72,6 +72,8 @@ def test_validation():
         Battery(capacity=10.0, stored=11.0)
     with pytest.raises(DomainError):
         Battery(capacity=10.0, v_empty=4.2, v_full=3.0)
+    with pytest.raises(DomainError, match="v_empty must be >= 0"):
+        Battery(capacity=10.0, v_empty=-1e308, v_full=1e308)
     with pytest.raises(DomainError):
         Supercapacitor(capacitance=0.0)
 

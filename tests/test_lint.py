@@ -137,7 +137,7 @@ def test_engine_noqa_imports_are_the_ones_the_bench_times():
     assert not untimed, f"engine.py keeps imports bench/traced.py does not time: {untimed}"
 
 
-MODELS = ["channel.py", "harvester.py", "energy_store.py", "policy.py"]
+MODELS = ["channel.py", "harvester.py", "energy_store.py", "policy.py", "node.py"]
 
 
 @pytest.mark.parametrize("name", MODELS)

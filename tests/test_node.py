@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sliptsim.errors import ConfigError, DomainError, FrameError
+from sliptsim.errors import DomainError, FrameError
 from sliptsim.node import (
     LOAD_CATALOG,
     SYNC_BYTE,
@@ -98,7 +98,7 @@ def test_catalog_throughputs():
 
 
 def test_unknown_load_profile():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError, match=r"^unknown load profile 'toaster' \(have: "):
         load_power("toaster")
 
 

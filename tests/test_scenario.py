@@ -274,8 +274,10 @@ def test_load_defaults_depend_on_policy():
     cfg["nodes"][0]["load"] = "soc_mcu_3mhz"
     assert build_scenario(cfg).nodes[0].active_load == "soc_mcu_3mhz"
     cfg["nodes"][0]["load"] = "antimatter"
-    with pytest.raises(ConfigError, match="unknown load profile"):
+    with pytest.raises(ConfigError, match="unknown load profile") as err:
         build_scenario(cfg)
+    assert err.value.path == "nodes[0].load"
+    assert err.value.message.startswith("unknown load profile 'antimatter' (have: ")
 
 
 def test_omitted_keys_build_to_the_defaults():
