@@ -6,13 +6,15 @@
     sliptsim validate --scenario tank.json
 
 Exit codes: 0 on success, 1 on configuration or simulation errors, 2 on
-command-line usage errors.  Output files go to --out, falling back to
-the SLIPTSIM_OUT environment variable; with neither set (or the variable
-empty), results are only printed.  File writes are atomic (temp file +
-rename), so a crashed run never leaves a truncated metrics or trace file
-behind; the trace streams into its temp file while the run goes on, and
-`sweep` and a `run` without an output directory build no trace at all.
-So only `run` takes --format: `sweep --format` is a usage error.
+command-line usage errors.  An error that stops a command, a scenario
+file that cannot be read included, is printed by main() as
+"error: <path>: <message>"; `validate` lists the issues it finds one a
+line.  Output files go to --out; without it, results are only printed.
+File writes are atomic (temp file + rename), so a crashed run never
+leaves a truncated metrics or trace file behind; the trace streams into
+its temp file while the run goes on, and `sweep` and a `run` without an
+output directory build no trace at all.  So only `run` takes --format:
+`sweep --format` is a usage error.
 
 Every file is written as UTF-8 with "\n" line ends, whatever the locale;
 a character the terminal's encoding cannot show is printed escaped.  The
@@ -31,8 +33,6 @@ from pathlib import Path
 from sliptsim.errors import ConfigError, SimError
 from sliptsim.scenario import build_scenario, load_scenario, read_config, validate_scenario
 from sliptsim.trace import FileSink, NullSink, trace_to_csv, trace_to_jsonl
-
-OUT_ENV_VAR = "SLIPTSIM_OUT"
 
 _PATH_TOKEN = re.compile(r"([^.\[\]]+)|\[(\d+)\]")
 
@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario's random seed")
         p.add_argument("--out", default=None,
-                       help=f"output directory (default: ${OUT_ENV_VAR})")
+                       help="output directory (default: print only)")
     # only run writes a trace
     p_run.add_argument("--format", choices=("csv", "jsonl"), default="csv",
                        help="trace file format (default: csv)")
@@ -65,17 +65,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(scenario, seed_override=None, sink=None):
-    """sliptsim.engine.run, imported on the first call."""
-    from sliptsim.engine import run as run_scenario
-    return run_scenario(scenario, seed_override, sink)
+    """Simulation(scenario, seed_override, sink).run(); imports the engine on first call."""
+    from sliptsim.engine import Simulation
+    return Simulation(scenario, seed_override, sink).run()
 
 
 def _out_dir(args) -> Path | None:
-    # an empty variable is unset: Path("") would be the working directory
-    out = args.out if args.out is not None else os.environ.get(OUT_ENV_VAR) or None
-    if out is None:
+    if args.out is None:
         return None
-    path = Path(out)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -102,7 +100,7 @@ def _set_path(cfg, dotted: str, value):
         for m in _PATH_TOKEN.finditer(dotted)
     ]
     if not tokens:
-        raise ConfigError(dotted, "empty parameter path")
+        raise ConfigError("--param", "empty parameter path")
     target = cfg
     for depth, token in enumerate(tokens, 1):
         if not isinstance(target, list if isinstance(token, int) else dict):
@@ -139,12 +137,7 @@ def _print_summary(metrics):
 
 
 def _cmd_validate(scenario_path: str) -> int:
-    try:
-        cfg = read_config(scenario_path)
-    except ConfigError as e:
-        print(e, file=sys.stderr)
-        return 1
-    issues = validate_scenario(cfg)
+    issues = validate_scenario(read_config(scenario_path))
     if issues:
         for issue in issues:
             print(issue, file=sys.stderr)

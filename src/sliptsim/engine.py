@@ -195,8 +195,9 @@ class _NodeRuntime:
         self.decoding, self.lit, self.was_full = False, False, False
         self.timer_gen = 0
         self.timer_queued = False  # the timer of gen timer_gen is in the heap
-        # command session bookkeeping: frame i carries cfg.commands[i]
-        self.uplink_until, self.slot_index = 0.0, 0
+        # command session bookkeeping (frame i carries cfg.commands[i]): the uplink's end
+        self.uplink_until = 0.0
+        self.slot_index = 0  # slot grid: the index k of the next boundary (_boundary_time)
 
 
 class Simulation:
@@ -355,13 +356,8 @@ class Simulation:
     # -- power bookkeeping ----------------------------------------------------
 
     def _sensor_value(self, n: _NodeRuntime, sensor_id: int, t: float) -> float:
-        src = n.cfg.sensor_values.get(sensor_id)
-        if src is None:
-            return 0.0
-        if isinstance(src, (int, float)):
-            return float(src)
         value = 0.0
-        for t_k, v_k in src:  # step series, last point at or before t
+        for t_k, v_k in n.cfg.sensor_values.get(sensor_id, ()):  # last step at or before t
             if t_k <= t:
                 value = v_k
             else:
@@ -661,12 +657,12 @@ class Simulation:
                 self._record_full(n, duration)
             n.metrics.stored_final_j = n.store.stored
             self._emit(duration, node_id, "end", n)
+        for i, n in enumerate(self.nodes.values()):  # in the scenario's node order
+            for key in ("harvested_J", "consumed_J", "spilled_J", "decoded_bits", "outage_s"):
+                total = getattr(n.metrics, key.lower())  # the metrics.json key's attribute
+                if not math.isfinite(total):
+                    raise ConfigError(f"nodes[{i}]", f"{key} is {total}: the scenario's power "
+                                      "or rates overflow the float range over its duration")
         self.metrics.end_time = duration
         self.trace.close()
         return self.metrics, self.trace
-
-
-def run(scenario: Scenario, seed_override: int | None = None,
-        sink: "TraceSink | None" = None) -> "tuple[Metrics, TraceSink]":
-    """Validate nothing, just simulate: build a Simulation and run it."""
-    return Simulation(scenario, seed_override, sink).run()

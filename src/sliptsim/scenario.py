@@ -64,7 +64,7 @@ class NodeDef:
     def __init__(self, node_id: str, cell: SolarCell, store: EnergyStore, policy: Policy,
                  v_threshold: float, enabled_sensors: set[int], active_load: str,
                  sleep_load: str, sense_seconds_per_sensor: float,
-                 sensor_values: dict[int, object],  # const or [(t, v)] steps
+                 sensor_values: dict[int, list[tuple[float, float]]],  # [(t, v)] steps
                  uplink_rate: float, uplink_load: str, record_bits: int,
                  data_demand: bool, commands: list[Command]):
         self.node_id, self.cell, self.store, self.policy = node_id, cell, store, policy
@@ -441,7 +441,7 @@ def _build_sensors(obj, path: str):
             raise ConfigError(vpath, "sensor ids must be integers in decimal, as in \"1\"")
         number = _finite(src)
         if number is not None:
-            values[sensor_id] = number
+            values[sensor_id] = [(0.0, number)]  # a constant is one step from t = 0
         elif isinstance(src, list):
             series = []
             for j, point in enumerate(src):

@@ -8,15 +8,10 @@ from pathlib import Path
 import pytest
 
 import sliptsim.cli as cli
-from sliptsim.cli import OUT_ENV_VAR, main
+from sliptsim.cli import main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 DEMO = str(SCENARIOS / "turbulent_demo.json")
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_out(monkeypatch):
-    monkeypatch.delenv(OUT_ENV_VAR, raising=False)
 
 
 def test_run_writes_metrics_and_trace(tmp_path, capsys):
@@ -44,16 +39,6 @@ def test_run_jsonl_format_and_seed_override(tmp_path):
     assert metrics["seed"] == 123
 
 
-def test_out_env_var_fallback_and_flag_priority(tmp_path, monkeypatch):
-    env_dir = tmp_path / "env"
-    flag_dir = tmp_path / "flag"
-    monkeypatch.setenv(OUT_ENV_VAR, str(env_dir))
-    assert main(["run", "--scenario", DEMO]) == 0
-    assert (env_dir / "metrics.json").exists()
-    assert main(["run", "--scenario", DEMO, "--out", str(flag_dir)]) == 0
-    assert (flag_dir / "metrics.json").exists()
-
-
 def test_run_without_out_prints_only(tmp_path, capsys):
     rc = main(["run", "--scenario", DEMO])
     assert rc == 0
@@ -61,10 +46,10 @@ def test_run_without_out_prints_only(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_an_empty_out_env_var_is_unset(tmp_path, monkeypatch, capsys):
-    # Path("") is the working directory: an empty variable used to write there
+def test_only_out_names_the_output_directory(tmp_path, monkeypatch, capsys):
+    # without --out nothing is written, whatever the environment holds
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv(OUT_ENV_VAR, "")
+    monkeypatch.setenv("SLIPTSIM_OUT", str(tmp_path / "env"))
     assert main(["run", "--scenario", DEMO]) == 0
     assert main(["sweep", "--scenario", DEMO, "--param", "transmitters[0].power",
                  "--values", "1W"]) == 0
@@ -113,9 +98,14 @@ def test_sweep_refuses_values_that_are_not_utf8(capsys):
 
 
 def test_missing_scenario_file_is_a_clean_failure(tmp_path, capsys):
-    rc = main(["run", "--scenario", str(tmp_path / "nope.json")])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    # main() prints a read error the same way for every command
+    missing = str(tmp_path / "nope.json")
+    errs = []
+    for command in ("run", "validate"):
+        assert main([command, "--scenario", missing]) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(f"error: {missing}: cannot read scenario file: ")
 
 
 def test_usage_errors_exit_2():
@@ -241,6 +231,10 @@ def test_sweep_rejects_bad_param_paths(capsys):
     rc = main(["sweep", "--scenario", DEMO, "--param", "transmitters[0].power",
                "--values", ""])
     assert rc == 1
+    capsys.readouterr()
+    # an empty path cannot name itself, so the error names the option
+    assert main(["sweep", "--scenario", DEMO, "--param", "", "--values", "1"]) == 1
+    assert capsys.readouterr().err == "error: --param: empty parameter path\n"
 
 
 @pytest.mark.parametrize("param, message", [
@@ -591,3 +585,21 @@ def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit,
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("base, edit, message", [
+    (TANK, lambda cfg: cfg["transmitters"][0].update(power="1e308W", distance="0m"),
+     "nodes[0]: spilled_J is inf"),
+    (DEMO, lambda cfg: cfg["nodes"][0]["cell"].update(decode_rate="1e308bit/s"),
+     "nodes[0]: decoded_bits is inf"),
+], ids=["spilled_energy", "decoded_bits"])
+def test_a_run_whose_totals_overflow_exits_1_and_writes_nothing(tmp_path, capsys, base, edit,
+                                                                 message):
+    # every field is finite, so both validate; only the run's totals overflow
+    bad = _variant(tmp_path, base, edit)
+    assert main(["validate", "--scenario", bad]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", bad, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []

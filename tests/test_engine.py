@@ -9,7 +9,6 @@ import sliptsim.engine as engine
 from sliptsim.channel import BeamGeometry, LinkParams, attenuate, geometric_capture
 from sliptsim.energy_store import Battery, Supercapacitor
 from sliptsim.engine import FRAME_BITS, Simulation, _LinkRuntime, rng_stream
-from sliptsim.engine import run as run_scenario
 from sliptsim.errors import ConfigError, DomainError
 from sliptsim.harvester import CellMode
 from sliptsim.node import Phase, Stimulus
@@ -87,7 +86,7 @@ def test_simulation_requires_a_seed():
     sc = build_scenario(cfg)
     with pytest.raises(ConfigError):
         Simulation(sc)
-    metrics, _ = run_scenario(sc, seed_override=7)
+    metrics, _ = Simulation(sc, seed_override=7).run()
     assert metrics.seed == 7
 
 
@@ -118,7 +117,7 @@ def test_timeout_while_asleep_is_a_protocol_error():
         "nodes": [{"id": "n0", "store": _battery("20J", "8J")}],
         "stimuli": [{"time": "1s", "node": "n0", "stimulus": "timeout"}],
     }
-    metrics, trace = run_scenario(build_scenario(cfg))
+    metrics, trace = Simulation(build_scenario(cfg)).run()
     assert metrics.nodes["n0"].protocol_errors == 1
     kinds = [r.event_kind for r in trace]
     assert "protocol_error" in kinds
@@ -210,7 +209,7 @@ def test_only_a_wake_reads_the_store_voltage(name, monkeypatch):
         deliver(self, n, stimulus, t)
 
     monkeypatch.setattr(Simulation, "_deliver", counting)
-    run_scenario(_scenario(name), sink=NullSink())  # a NullSink reads no voltage
+    Simulation(_scenario(name), sink=NullSink()).run()  # a NullSink reads no voltage
     assert 0 < len(wakes) < len(deliveries)
     assert len(reads) == len(wakes)
 
@@ -282,7 +281,7 @@ def test_energy_closure_identity():
                 "nodes": [{"id": "n0", "store": _battery("20J", "8J"),
                            "sensors": {"enabled": [1]}}],
             })
-        metrics, _ = run_scenario(sc)
+        metrics, _ = Simulation(sc).run()
         for node_id, m in metrics.nodes.items():
             assert m.harvested_j - m.consumed_j == pytest.approx(
                 m.stored_final_j - m.stored_initial_j, rel=1e-9, abs=1e-9), node_id
@@ -301,7 +300,7 @@ def test_weak_signal_frames_fail_and_count():
             "commands": [{"op": "sensor_on", "sensor": 1}, {"op": "send_data"}],
         }],
     }
-    metrics, trace = run_scenario(build_scenario(cfg))
+    metrics, trace = Simulation(build_scenario(cfg)).run()
     m = metrics.nodes["n0"]
     assert metrics.frame_errors == {"weak->n0": 2}
     assert m.decoded_bits == 0.0
@@ -332,14 +331,14 @@ def test_a_frame_error_goes_to_the_strongest_decode_link_first_on_a_tie():
     # sensitivity; faint comes first but is weaker, and tied ties weak
     cfg = _weak_links(("faint", _beam("0.1uW")), ("weak", _beam("0.2uW")),
                       ("tied", _beam("0.2uW")))
-    metrics, _ = run_scenario(build_scenario(cfg))
+    metrics, _ = Simulation(build_scenario(cfg)).run()
     assert metrics.frame_errors == {"weak->n0": 2}
 
 
 def test_a_frame_after_its_transmitter_went_off_has_no_link():
     # the cell settles 5 ms after the light, so both frames come after tx_off
     cfg = _weak_links(("weak", _beam("1uW", on="0s", off="1ms")))
-    metrics, _ = run_scenario(build_scenario(cfg))
+    metrics, _ = Simulation(build_scenario(cfg)).run()
     assert metrics.frame_errors == {"?->n0": 2}
 
 
@@ -363,7 +362,7 @@ def test_no_run_reads_the_node_keys_its_policy_refuses(name):
             if not nd.policy.protocol:
                 nd.v_threshold, nd.sleep_load = 0.0, "laser_uplink"
                 nd.uplink_rate, nd.uplink_load, nd.record_bits = 1.0, "soc_mcu_3mhz", 1
-        metrics, trace = run_scenario(sc)
+        metrics, trace = Simulation(sc).run()
         return metrics.to_dict(), list(trace)
 
     assert outputs(True) == outputs(False)
@@ -377,7 +376,7 @@ def test_charge_completion_matches_closed_form():
         "transmitters": [{"id": "tx1", **_beam("0.5W")}],
         "nodes": [{"id": "n0", "store": _battery("10J", "0J")}],
     }
-    metrics, _ = run_scenario(build_scenario(cfg))
+    metrics, _ = Simulation(build_scenario(cfg)).run()
     m = metrics.nodes["n0"]
     net = 0.2 * 0.5 * math.exp(-_PURE_SEA_ATT)  # no load on this node
     assert m.charge_completions == [pytest.approx(10.0 / net, rel=1e-9)]
@@ -395,7 +394,7 @@ def test_a_store_full_at_the_end_records_one_completion_there(monkeypatch):
         "transmitters": [{"id": "tx1", **_beam(f"{5 * math.exp(_PURE_SEA_ATT)!r}W")}],
         "nodes": [{"id": "n0", "store": _battery("2J", "1J")}],
     }
-    metrics, _ = run_scenario(build_scenario(cfg), sink=NullSink())
+    metrics, _ = Simulation(build_scenario(cfg), sink=NullSink()).run()
     [full_at] = metrics.nodes["n0"].charge_completions  # the full timer's instant
     assert full_at == pytest.approx(1.0, rel=1e-9)
     sc = build_scenario(cfg)
@@ -404,7 +403,7 @@ def test_a_store_full_at_the_end_records_one_completion_there(monkeypatch):
     record_full = Simulation._record_full
     monkeypatch.setattr(Simulation, "_record_full",
                         lambda self, n, t: records.append(t) or record_full(self, n, t))
-    metrics, trace = run_scenario(sc)
+    metrics, trace = Simulation(sc).run()
     m = metrics.nodes["n0"]
     assert records == m.charge_completions == [sc.duration]
     assert m.stored_final_j < 2.0
@@ -431,7 +430,7 @@ def test_a_stepped_sensor_series_records_the_step_in_force():
 
 
 def test_trace_schema_and_serializers():
-    metrics, trace = run_scenario(load_scenario(SCENARIOS / "turbulent_demo.json"))
+    metrics, trace = Simulation(load_scenario(SCENARIOS / "turbulent_demo.json")).run()
     phases = {p.value for p in Phase}
     assert trace, "a run must produce trace rows"
     for row in trace:
@@ -454,7 +453,7 @@ def test_trace_schema_and_serializers():
 
 
 def test_spatial_assignment_reported_in_metrics():
-    metrics, _ = run_scenario(load_scenario(SCENARIOS / "spatial_demo.json"))
+    metrics, _ = Simulation(load_scenario(SCENARIOS / "spatial_demo.json")).run()
     assert metrics.spatial_assignment == {
         "roles": {"txA": "data", "txB": "data", "txC": "energy"},
         "target": {"txA": "rx1", "txB": "rx2", "txC": "rx1"},
@@ -479,7 +478,7 @@ def test_dual_wavelength_splits_pools():
         }],
         "nodes": [{"id": "n0", "store": _battery("100J", "0J")}],
     }
-    metrics, _ = run_scenario(build_scenario(cfg))
+    metrics, _ = Simulation(build_scenario(cfg)).run()
     m = metrics.nodes["n0"]
     att = math.exp(-_PURE_SEA_ATT)
     assert m.harvested_j == pytest.approx(0.2 * 1.0 * att * 10.0, rel=1e-9)
@@ -610,7 +609,7 @@ def _calm_slots(t1: str, t2: str, duration: str, phase_offset: str = "0s") -> di
 # through a decode slot.
 @pytest.mark.xfail(strict=True, reason="slot mode comes from a float modulo, not from k")
 def test_every_decode_slot_decodes():
-    metrics, _ = run_scenario(build_scenario(_calm_slots("5ms", "5ms", "3s")))
+    metrics, _ = Simulation(build_scenario(_calm_slots("5ms", "5ms", "3s"))).run()
     # half of 3 s at 500 kbit/s; the float modulo gives 655,000 bits
     assert metrics.nodes["n0"].decoded_bits == pytest.approx(750_000, rel=1e-9)
 
@@ -620,7 +619,7 @@ def test_every_decode_slot_decodes():
 # 0.9999999999999998 keeps it decoding through a harvest slot.
 @pytest.mark.xfail(strict=True, reason="the first period start after 0 is never scheduled")
 def test_an_offset_schedule_harvests_in_every_harvest_slot():
-    metrics, _ = run_scenario(build_scenario(_calm_slots("0.5s", "0.5s", "3s", "0.3s")))
+    metrics, _ = Simulation(build_scenario(_calm_slots("0.5s", "0.5s", "3s", "0.3s"))).run()
     # decode on [0, 0.3), [0.8, 1.3), [1.8, 2.3) and [2.8, 3): 1.5 s, so
     # harvest the other 1.5 s; the run decodes for 2.5 s
     assert metrics.nodes["n0"].decoded_bits == pytest.approx(1.5 * 500e3, rel=1e-9)

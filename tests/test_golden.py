@@ -28,7 +28,7 @@ import pytest
 
 import sliptsim.engine as engine
 from sliptsim.cli import main
-from sliptsim.engine import Simulation, run
+from sliptsim.engine import Simulation
 from sliptsim.scenario import build_scenario, load_scenario, read_config, scenario_hash
 from sliptsim.trace import trace_to_csv, trace_to_jsonl
 
@@ -313,7 +313,7 @@ def _digests_of(metrics, trace) -> tuple[str, str]:
 
 def digests(name: str) -> tuple[str, str]:
     """(trace.csv sha256, metrics.json sha256) as `sliptsim run` writes them."""
-    return _digests_of(*run(_scenario(name)))
+    return _digests_of(*Simulation(_scenario(name)).run())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -327,8 +327,8 @@ def test_a_built_scenario_runs_twice_to_the_same_bytes(name):
     # built scenario comes out of a run as it went in
     sc = _scenario(name)
     before = [(nd.cell.mode, nd.cell.ready_at, nd.store.stored) for nd in sc.nodes]
-    assert _digests_of(*run(sc)) == GOLDEN[name]
-    assert _digests_of(*run(sc)) == GOLDEN[name]
+    assert _digests_of(*Simulation(sc).run()) == GOLDEN[name]
+    assert _digests_of(*Simulation(sc).run()) == GOLDEN[name]
     assert [(nd.cell.mode, nd.cell.ready_at, nd.store.stored) for nd in sc.nodes] == before
 
 
@@ -361,7 +361,7 @@ def test_protocol_demo_walks_the_whole_protocol():
     # near senses on its first wake, charges past 3.6 V while lit, and on
     # the second wake takes both commands and uplinks its record; far,
     # farther from the LEDs, stays below the threshold and senses twice
-    metrics, trace = run(_scenario("protocol_demo"))
+    metrics, trace = Simulation(_scenario("protocol_demo")).run()
     near, far = metrics.nodes["near"], metrics.nodes["far"]
     assert near.decoded_bits > 0 and near.delivered_records == 1
     assert near.phase_occupancy.keys() == {"sleep", "sense_save", "command_rx", "harvest"}
@@ -375,8 +375,7 @@ def test_protocol_demo_walks_the_whole_protocol():
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_cli_streams_the_golden_bytes(name, fmt, tmp_path, monkeypatch):
-    monkeypatch.delenv("SLIPTSIM_OUT", raising=False)
+def test_cli_streams_the_golden_bytes(name, fmt, tmp_path):
     out = tmp_path / "out"
     argv = ["run", "--scenario", str(_scenario_path(name, tmp_path)),
             "--out", str(out), "--format", fmt]
@@ -385,7 +384,7 @@ def test_cli_streams_the_golden_bytes(name, fmt, tmp_path, monkeypatch):
     if fmt == "csv":
         assert _sha256((out / "trace.csv").read_bytes()) == trace_digest
     else:
-        expected = trace_to_jsonl(run(_scenario(name))[1])
+        expected = trace_to_jsonl(Simulation(_scenario(name)).run()[1])
         assert (out / "trace.jsonl").read_bytes() == expected.encode("utf-8")
     assert _sha256((out / "metrics.json").read_bytes()) == metrics_digest
     assert sorted(p.name for p in out.iterdir()) == ["metrics.json", f"trace.{fmt}"]
@@ -523,7 +522,7 @@ def test_sweeping_superseded_timers_keeps_the_heap_small(name, monkeypatch):
 
     monkeypatch.setattr(engine, "heapq", SimpleNamespace(heappush=measuring_push,
                                                          heappop=heapq.heappop))
-    assert _digests_of(*run(_scenario(name))) == GOLDEN[name]
+    assert _digests_of(*Simulation(_scenario(name)).run()) == GOLDEN[name]
     assert 0 < most[0] <= UNSWEPT_HEAP_HIGH_WATER[name]
     if name == "golden_fast_slots":  # a timer superseded every 5 ms slot
         assert most[0] < 64
@@ -602,7 +601,7 @@ def test_tank_1m5_moved_only_through_its_scenario_hash():
     # tank_1m5.json dropped "decode_bandwidth": "30kHz", a key no model
     # read; with the old file's hash put back, its metrics are the old bytes
     cfg = read_config(SCENARIOS / "tank_1m5.json")
-    metrics, trace = run(build_scenario(cfg))
+    metrics, trace = Simulation(build_scenario(cfg)).run()
     cfg["nodes"][0]["cell"]["decode_bandwidth"] = "30kHz"
     metrics.scenario_hash = scenario_hash(cfg)
     assert _digests_of(metrics, trace) == (

@@ -2,7 +2,9 @@
 
 Every name a module of src/sliptsim imports must be used in that module
 (string annotations count), unless its import statement carries
-`# noqa: F401`.  Every name in sliptsim.__all__ must resolve, once.
+`# noqa: F401`.  The package root binds no name but __version__: each
+name is imported from its own module.  No module reads an environment
+variable, so every setting is a command-line option or a scenario key.
 The engine keeps a few imports it does not use only so that
 bench/traced.py can time them as `engine.<name>`; each of those must
 still be in traced.py's TIMED table.  A private module-level name (an
@@ -97,11 +99,33 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports unused names: {sorted(unused)}"
 
 
-def test_all_resolves_without_duplicates():
-    exported = sliptsim.__all__
-    assert len(exported) == len(set(exported))
-    missing = [name for name in exported if not hasattr(sliptsim, name)]
-    assert missing == []
+def test_the_package_root_binds_only_its_version():
+    # no alias table: a name is read from the module that defines it
+    bound = set()
+    for node in ast.walk(ast.parse((PACKAGE / "__init__.py").read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name for alias in node.names}
+    assert bound == {"__version__"}
+
+
+_ENVIRON = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_an_environment_variable():
+    # a setting is a command-line option or a scenario key
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            assert not names & _ENVIRON, f"{path.name}:{node.lineno} reads the environment"
 
 
 def _timed_names() -> set[str]:

@@ -41,6 +41,8 @@ def test_mode_at_walks_the_slots():
     assert mode_at(s, 1.0) is PV
     assert mode_at(s, 17.25) is PV
     assert mode_at(s, 17.75) is PC
+    with pytest.raises(DomainError, match="t must be >= 0"):
+        mode_at(s, -1e-9)  # no slot before the run
 
 
 def test_mode_at_degenerate_schedules():
@@ -72,6 +74,8 @@ def test_power_split_bounds():
         PowerSplit(1.01)
     assert split(PowerSplit(0.0), 2.0) == (0.0, 2.0)
     assert split(PowerSplit(1.0), 2.0) == (2.0, 0.0)
+    with pytest.raises(DomainError, match="incident power must be >= 0"):
+        split(PowerSplit(0.25), -1.0)
 
 
 def test_split_example():

@@ -121,6 +121,30 @@ def test_event_times_outside_the_run_rejected(edit, where, message):
         build_scenario(cfg)
 
 
+@pytest.mark.parametrize("tx_edit, node_edit, where, message", [
+    ({"water": {"absorption": "-0.1/m", "scattering": "0/m"}}, {}, "transmitters[0].water",
+     "absorption and scattering coefficients must be >= 0"),
+    ({"receiver_radius": "-35mm"}, {}, "transmitters[0]",
+     "receiver_aperture_radius must be >= 0"),
+    ({"beam_waist": "-1mm"}, {}, "transmitters[0]", "initial_radius must be >= 0"),
+    ({"distance": "-1m"}, {}, "transmitters[0]", "distance must be >= 0"),
+    ({"divergence": "-1mrad"}, {}, "transmitters[0]", "half_angle_divergence must be >= 0"),
+    ({"power": "-1W"}, {}, "transmitters[0]", "tx_power must be >= 0"),
+    ({}, {"store": {"type": "supercapacitor", "capacitance": "5F", "rated_voltage": "5V",
+                    "stored": "100J"}},
+     "nodes[0].store", "stored must be within [0, 0.5*C*V_rated^2]"),
+], ids=["negative_absorption", "negative_receiver_radius", "negative_beam_waist",
+        "negative_distance", "negative_divergence", "negative_power", "overfull_supercap"])
+def test_model_refusals_are_reported_at_their_config_path(tx_edit, node_edit, where, message):
+    # the model raises the DomainError; the loader names the path it came from
+    cfg = _minimal(transmitters=[{**_TX, **tx_edit}])
+    cfg["nodes"][0].update(node_edit)
+    assert validate_scenario(cfg) == [f"{where}: {message}"]
+    with pytest.raises(ConfigError) as e:
+        build_scenario(cfg)
+    assert (e.value.path, e.value.message) == (where, message)
+
+
 def test_non_finite_numbers_rejected_with_path():
     tx = {"power": math.nan, "water": "pure_sea", "beam_waist": "1mm",
           "receiver_radius": "1mm", "distance": "1m"}

@@ -4,6 +4,7 @@ rows follow one rule, kept here as the reference: floats as repr, which
 round-trips exactly, everything else as str."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -60,13 +61,8 @@ def test_csv_rows_follow_the_reference_rule(rows):
     assert trace_to_csv(rows) == expected
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_out(monkeypatch):
-    monkeypatch.delenv(cli.OUT_ENV_VAR, raising=False)
-
-
 def _memory_trace(scenario):
-    return engine.run(scenario)[1]
+    return engine.Simulation(scenario).run()[1]
 
 
 @pytest.mark.parametrize("fmt", sorted(SERIALIZE))
@@ -77,7 +73,7 @@ def test_file_sink_writes_the_in_memory_bytes(tmp_path, monkeypatch, fmt, chunk_
     path = tmp_path / f"trace.{fmt}"
     monkeypatch.setattr(FileSink, "chunk_rows", chunk_rows)
     with FileSink(path, SERIALIZE[fmt]) as sink:
-        _, trace = engine.run(scenario, sink=sink)
+        _, trace = engine.Simulation(scenario, sink=sink).run()
     assert trace is sink
     assert path.read_text() == expected
     assert len(sink) == len(expected.splitlines()) - (fmt == "csv")
@@ -93,6 +89,29 @@ def test_file_sink_of_an_empty_trace_holds_the_header(tmp_path):
         assert len(sink) == 0
 
 
+def test_file_sink_closed_by_its_with_block_renames_the_temp_file(tmp_path):
+    # rows written by hand, no engine and no close(): leaving the block closes the sink
+    rows = [(0.0, "n0", "start", "sleep", 0.5, 3.7, 0.0, 0.0),
+            (1.5, "n0", "end", "harvest", 0.75, 3.8, 0.25, 1e3)]
+    for fmt, serialize in SERIALIZE.items():
+        path = tmp_path / f"trace.{fmt}"
+        with FileSink(path, serialize) as sink:
+            for row in rows:
+                sink.write(*row)
+        assert path.read_text() == serialize(rows)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv", "trace.jsonl"]
+
+
+def test_a_failed_block_tolerates_a_temp_file_already_gone(tmp_path):
+    path = tmp_path / "trace.csv"
+    with pytest.raises(RuntimeError):
+        with FileSink(path, trace_to_csv) as sink:
+            sink.write(0.0, "n0", "start", "sleep", 0.5, 3.7, 0.0, 0.0)
+            os.remove(f"{path}.tmp")
+            raise RuntimeError("the run failed")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_file_sink_serializes_each_chunk_through_the_given_function(tmp_path):
     chunks = []
 
@@ -103,7 +122,7 @@ def test_file_sink_serializes_each_chunk_through_the_given_function(tmp_path):
     scenario = build_scenario(SLOTS_CFG)
     rows = len(_memory_trace(scenario))
     with FileSink(tmp_path / "trace.csv", serialize) as sink:
-        engine.run(scenario, sink=sink)
+        engine.Simulation(scenario, sink=sink).run()
     size = FileSink.chunk_rows
     assert rows > size and chunks == [size] * (rows // size) + [rows % size]
     text = (tmp_path / "trace.csv").read_text()
@@ -112,19 +131,19 @@ def test_file_sink_serializes_each_chunk_through_the_given_function(tmp_path):
 
 def test_null_sink_counts_rows_and_builds_none(monkeypatch):
     scenario = load_scenario(DEMO)
-    memory_metrics, memory = engine.run(scenario)
+    memory_metrics, memory = engine.Simulation(scenario).run()
 
     def no_voltage(self):
         raise AssertionError("a row was built for a sink that keeps none")
 
     monkeypatch.setattr(Battery, "terminal_voltage", no_voltage)
-    metrics, trace = engine.run(scenario, sink=NullSink())
+    metrics, trace = engine.Simulation(scenario, sink=NullSink()).run()
     assert len(trace) == len(memory)
     assert metrics.to_dict() == memory_metrics.to_dict()
 
 
 def test_memory_sink_is_the_default_and_holds_trace_rows():
-    _, trace = engine.run(load_scenario(DEMO))
+    _, trace = engine.Simulation(load_scenario(DEMO)).run()
     assert isinstance(trace, MemorySink) and isinstance(trace, list)
     assert all(type(row) is TraceRow for row in trace)
     assert trace[0]._fields == TRACE_FIELDS
