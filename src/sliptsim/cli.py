@@ -10,10 +10,11 @@ command-line usage errors.  An error that stops a command, a scenario
 file that cannot be read included, is printed by main() as
 "error: <path>: <message>"; `validate` lists the issues it finds one a
 line.  Output files go to --out; without it, results are only printed.
-File writes are atomic (temp file + rename), so a crashed run never
-leaves a truncated metrics or trace file behind; the trace streams into
-its temp file while the run goes on, and `sweep` and a `run` without an
-output directory build no trace at all.  So only `run` takes --format:
+A command writes its files into a staging directory under --out and
+moves them into place only once the last one is written, so a command
+that fails leaves --out as it found it; the trace streams into the
+staging directory while the run goes on, and `sweep` and a `run` without
+an output directory build no trace at all.  So only `run` takes --format:
 `sweep --format` is a usage error.
 
 Every file is written as UTF-8 with "\n" line ends, whatever the locale;
@@ -23,6 +24,8 @@ event loop (sliptsim.engine) is imported by the first run(), so
 """
 
 import argparse
+import contextlib
+import errno
 import io
 import json
 import os
@@ -35,6 +38,7 @@ from sliptsim.scenario import build_scenario, load_scenario, read_config, valida
 from sliptsim.trace import FileSink, NullSink, trace_to_csv, trace_to_jsonl
 
 _PATH_TOKEN = re.compile(r"([^.\[\]]+)|\[(\d+)\]")
+_METRICS_NAME = re.compile(r"metrics_(0|[1-9][0-9]*)\.json")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,18 +82,47 @@ def _out_dir(args) -> Path | None:
     return path
 
 
-def _write_atomic(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8", newline="\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+class _Staging:
+    """The files one command writes to `out`, held in a staging directory
+    under it until commit() moves them into place.  Leaving the with block
+    removes the directory and anything still in it, so a command that
+    fails before its commit leaves `out` as it was; commit() checks every
+    target before it moves the first file.
+    """
+
+    def __init__(self, out: Path):
+        self.out = out
+        self.dir = out / f".sliptsim-staging-{os.getpid()}"
+        self.names: list[str] = []
+        self.dir.mkdir()
+
+    def path(self, name: str) -> Path:
+        """Where to write the file that commit() moves to out/name."""
+        self.names.append(name)
+        return self.dir / name
+
+    def write(self, name: str, text: str):
+        self.path(name).write_text(text, encoding="utf-8", newline="\n")
+
+    def commit(self):
+        targets = [self.out / name for name in self.names]
+        for target in targets:  # os.replace cannot put a file there: fail before moving any
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", str(target))
+        for name, target in zip(self.names, targets):
+            os.replace(self.dir / name, target)
+
+    def __enter__(self) -> "_Staging":
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        for name in os.listdir(self.dir):
+            os.remove(self.dir / name)
+        self.dir.rmdir()
 
 
-def _write_metrics(path: Path, metrics):
-    _write_atomic(path, json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
+def _metrics_text(metrics) -> str:
+    return json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def _set_path(cfg, dotted: str, value):
@@ -156,10 +189,12 @@ def _cmd_run(args) -> int:
         return 0
     # this module's names, so a wrapper on cli.trace_to_* (bench/traced.py) sees every chunk
     serialize = trace_to_csv if args.format == "csv" else trace_to_jsonl
-    with FileSink(out / f"trace.{args.format}", serialize) as sink:
-        metrics, _ = run(scenario, seed_override=args.seed, sink=sink)
-    _print_summary(metrics)
-    _write_metrics(out / "metrics.json", metrics)
+    with _Staging(out) as staging:
+        with FileSink(staging.path(f"trace.{args.format}"), serialize) as sink:
+            metrics, _ = run(scenario, seed_override=args.seed, sink=sink)
+        _print_summary(metrics)
+        staging.write("metrics.json", _metrics_text(metrics))
+        staging.commit()
     print(f"wrote {out / 'metrics.json'} and trace.{args.format}")
     return 0
 
@@ -177,26 +212,34 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("--values", "no values given")
     rows = []
     out = _out_dir(args)
-    for i, raw in enumerate(values):
-        # in place: build_scenario never writes to cfg, and each value
-        # replaces the one before it at the same path
-        _set_path(cfg, args.param, _parse_value(raw))
-        # one value's scenario and metrics are alive at a time: no name holds
-        # the scenario, freed once its run returns, and the metrics go before
-        # the next value builds
-        metrics, _ = run(build_scenario(cfg), seed_override=args.seed, sink=NullSink())
-        harvested = sum(m.harvested_j for m in metrics.nodes.values())
-        decoded = sum(m.decoded_bits for m in metrics.nodes.values())
-        rows.append((raw, harvested, decoded))
-        if out is not None:
-            _write_metrics(out / f"metrics_{i}.json", metrics)
-        del metrics
-    table = "value,harvested_J,decoded_bits\n" + "".join(
-        f"{v},{h!r},{d!r}\n" for v, h, d in rows
-    )
-    print(table, end="")
+    with (contextlib.nullcontext() if out is None else _Staging(out)) as staging:
+        for i, raw in enumerate(values):
+            # in place: build_scenario never writes to cfg, and each value
+            # replaces the one before it at the same path
+            _set_path(cfg, args.param, _parse_value(raw))
+            # one value's scenario and metrics are alive at a time: no name holds
+            # the scenario, freed once its run returns, and the metrics go before
+            # the next value builds
+            metrics, _ = run(build_scenario(cfg), seed_override=args.seed, sink=NullSink())
+            harvested = sum(m.harvested_j for m in metrics.nodes.values())
+            decoded = sum(m.decoded_bits for m in metrics.nodes.values())
+            rows.append((raw, harvested, decoded))
+            if staging is not None:
+                staging.write(f"metrics_{i}.json", _metrics_text(metrics))
+            del metrics
+        table = "value,harvested_J,decoded_bits\n" + "".join(
+            f"{v},{h!r},{d!r}\n" for v, h, d in rows
+        )
+        print(table, end="")
+        if staging is not None:
+            staging.write("sweep.csv", table)
+            staging.commit()
     if out is not None:
-        _write_atomic(out / "sweep.csv", table)
+        # every metrics_<i>.json left in out is this sweep's
+        for name in os.listdir(out):
+            i = _METRICS_NAME.fullmatch(name)
+            if i is not None and int(i[1]) >= len(values):
+                os.remove(out / name)
         print(f"wrote {out / 'sweep.csv'}")
     return 0
 

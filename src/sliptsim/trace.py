@@ -26,21 +26,53 @@ TraceRow = namedtuple("TraceRow", TRACE_FIELDS)
 CSV_HEADER = ",".join(TRACE_FIELDS) + "\n"
 
 
-# One CSV line: the numeric columns as repr, which round-trips a float
-# exactly, and the text columns as str.
-_CSV_ROW = "%r,%s,%s,%s,%r,%r,%r,%r\n"
-
-
 # Both serializers take any tuples of values in TRACE_FIELDS order: the
 # TraceRows of a MemorySink or the plain tuples of a FileSink chunk.
+
+# One CSV line: the numeric columns as repr, which round-trips a float
+# exactly, and the text columns as str.  Within one call, a trailing
+# column reuses text already made for a float that is nonzero, not NaN and
+# equal to the current value, when that value is a float too: two such
+# floats have the same bits, so the bytes are those of repr.  stored_J and
+# V_B look the text up among every such value printed in them so far, as
+# a store refilled to the same level repeats its earlier values;
+# harvested_J_cum and decoded_bits_cum only grow, so they look at the row
+# before.  Zero (0.0 == -0.0), NaN, ints and bools (True == 1 == 1.0) are
+# printed every time.
 def trace_to_csv(records) -> str:
-    row = _CSV_ROW
-    return CSV_HEADER + "".join([row % r for r in records])
+    lines = [CSV_HEADER]
+    append = lines.append
+    texts = {}
+    ph = pd = None
+    th = td = ""
+    for t, n, k, p, s, v, h, d in records:
+        if type(s) is float and s in texts:
+            ts = texts[s]
+        else:
+            ts = repr(s)
+            if type(s) is float and s and s == s:
+                texts[s] = ts
+        if type(v) is float and v in texts:
+            tv = texts[v]
+        else:
+            tv = repr(v)
+            if type(v) is float and v and v == v:
+                texts[v] = tv
+        if not (h == ph and h and type(h) is float and type(ph) is float):
+            th = repr(h)
+        if not (d == pd and d and type(d) is float and type(pd) is float):
+            td = repr(d)
+        ph, pd = h, d
+        append(f"{t!r},{n!s},{k!s},{p!s},{ts},{tv},{th},{td}\n")
+    return "".join(lines)
+
+
+# one encoder for every row: json.dumps with separators builds a new one per call
+_JSON_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def trace_to_jsonl(records) -> str:
-    return "".join([json.dumps(dict(zip(TRACE_FIELDS, r)), separators=(",", ":")) + "\n"
-                    for r in records])
+    return "".join([_JSON_ENCODE(dict(zip(TRACE_FIELDS, r))) + "\n" for r in records])
 
 
 class TraceSink(Protocol):

@@ -603,3 +603,55 @@ def test_a_run_whose_totals_overflow_exits_1_and_writes_nothing(tmp_path, capsys
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+def _snapshot(root: Path) -> dict:
+    """Every path under root, with a file's bytes (None for a directory)."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+def _tank_at_0m_for_60s(cfg):
+    cfg["transmitters"][0]["distance"] = "0m"
+    cfg["duration"] = "60s"
+
+
+def test_a_sweep_that_fails_leaves_out_as_it_found_it(tmp_path, capsys):
+    bad = _variant(tmp_path, TANK, _tank_at_0m_for_60s)
+    out = tmp_path / "sw"
+    sweep = ["sweep", "--scenario", bad, "--param", "transmitters[0].power", "--out", str(out)]
+    assert main(sweep + ["--values", "2W,3W,4W"]) == 0
+    (out / "notes.txt").write_text("not the sweep's\n")
+    before = _snapshot(out)
+    # the first value runs, the second overflows: no metrics_0.json of this sweep is left
+    assert main(sweep + ["--values", "1W,1e308W"]) == 1
+    assert "error: nodes[0]: spilled_J is inf" in capsys.readouterr().err
+    assert _snapshot(out) == before
+    # a sweep that succeeds leaves only its own metrics_<i>.json files
+    assert main(sweep + ["--values", "2W"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["metrics_0.json", "notes.txt", "sweep.csv"]
+    assert (out / "metrics_0.json").read_bytes() == before["metrics_0.json"]
+
+
+@pytest.mark.parametrize("failure", ["write_raises", "target_is_a_directory"])
+def test_a_run_whose_metrics_write_fails_leaves_out_as_it_found_it(tmp_path, monkeypatch,
+                                                                   capsys, failure):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "trace.csv").write_text("time,node_id\nkept,from an earlier run\n")
+    if failure == "target_is_a_directory":
+        (out / "metrics.json").mkdir()
+    else:
+        (out / "metrics.json").write_text("{}\n")
+        write_text = Path.write_text
+
+        def failing_write(self, *args, **kwargs):
+            if self.name.startswith("metrics.json"):
+                raise OSError(28, "No space left on device", str(self))
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_write)
+    before = _snapshot(out)
+    assert main(["run", "--scenario", DEMO, "--out", str(out)]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert _snapshot(out) == before

@@ -1,9 +1,11 @@
 """Trace sinks: streamed files match the in-memory trace byte for byte,
 `sweep` keeps no trace, and a failed run leaves no partial file.  CSV
 rows follow one rule, kept here as the reference: floats as repr, which
-round-trips exactly, everything else as str."""
+round-trips exactly, everything else as str; a JSON line is json.dumps of
+the row's field dict."""
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -50,15 +52,48 @@ _NUMBERS = st.one_of(
     st.integers(),
     st.booleans(),
 )
-_ROWS = st.lists(st.tuples(_NUMBERS, st.text(), st.text(), st.text(),
-                           _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS), max_size=6)
+# values that compare equal to another one here but print differently
+_LOOKALIKES = [0.0, -0.0, 0, False, True, 1, 1.0, 2, 2.0, 2 ** 53, 2.0 ** 53,
+               math.nan, math.inf, -math.inf]
+
+
+def _equal_to(value):
+    """value itself, or one that compares equal to it but prints differently."""
+    return st.sampled_from([value] + [v for v in _LOOKALIKES if v == value])
+
+
+@st.composite
+def _rows(draw):
+    """Up to 8 rows whose numeric columns often hold the value of the row
+    above or of an earlier row, or one equal to it that prints differently
+    (-0.0 for 0.0, 1 or True for 1.0), so that reusing the text made for an
+    earlier value is put to the test."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(_NUMBERS), draw(st.text()), draw(st.text()), draw(st.text())]
+        for col in range(4, 8):
+            earlier = [r[col] for r in rows]
+            choices = [_NUMBERS]
+            if earlier:
+                choices += [_equal_to(earlier[-1]), st.sampled_from(earlier).flatmap(_equal_to)]
+            row.append(draw(st.one_of(choices)))
+        rows.append(tuple(row))
+    return rows
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ROWS)
+@given(_rows())
 def test_csv_rows_follow_the_reference_rule(rows):
     expected = CSV_HEADER + "".join([_csv_row(row) for row in rows])
     assert trace_to_csv(rows) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows())
+def test_jsonl_rows_follow_the_reference_rule(rows):
+    expected = "".join([json.dumps(dict(zip(TRACE_FIELDS, row)), separators=(",", ":")) + "\n"
+                        for row in rows])
+    assert trace_to_jsonl(rows) == expected
 
 
 def _memory_trace(scenario):
@@ -184,9 +219,14 @@ def test_run_failing_mid_loop_leaves_no_partial_output(tmp_path, monkeypatch, ex
 
 def test_failed_rename_removes_the_temp_files(tmp_path):
     (tmp_path / "metrics.json").mkdir()  # os.replace cannot put a file there
+    (tmp_path / "sweep.csv").write_text("old\n")
     with pytest.raises(OSError):
-        cli._write_atomic(tmp_path / "metrics.json", "{}\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json"]
+        with cli._Staging(tmp_path) as staging:
+            staging.write("sweep.csv", "new\n")
+            staging.write("metrics.json", "{}\n")
+            staging.commit()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json", "sweep.csv"]
+    assert (tmp_path / "sweep.csv").read_text() == "old\n"
 
     out = tmp_path / "out"
     (out / "trace.csv").mkdir(parents=True)
