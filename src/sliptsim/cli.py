@@ -10,9 +10,10 @@ command-line usage errors.  An error that stops a command, a scenario
 file that cannot be read included, is printed by main() as
 "error: <path>: <message>"; `validate` lists the issues it finds one a
 line.  Output files go to --out; without it, results are only printed.
-A command writes its files into a staging directory under --out and
-moves them into place only once the last one is written, so a command
-that fails leaves --out as it found it; the trace streams into the
+A command writes its files into a staging directory under --out,
+making --out and its parents as needed, and moves them into place only
+once the last one is written, so a command that fails leaves --out as it
+found it, or not there if it made it; the trace streams into the
 staging directory while the run goes on, and `sweep` and a `run` without
 an output directory build no trace at all.  So only `run` takes --format:
 `sweep --format` is a usage error.
@@ -74,27 +75,33 @@ def run(scenario, seed_override=None, sink=None):
     return Simulation(scenario, seed_override, sink).run()
 
 
-def _out_dir(args) -> Path | None:
-    if args.out is None:
-        return None
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 class _Staging:
     """The files one command writes to `out`, held in a staging directory
     under it until commit() moves them into place.  Leaving the with block
-    removes the directory and anything still in it, so a command that
-    fails before its commit leaves `out` as it was; commit() checks every
-    target before it moves the first file.
+    removes the directory and anything still in it, and a block that
+    fails before the commit also removes `out` and the parents it made,
+    so a failed command leaves `out` as it was, or not there; commit()
+    checks every target before it moves the first file.
     """
 
     def __init__(self, out: Path):
         self.out = out
         self.dir = out / f".sliptsim-staging-{os.getpid()}"
         self.names: list[str] = []
-        self.dir.mkdir()
+        self.made: list[Path] = []  # outermost first
+        try:
+            for d in (*reversed(out.parents), out):
+                if not d.is_dir():
+                    d.mkdir()
+                    self.made.append(d)
+            self.dir.mkdir()
+        except BaseException:
+            self._unmake()
+            raise
+
+    def _unmake(self):
+        for d in reversed(self.made):
+            d.rmdir()
 
     def path(self, name: str) -> Path:
         """Where to write the file that commit() moves to out/name."""
@@ -109,6 +116,7 @@ class _Staging:
         for target in targets:  # os.replace cannot put a file there: fail before moving any
             if target.is_dir():
                 raise IsADirectoryError(errno.EISDIR, "Is a directory", str(target))
+        self.made = []  # they hold this command's files from here on
         for name, target in zip(self.names, targets):
             os.replace(self.dir / name, target)
 
@@ -119,6 +127,8 @@ class _Staging:
         for name in os.listdir(self.dir):
             os.remove(self.dir / name)
         self.dir.rmdir()
+        if exc_type is not None:
+            self._unmake()
 
 
 def _metrics_text(metrics) -> str:
@@ -182,13 +192,13 @@ def _cmd_validate(scenario_path: str) -> int:
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    out = _out_dir(args)
-    if out is None:
+    if args.out is None:
         metrics, _ = run(scenario, seed_override=args.seed, sink=NullSink())
         _print_summary(metrics)
         return 0
     # this module's names, so a wrapper on cli.trace_to_* (bench/traced.py) sees every chunk
     serialize = trace_to_csv if args.format == "csv" else trace_to_jsonl
+    out = Path(args.out)
     with _Staging(out) as staging:
         with FileSink(staging.path(f"trace.{args.format}"), serialize) as sink:
             metrics, _ = run(scenario, seed_override=args.seed, sink=sink)
@@ -211,7 +221,7 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("--values", "no values given")
     rows = []
-    out = _out_dir(args)
+    out = None if args.out is None else Path(args.out)
     with (contextlib.nullcontext() if out is None else _Staging(out)) as staging:
         for i, raw in enumerate(values):
             # in place: build_scenario never writes to cfg, and each value

@@ -41,7 +41,6 @@ class Stimulus(enum.Enum):
     SENSE_COMPLETE = "sense_complete"
     COMMANDS_COMPLETE = "commands_complete"
     FULL_CHARGE = "full_charge"
-    TIMEOUT = "timeout"
 
 
 class Opcode(enum.Enum):

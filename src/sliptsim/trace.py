@@ -7,7 +7,6 @@ everywhere.
 """
 
 import json
-import os
 from collections import namedtuple
 from typing import Protocol
 
@@ -128,21 +127,19 @@ class FileSink:
     trace_to_jsonl), `chunk_rows` rows at a time, so memory stays flat
     however long the run; the CSV header goes out once.
 
-    Rows go to `<path>.tmp`, which close() renames to `path`.  Used as a
-    context manager, an exception in the block (or in close) removes the
-    temp file and leaves `path` as it was.
+    Rows go to `path` itself.  Leaving the with block calls close(), or
+    only closes the file when the block raised: the CLI writes the trace
+    in its staging directory, which a failed command removes.
     """
 
     builds_rows = True
     chunk_rows = 4096
 
     def __init__(self, path, serialize):
-        self._path = path
-        self._tmp = os.fspath(path) + ".tmp"
         self._serialize = serialize
         self._chunk: list[tuple] = []
         self._written = 0
-        self._file = open(self._tmp, "w", encoding="utf-8", newline="\n")
+        self._file = open(path, "w", encoding="utf-8", newline="\n")
 
     def write(self, *values):
         self._chunk.append(values)
@@ -161,19 +158,8 @@ class FileSink:
         try:
             if self._chunk or not self._written:
                 self._flush()
+        finally:
             self._file.close()
-            os.replace(self._tmp, self._path)
-        except BaseException:
-            self._discard()
-            raise
-
-    def _discard(self):
-        """Close and remove the temp file; `path` is not touched."""
-        self._file.close()
-        try:
-            os.remove(self._tmp)
-        except FileNotFoundError:
-            pass
 
     def __len__(self) -> int:
         return self._written + len(self._chunk)
@@ -182,8 +168,6 @@ class FileSink:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if not self._file.closed:
-            if exc_type is None:
-                self.close()
-            else:
-                self._discard()
+        if exc_type is None and not self._file.closed:
+            self.close()
+        self._file.close()

@@ -24,7 +24,7 @@ def test_run_writes_metrics_and_trace(tmp_path, capsys):
     assert "buoy" in metrics["nodes"]
     trace = (tmp_path / "trace.csv").read_text()
     assert trace.startswith("time,node_id,event_kind,phase,")
-    assert not list(tmp_path.glob("*.tmp"))  # atomic writes leave no temp files
+    assert not list(tmp_path.glob(".sliptsim-staging-*"))  # committed: no staging left
 
 
 def test_run_jsonl_format_and_seed_override(tmp_path):
@@ -174,7 +174,7 @@ def test_sweep_table_and_files(tmp_path, capsys):
     for i in range(3):
         per_run = json.loads((tmp_path / f"metrics_{i}.json").read_text())
         assert per_run["nodes"]["buoy"]["harvested_J"] == pytest.approx(harvested[i])
-    assert not list(tmp_path.glob("*.tmp"))
+    assert not list(tmp_path.glob(".sliptsim-staging-*"))
 
 
 @pytest.mark.parametrize("name, param, values", [
@@ -602,7 +602,34 @@ def test_a_run_whose_totals_overflow_exits_1_and_writes_nothing(tmp_path, capsys
     assert main(["run", "--scenario", bad, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run_overflows", "sweep_value_fails_to_build",
+                                     "staging_mkdir_fails"])
+def test_a_failed_command_removes_the_out_directories_it_made(tmp_path, monkeypatch, capsys,
+                                                             command):
+    argv = ["run", "--scenario", _variant(tmp_path, TANK, _tank_overflowing)]
+    message = "nodes[0]: spilled_J is inf"
+    if command == "sweep_value_fails_to_build":
+        argv = ["sweep", "--scenario", _variant(tmp_path, TANK, _tank_at_0m_for_60s),
+                "--param", "transmitters[0].power", "--values", "1W,5kg"]
+        message = "transmitters[0].power: unit 'kg' is not a power unit"
+    elif command == "staging_mkdir_fails":
+        mkdir = Path.mkdir
+
+        def failing_mkdir(self, *args, **kwargs):
+            if self.name.startswith(".sliptsim-staging-"):
+                raise OSError(28, "No space left on device", str(self))
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", failing_mkdir)
+        message = "No space left on device"
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "nx/a/b"]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "nx").exists()
 
 
 def _snapshot(root: Path) -> dict:
@@ -614,6 +641,11 @@ def _snapshot(root: Path) -> dict:
 def _tank_at_0m_for_60s(cfg):
     cfg["transmitters"][0]["distance"] = "0m"
     cfg["duration"] = "60s"
+
+
+def _tank_overflowing(cfg):
+    _tank_at_0m_for_60s(cfg)
+    cfg["transmitters"][0]["power"] = "1e308W"
 
 
 def test_a_sweep_that_fails_leaves_out_as_it_found_it(tmp_path, capsys):

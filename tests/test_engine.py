@@ -110,18 +110,18 @@ def test_loads_are_resolved_to_watts_at_build():
     assert n.loads == (0.0, 3.7 * 11e-3, 3.7 * 102e-3)
 
 
-def test_timeout_while_asleep_is_a_protocol_error():
+def test_full_charge_while_asleep_is_a_protocol_error():
     cfg = {
         "duration": "2s",
         "seed": 1,
         "nodes": [{"id": "n0", "store": _battery("20J", "8J")}],
-        "stimuli": [{"time": "1s", "node": "n0", "stimulus": "timeout"}],
+        "stimuli": [{"time": "1s", "node": "n0", "stimulus": "full_charge"}],
     }
     metrics, trace = Simulation(build_scenario(cfg)).run()
     assert metrics.nodes["n0"].protocol_errors == 1
     kinds = [r.event_kind for r in trace]
     assert "protocol_error" in kinds
-    assert "custom:timeout" in kinds
+    assert "custom:full_charge" in kinds
     assert all(r.phase == "sleep" for r in trace)
 
 

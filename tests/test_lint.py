@@ -15,7 +15,7 @@ libcrypto (`_hashlib`), and no validate loads the event loop: the
 loader and the trace module import nothing from the engine.  A model
 module raises DomainError, never ConfigError: config paths are the
 loader's to name, in one handler.  The engine records a full charge in
-one method.  Every unit kind in units._UNIT_TABLES is the kind of some
+one method, and only the CLI's staging commit renames a file.  Every unit kind in units._UNIT_TABLES is the kind of some
 field scenario.py parses.  The records built from the loader's values
 declare no parameter defaults.
 """
@@ -206,6 +206,29 @@ def test_the_engine_records_a_full_charge_in_one_place():
     [record] = [f for f in sim.body if isinstance(f, ast.FunctionDef) and f.name == "_record_full"]
     assert len(appends) == 1 and appends[0] in list(ast.walk(record)), (
         f"engine.py appends to charge_completions at lines {[a.lineno for a in appends]}")
+
+
+def test_only_the_cli_staging_commit_renames_a_file():
+    # one atomic-write path: a command's files reach --out through
+    # cli._Staging.commit, and nothing else moves a file into place
+    renames = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+                assert not names & {"replace", "rename"}, f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("os.replace",
+                                                                           "os.rename"):
+                renames.append((path.name, node))
+        if path.name == "cli.py":
+            [staging] = [c for c in tree.body
+                         if isinstance(c, ast.ClassDef) and c.name == "_Staging"]
+            [commit] = [f for f in staging.body
+                        if isinstance(f, ast.FunctionDef) and f.name == "commit"]
+            inside = list(ast.walk(commit))
+    outside = [f"{name}:{node.lineno}" for name, node in renames if node not in inside]
+    assert len(renames) == 1 and not outside, f"renames outside _Staging.commit: {outside}"
 
 
 def _parsed_kinds() -> set[str]:

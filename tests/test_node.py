@@ -145,7 +145,7 @@ def test_wake_needs_the_store_voltage():
 def test_only_a_wake_reads_the_store_voltage():
     store = _Store(3.9)
     s = NodeState(v_threshold=3.6, enabled_sensors=set())
-    for stimulus in (Stimulus.FULL_CHARGE, Stimulus.TIMEOUT, Stimulus.LIGHT_DETECTED,
+    for stimulus in (Stimulus.FULL_CHARGE, Stimulus.SENSE_COMPLETE, Stimulus.LIGHT_DETECTED,
                      Stimulus.LIGHT_DETECTED, Stimulus.COMMANDS_COMPLETE,
                      Stimulus.LIGHT_DETECTED, Stimulus.FULL_CHARGE):
         s.step(stimulus, store)
@@ -157,7 +157,7 @@ def test_invalid_stimulus_is_an_error_and_keeps_phase():
     s = NodeState(v_threshold=3.6, enabled_sensors=set())
     assert not s.step(Stimulus.FULL_CHARGE)
     assert s.phase is Phase.SLEEP
-    assert not s.step(Stimulus.TIMEOUT)
+    assert not s.step(Stimulus.SENSE_COMPLETE)
     assert s.phase is Phase.SLEEP
     assert s.step(Stimulus.LIGHT_DETECTED, _Store(3.0))
     assert not s.step(Stimulus.COMMANDS_COMPLETE)  # not in CommandRx

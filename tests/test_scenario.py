@@ -213,7 +213,7 @@ def test_dangling_references_rejected():
         build_scenario(_minimal(transmitters=[{**tx, "distances": {"ghost": "1m"}}]))
     with pytest.raises(ConfigError, match="ghost"):
         build_scenario(_minimal(
-            stimuli=[{"time": "1s", "node": "ghost", "stimulus": "timeout"}]))
+            stimuli=[{"time": "1s", "node": "ghost", "stimulus": "light_detected"}]))
 
 
 def test_spatial_constraints():
@@ -382,9 +382,13 @@ def test_a_sensor_on_a_command_that_reads_none_is_refused(op):
 
 
 def test_unknown_stimulus_rejected():
-    cfg = _minimal(stimuli=[{"time": "1s", "node": "n0", "stimulus": "earthquake"}])
-    with pytest.raises(ConfigError, match="unknown stimulus"):
-        build_scenario(cfg)
+    # "timeout" was a stimulus no phase has a transition for
+    for name in ("earthquake", "timeout"):
+        cfg = _minimal(stimuli=[{"time": "1s", "node": "n0", "stimulus": name}])
+        message = (rf"^stimuli\[0\]\.stimulus: unknown stimulus '{name}' \(have: "
+                   r"light_detected, sense_complete, commands_complete, full_charge\)$")
+        with pytest.raises(ConfigError, match=message):
+            build_scenario(cfg)
 
 
 def test_hash_is_canonical():
@@ -499,7 +503,7 @@ def test_validate_collects_multiple_issues():
 
 
 def test_validate_surfaces_cross_references_last():
-    cfg = _minimal(stimuli=[{"time": "1s", "node": "ghost", "stimulus": "timeout"}])
+    cfg = _minimal(stimuli=[{"time": "1s", "node": "ghost", "stimulus": "light_detected"}])
     issues = validate_scenario(cfg)
     assert issues == ["stimuli[0].node: unknown node 'ghost'"]
     assert validate_scenario("not a dict") == ["scenario: expected an object, got str"]
@@ -544,7 +548,7 @@ def test_validate_builds_each_item_once(monkeypatch):
             return _build(*args)
 
         monkeypatch.setattr(scenario, name, counting)
-    stimulus = {"time": "1s", "node": "n0", "stimulus": "timeout"}
+    stimulus = {"time": "1s", "node": "n0", "stimulus": "light_detected"}
     cfg = _minimal(transmitters=[{**_TX, "id": "a"}, {**_TX, "id": "b"}],
                    stimuli=[stimulus, stimulus])
     cfg["nodes"].append({"id": "n1", "store": {"type": "battery", "capacity": "1J"}})
@@ -566,7 +570,7 @@ def test_validate_reports_every_field_in_build_order():
 
 def test_validate_reports_every_cross_reference():
     cfg = _minimal(transmitters=[{**_TX, "targets": ["ghost"]}],
-                   stimuli=[{"time": "1s", "node": "phantom", "stimulus": "timeout"}])
+                   stimuli=[{"time": "1s", "node": "phantom", "stimulus": "light_detected"}])
     assert _first_issue_is_raised(cfg) == [
         "transmitters[0].targets: unknown node 'ghost'",
         "stimuli[0].node: unknown node 'phantom'",

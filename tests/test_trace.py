@@ -6,7 +6,6 @@ the row's field dict."""
 
 import json
 import math
-import os
 from pathlib import Path
 
 import pytest
@@ -124,7 +123,7 @@ def test_file_sink_of_an_empty_trace_holds_the_header(tmp_path):
         assert len(sink) == 0
 
 
-def test_file_sink_closed_by_its_with_block_renames_the_temp_file(tmp_path):
+def test_file_sink_closed_by_its_with_block_flushes_and_closes_the_file(tmp_path):
     # rows written by hand, no engine and no close(): leaving the block closes the sink
     rows = [(0.0, "n0", "start", "sleep", 0.5, 3.7, 0.0, 0.0),
             (1.5, "n0", "end", "harvest", 0.75, 3.8, 0.25, 1e3)]
@@ -133,18 +132,21 @@ def test_file_sink_closed_by_its_with_block_renames_the_temp_file(tmp_path):
         with FileSink(path, serialize) as sink:
             for row in rows:
                 sink.write(*row)
+        assert sink._file.closed
         assert path.read_text() == serialize(rows)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv", "trace.jsonl"]
 
 
-def test_a_failed_block_tolerates_a_temp_file_already_gone(tmp_path):
+def test_a_failed_block_closes_the_file(tmp_path):
+    # the file is written in place: a failed block closes it, flushing no
+    # chunk, and leaves it for the caller (the CLI's staging directory) to remove
     path = tmp_path / "trace.csv"
     with pytest.raises(RuntimeError):
         with FileSink(path, trace_to_csv) as sink:
             sink.write(0.0, "n0", "start", "sleep", 0.5, 3.7, 0.0, 0.0)
-            os.remove(f"{path}.tmp")
             raise RuntimeError("the run failed")
-    assert list(tmp_path.iterdir()) == []
+    assert sink._file.closed
+    assert path.read_bytes() == b""
 
 
 def test_file_sink_serializes_each_chunk_through_the_given_function(tmp_path):
