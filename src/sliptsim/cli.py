@@ -18,10 +18,15 @@ staging directory while the run goes on, and `sweep` and a `run` without
 an output directory build no trace at all.  So only `run` takes --format:
 `sweep --format` is a usage error.
 
+An empty --out is refused before anything is read, written or removed.
+
 Every file is written as UTF-8 with "\n" line ends, whatever the locale;
-a character the terminal's encoding cannot show is printed escaped.  The
-event loop (sliptsim.engine) is imported by the first run(), so
-`validate` loads only the loader and the models.
+a character the terminal's encoding cannot show is printed escaped.  Each
+metrics file is encoded straight into its file, so no command holds a
+whole JSON text.  main() imports the event loop (sliptsim.engine) for
+`run` and `sweep` before the command reads its scenario, so compiling it
+adds nothing to the memory a live scenario holds; `validate` loads only
+the loader and the models.
 """
 
 import argparse
@@ -111,6 +116,12 @@ class _Staging:
     def write(self, name: str, text: str):
         self.path(name).write_text(text, encoding="utf-8", newline="\n")
 
+    def write_json(self, name: str, doc: dict):
+        """doc as indented, key-sorted JSON and a newline, written as it is encoded."""
+        with open(self.path(name), "w", encoding="utf-8", newline="\n") as f:
+            json.dump(doc, f, indent=2, sort_keys=True)
+            f.write("\n")
+
     def commit(self):
         targets = [self.out / name for name in self.names]
         for target in targets:  # os.replace cannot put a file there: fail before moving any
@@ -131,8 +142,10 @@ class _Staging:
             self._unmake()
 
 
-def _metrics_text(metrics) -> str:
-    return json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
+def _out(args) -> Path | None:
+    if args.out == "":  # Path("") is the working directory
+        raise ConfigError("--out", "empty path")
+    return None if args.out is None else Path(args.out)
 
 
 def _set_path(cfg, dotted: str, value):
@@ -166,8 +179,7 @@ def _parse_value(text: str):
         return text
 
 
-def _print_summary(metrics):
-    d = metrics.to_dict()
+def _print_summary(d: dict):
     print(f"scenario {d['scenario_hash'][:12]}  seed {d['seed']}  "
           f"end {d['end_time_s']} s  events {d['events_processed']}")
     for node_id, m in d["nodes"].items():
@@ -191,25 +203,27 @@ def _cmd_validate(scenario_path: str) -> int:
 
 
 def _cmd_run(args) -> int:
+    out = _out(args)
     scenario = load_scenario(args.scenario)
-    if args.out is None:
+    if out is None:
         metrics, _ = run(scenario, seed_override=args.seed, sink=NullSink())
-        _print_summary(metrics)
+        _print_summary(metrics.to_dict())
         return 0
     # this module's names, so a wrapper on cli.trace_to_* (bench/traced.py) sees every chunk
     serialize = trace_to_csv if args.format == "csv" else trace_to_jsonl
-    out = Path(args.out)
     with _Staging(out) as staging:
         with FileSink(staging.path(f"trace.{args.format}"), serialize) as sink:
             metrics, _ = run(scenario, seed_override=args.seed, sink=sink)
-        _print_summary(metrics)
-        staging.write("metrics.json", _metrics_text(metrics))
+        doc = metrics.to_dict()
+        _print_summary(doc)
+        staging.write_json("metrics.json", doc)
         staging.commit()
     print(f"wrote {out / 'metrics.json'} and trace.{args.format}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    out = _out(args)
     cfg = read_config(args.scenario)
     # scenario text, so UTF-8 as the file is; a locale that cannot decode
     # the bytes (LC_ALL=C) passes them on as surrogate escapes
@@ -221,7 +235,6 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("--values", "no values given")
     rows = []
-    out = None if args.out is None else Path(args.out)
     with (contextlib.nullcontext() if out is None else _Staging(out)) as staging:
         for i, raw in enumerate(values):
             # in place: build_scenario never writes to cfg, and each value
@@ -235,7 +248,7 @@ def _cmd_sweep(args) -> int:
             decoded = sum(m.decoded_bits for m in metrics.nodes.values())
             rows.append((raw, harvested, decoded))
             if staging is not None:
-                staging.write(f"metrics_{i}.json", _metrics_text(metrics))
+                staging.write_json(f"metrics_{i}.json", metrics.to_dict())
             del metrics
         table = "value,harvested_J,decoded_bits\n" + "".join(
             f"{v},{h!r},{d!r}\n" for v, h, d in rows
@@ -261,6 +274,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             return _cmd_validate(args.scenario)
+        # the loop is compiled (without a bytecode cache) while no scenario is
+        # alive, so the compiler's transient memory does not stack on it
+        import sliptsim.engine  # noqa: F401
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_sweep(args)

@@ -9,6 +9,8 @@ at.  One pass (_build) walks the config and collects every such issue:
 build_scenario raises the first, and validate_scenario reports them all.
 Every number must be finite: a NaN or Infinity literal fails the same
 field checks as 1e999.  Files are read as UTF-8, whatever the locale.
+The scenario hash is the SHA-256 of the config's canonical JSON, fed in
+pieces so that the whole text is never built.
 """
 
 import json
@@ -127,9 +129,27 @@ _NODE_KEY_READERS = {
 
 
 def scenario_hash(cfg: dict) -> str:
-    """SHA-256 of the canonical (sorted-key, no-whitespace) JSON form."""
-    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return sha256(canonical.encode("utf-8")).hexdigest()
+    """SHA-256 of the canonical (sorted-key, no-whitespace) JSON form.
+
+    The text is hashed in pieces, a top-level list one item at a time, so
+    no more than one item's JSON is alive at once: json.dumps would hold
+    every small string of the whole text before joining them.  Each piece
+    comes from the C encoder; iterencode runs in pure Python, about 4x slower.
+    """
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    digest = sha256(b"{")
+    for n, key in enumerate(sorted(cfg)):
+        digest.update(f"{',' if n else ''}{encode(key)}:".encode("utf-8"))
+        value = cfg[key]
+        if isinstance(value, list):
+            digest.update(b"[")
+            for i, item in enumerate(value):
+                digest.update(f"{',' if i else ''}{encode(item)}".encode("utf-8"))
+            digest.update(b"]")
+        else:
+            digest.update(encode(value).encode("utf-8"))
+    digest.update(b"}")
+    return digest.hexdigest()
 
 
 # -- low-level helpers --------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 
 import sliptsim.cli as cli
 from sliptsim.cli import main
+from sliptsim.engine import Metrics, NodeMetrics
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 DEMO = str(SCENARIOS / "turbulent_demo.json")
@@ -665,6 +668,51 @@ def test_a_sweep_that_fails_leaves_out_as_it_found_it(tmp_path, capsys):
     assert (out / "metrics_0.json").read_bytes() == before["metrics_0.json"]
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_empty_out_is_refused_and_the_working_directory_kept(tmp_path, monkeypatch, capsys,
+                                                               command):
+    # Path("") is the working directory: a run wrote its files there, and a
+    # sweep removed that directory's own metrics_<i>.json
+    argv = [command, "--scenario", _variant(tmp_path, TANK, _tank_at_0m_for_60s), "--out", ""]
+    if command == "sweep":
+        argv += ["--param", "transmitters[0].power", "--values", "2W"]
+    wd = tmp_path / "wd"
+    wd.mkdir()
+    (wd / "metrics_7.json").write_text("{}\n")
+    (wd / "trace.csv").write_text("not this run's\n")
+    before = _snapshot(wd)
+    monkeypatch.chdir(wd)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: --out: empty path\n")
+    assert _snapshot(wd) == before
+
+
+def test_a_run_writes_metrics_json_without_holding_its_text(tmp_path, monkeypatch, capsys):
+    # 16,000 charge completions, each written with 16 or 17 digits
+    metrics = Metrics(seed=1, scenario_hash="0" * 64)
+    metrics.nodes["n0"] = NodeMetrics(0.5)
+    metrics.nodes["n0"].charge_completions = [i * math.pi for i in range(1, 16_001)]
+    held = []
+
+    def run_returning(scenario, seed_override=None, sink=None):
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return metrics, None
+
+    monkeypatch.setattr(cli, "run", run_returning)
+    tracemalloc.start()
+    try:
+        assert main(["run", "--scenario", TANK, "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - held[0]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "metrics.json").stat().st_size
+    assert json.loads((tmp_path / "metrics.json").read_text()) == metrics.to_dict()
+    # json.dumps held the whole text and every piece of it, several times its size
+    assert peak < size / 2, (peak, size)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("failure", ["write_raises", "target_is_a_directory"])
 def test_a_run_whose_metrics_write_fails_leaves_out_as_it_found_it(tmp_path, monkeypatch,
                                                                    capsys, failure):
@@ -675,14 +723,16 @@ def test_a_run_whose_metrics_write_fails_leaves_out_as_it_found_it(tmp_path, mon
         (out / "metrics.json").mkdir()
     else:
         (out / "metrics.json").write_text("{}\n")
-        write_text = Path.write_text
+        dump = json.dump
 
-        def failing_write(self, *args, **kwargs):
-            if self.name.startswith("metrics.json"):
-                raise OSError(28, "No space left on device", str(self))
-            return write_text(self, *args, **kwargs)
+        def failing_dump(obj, fp, *args, **kwargs):
+            # the staged metrics.json fills the disk part way through its stream
+            if Path(fp.name).name == "metrics.json":
+                fp.write("{\n")
+                raise OSError(28, "No space left on device", fp.name)
+            return dump(obj, fp, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "write_text", failing_write)
+        monkeypatch.setattr(json, "dump", failing_dump)
     before = _snapshot(out)
     assert main(["run", "--scenario", DEMO, "--out", str(out)]) == 1
     assert "error: " in capsys.readouterr().err

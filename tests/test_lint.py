@@ -12,7 +12,8 @@ assignment, function or class named `_x`) must be read somewhere in
 src/sliptsim or bench/, so a leftover of deleted code cannot linger.
 No validate, run or sweep, calm or turbulent, loads numpy or OpenSSL's
 libcrypto (`_hashlib`), and no validate loads the event loop: the
-loader and the trace module import nothing from the engine.  A model
+loader and the trace module import nothing from the engine.  A run or
+sweep has loaded it before it reads its scenario.  A model
 module raises DomainError, never ConfigError: config paths are the
 loader's to name, in one handler.  The engine records a full charge in
 one method, and only the CLI's staging commit renames a file.  Every unit kind in units._UNIT_TABLES is the kind of some
@@ -313,23 +314,41 @@ def test_every_private_module_name_is_read():
 
 
 # runs each argv through main() in one fresh interpreter, then prints
+# whether the event loop was loaded as each read_config call began, and
 # which of the watched modules got imported
 _IMPORT_PROBE = """
 import json, sys
-from sliptsim.cli import main
+import sliptsim.cli as cli
+import sliptsim.scenario as scenario
 argvs, watched = json.loads(sys.argv[1])
+engine_at_read = []
+
+def probed(read):
+    def read_config(path):
+        engine_at_read.append("sliptsim.engine" in sys.modules)
+        return read(path)
+    return read_config
+
+cli.read_config = probed(cli.read_config)
+scenario.read_config = probed(scenario.read_config)  # load_scenario's
 for argv in argvs:
-    assert main(argv) == 0, argv
+    assert cli.main(argv) == 0, argv
+print(json.dumps(engine_at_read))
 print(json.dumps(sorted(m for m in watched if m in sys.modules)))
 """
 HEAVY = ["_hashlib", "numpy", "dataclasses", "inspect"]
 
 
-def _modules_after(argvs: list[list[str]], watched: list[str] = HEAVY) -> list[str]:
+def _probe(argvs: list[list[str]], watched: list[str]) -> tuple[list[bool], list[str]]:
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps([argvs, watched])],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    *_, engine_at_read, modules = proc.stdout.splitlines()
+    return json.loads(engine_at_read), json.loads(modules)
+
+
+def _modules_after(argvs: list[list[str]], watched: list[str] = HEAVY) -> list[str]:
+    return _probe(argvs, watched)[1]
 
 
 def test_validate_loads_no_event_loop():
@@ -340,6 +359,16 @@ def test_validate_loads_no_event_loop():
     assert _modules_after(argvs, ["sliptsim.engine"]) == []
     run = ["run", "--scenario", str(SCENARIOS / "vertical_supercap.json")]
     assert _modules_after([*argvs, run], ["sliptsim.engine"]) == ["sliptsim.engine"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_load_the_event_loop_before_their_scenario(command):
+    """Without a bytecode cache the loop is compiled as it is imported; done
+    before the scenario is read, the compiler's memory does not stack on it."""
+    argv = [command, "--scenario", str(SCENARIOS / "vertical_supercap.json")]
+    if command == "sweep":
+        argv += ["--param", "transmitters[0].power", "--values", "1W,2W"]
+    assert _probe([argv], [])[0] == [True]
 
 
 def test_a_calm_run_loads_no_numpy_openssl_dataclasses_or_inspect(tmp_path):

@@ -3,11 +3,15 @@ import hashlib
 import importlib.util
 import json
 import math
+import random
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sliptsim.scenario as scenario
 from sliptsim.channel import TurbulenceModel
@@ -437,6 +441,65 @@ def test_scenario_hash_is_the_sha256_of_the_canonical_json(on_hashlib, monkeypat
         cfg = _config(name)
         canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
         assert module.scenario_hash(cfg) == hashlib.sha256(canonical.encode()).hexdigest(), name
+
+
+_TEXT = st.text(max_size=6)  # any code point but a lone surrogate
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(min_value=-10**40, max_value=10**40)
+                 | st.floats() | _TEXT)  # floats take in NaN and +-inf
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=8)
+
+
+@settings(max_examples=100)
+@given(st.dictionaries(_TEXT, _JSON_VALUES | st.lists(_JSON_VALUES, max_size=4), max_size=5))
+def test_the_hash_pieces_are_the_canonical_json(cfg):
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    assert scenario_hash(cfg) == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _fleet_cfg() -> dict:
+    """The shape of the benchmark's fleet: 200 protocol nodes, and 20
+    transmitters taking turns, each with a distance to every node."""
+    rng = random.Random(1)
+    node_ids = [f"n{i:03d}" for i in range(200)]
+    return {
+        "name": "fleet",
+        "duration": "300s",
+        "seed": 1,
+        "policy": {"kind": "protocol"},
+        "transmitters": [{
+            "id": f"tx{k:02d}", "power": f"{rng.uniform(1.8, 2.2):.4f}W",
+            "wavelength": "450nm", "water": "clear_ocean", "beam_waist": "5mm",
+            "divergence": "20deg", "distance": "1m", "receiver_radius": "35mm",
+            "on": f"{k * 15 + 5}s", "off": f"{k * 15 + 15}s",
+            "distances": {nid: f"{rng.uniform(0.25, 0.35):.4f}m" for nid in node_ids},
+        } for k in range(20)],
+        "nodes": [{
+            "id": nid,
+            "cell": {"efficiency": 0.2, "switch_latency": "5ms"},
+            "store": {"type": "battery", "capacity": "1J",
+                      "stored": f"{rng.uniform(0.3, 0.7):.4f}J"},
+            "sensors": {"enabled": [1], "values": {"1": 20.0}, "seconds_per_sensor": "2s"},
+            "commands": [{"op": "sensor_on", "sensor": 2}, {"op": "send_data"}],
+        } for nid in node_ids],
+    }
+
+
+def test_hashing_a_fleet_holds_no_whole_json_text():
+    cfg = _fleet_cfg()
+    assert validate_scenario(cfg) == []
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+    tracemalloc.start()
+    try:
+        digest = scenario_hash(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(canonical).hexdigest()
+    # json.dumps held every piece of the text and then the text, about ten times its length
+    assert peak < len(canonical) / 2, (peak, len(canonical))
 
 
 @pytest.mark.parametrize("name", _CONFIG_NAMES)
