@@ -90,7 +90,13 @@ class Supercapacitor(EnergyStore):
         self.capacitance = capacitance
         self.rated_voltage = rated_voltage
         self.stored = stored
-        self.capacity = 0.5 * capacitance * rated_voltage**2
+        try:
+            self.capacity = 0.5 * capacitance * rated_voltage**2
+        except OverflowError:  # rated_voltage**2 past the float range
+            self.capacity = math.inf
+        if not 0.0 < self.capacity < math.inf:  # a zero capacity has no state of charge
+            raise DomainError(f"capacity 0.5*C*V_rated^2 must be finite and > 0, "
+                              f"got {self.capacity} J")
         if not 0.0 <= stored <= self.capacity:
             raise DomainError("stored must be within [0, 0.5*C*V_rated^2]")
 

@@ -33,7 +33,7 @@ from sliptsim.channel import (BeamGeometry, LinkParams, TurbulenceModel, WaterPr
 from sliptsim.energy_store import Battery, EnergyStore, Supercapacitor
 from sliptsim.errors import ConfigError, DomainError
 from sliptsim.harvester import SolarCell
-from sliptsim.node import Command, Opcode, Stimulus, load_power
+from sliptsim.node import Command, Opcode, load_power
 from sliptsim.policy import (DualWavelength, NodeProtocol, Policy, PowerSplit,
                              SpatialSplit, TimeSwitchSchedule)
 from sliptsim.units import parse_quantity
@@ -77,17 +77,11 @@ class NodeDef:
         self.record_bits, self.data_demand, self.commands = record_bits, data_demand, commands
 
 
-class StimulusDef:
-    def __init__(self, time: float, node_id: str, stimulus: Stimulus):
-        self.time, self.node_id, self.stimulus = time, node_id, stimulus
-
-
 class Scenario:
     def __init__(self, duration: float, seed: int | None,
-                 transmitters: list[TransmitterDef], nodes: list[NodeDef],
-                 stimuli: list[StimulusDef], scenario_hash: str):
+                 transmitters: list[TransmitterDef], nodes: list[NodeDef], scenario_hash: str):
         self.duration, self.seed = duration, seed
-        self.transmitters, self.nodes, self.stimuli = transmitters, nodes, stimuli
+        self.transmitters, self.nodes = transmitters, nodes
         self.scenario_hash = scenario_hash
 
 
@@ -98,7 +92,7 @@ _OPCODES = {
     "retransmit": Opcode.RETRANSMIT,
 }
 
-_TOP_KEYS = {"name", "duration", "seed", "policy", "transmitters", "nodes", "stimuli"}
+_TOP_KEYS = {"name", "duration", "seed", "policy", "transmitters", "nodes"}
 _TX_KEYS = {
     "id", "power", "wavelength", "water", "beam_waist", "divergence", "distance",
     "distances", "receiver_radius", "turbulence", "on", "off", "targets", "dual",
@@ -113,7 +107,6 @@ _BATTERY_KEYS = {"type", "capacity", "stored", "v_empty", "v_full"}
 _SUPERCAP_KEYS = {"type", "capacitance", "rated_voltage", "stored"}
 _SENSORS_KEYS = {"enabled", "values", "seconds_per_sensor"}
 _UPLINK_KEYS = {"rate", "load", "record_bits"}
-_STIMULUS_KEYS = {"time", "node", "stimulus"}
 _COMMAND_KEYS = {"op", "sensor"}
 # node key -> (the Policy flag a node needs to read it, what reads it): the
 # key is refused on any other node
@@ -219,6 +212,11 @@ def _str_field(obj: dict, key: str, path: str, default: str) -> str:
     value = obj.get(key, default)
     if not isinstance(value, str):
         raise ConfigError(f"{path}.{key}", "expected a string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, which JSON spells as "\ud800"
+        raise ConfigError(f"{path}.{key}", "must be text UTF-8 can encode: ids are written "
+                                           "and stream names hashed as UTF-8") from None
     return value
 
 
@@ -490,11 +488,6 @@ def _build_node(obj, index: int, default_policy: Policy | None) -> NodeDef:
     if any(c in node_id for c in ',"\r\n'):
         raise ConfigError(f"{path}.id", "must hold no ',', '\"', CR or LF: "
                                          "the CSV trace writes ids unquoted")
-    try:
-        node_id.encode("utf-8")
-    except UnicodeEncodeError:  # a lone surrogate, which JSON spells as "\ud800"
-        raise ConfigError(f"{path}.id", "must be text UTF-8 can encode: "
-                                         "the trace is written in UTF-8") from None
     policy = (_build_policy(obj["policy"], f"{path}.policy")
               if "policy" in obj else default_policy)
     if policy is None:  # the scenario's policy was refused: no key is judged unread
@@ -545,22 +538,6 @@ def _build_node(obj, index: int, default_policy: Policy | None) -> NodeDef:
             raise ConfigError(f"{path}.sensors.values.{sensor_id}",
                               "neither enabled nor switched on by a command, so nothing reads it")
     return node
-
-
-def _build_stimulus(obj, index: int) -> StimulusDef:
-    path = f"stimuli[{index}]"
-    _check_keys(obj, _STIMULUS_KEYS, path)
-    name = _require(obj, "stimulus", path)
-    try:
-        stim = Stimulus(name)
-    except ValueError:
-        valid = ", ".join(s.value for s in Stimulus)
-        raise ConfigError(f"{path}.stimulus",
-                          f"unknown stimulus {name!r} (have: {valid})") from None
-    time = _qty(obj, "time", "time", path)
-    if time < 0:
-        raise ConfigError(f"{path}.time", f"must be >= 0, got {time} s")
-    return StimulusDef(time=time, node_id=_str_field(obj, "node", path, ""), stimulus=stim)
 
 
 # -- public API ---------------------------------------------------------------
@@ -616,7 +593,6 @@ def _build(cfg, issues: list[ConfigError]) -> Scenario | None:
                       if "policy" in cfg else NodeProtocol())
     transmitters = section("transmitters", _build_transmitter)
     nodes = section("nodes", _build_node, default_policy)
-    stimuli = section("stimuli", _build_stimulus)
     if issues:
         return None
 
@@ -647,16 +623,6 @@ def _build(cfg, issues: list[ConfigError]) -> Scenario | None:
         if spatial and tx.targets is not None:
             refuse(f"transmitters[{i}].targets",
                    "spatial assignment chooses each transmitter's node, so targets is unused")
-    for i, st in enumerate(stimuli):
-        node = by_id.get(st.node_id)
-        if node is None:
-            refuse(f"stimuli[{i}].node", f"unknown node {st.node_id!r}")
-        elif not node.policy.protocol:
-            refuse(f"stimuli[{i}].node", "a stimulus drives the protocol state machine, "
-                                         f"which node {st.node_id!r} does not run")
-        if st.time > duration:
-            refuse(f"stimuli[{i}].time",
-                   f"must be <= duration ({duration} s), got {st.time} s")
     if spatial:
         if not all(n.policy.spatial for n in nodes):
             refuse("scenario.policy", "spatial assignment requires every node to use it")
@@ -665,8 +631,7 @@ def _build(cfg, issues: list[ConfigError]) -> Scenario | None:
                    "spatial assignment needs at least one transmitter")
     if issues:
         return None
-    return Scenario(duration, seed, transmitters, nodes, stimuli,
-                    scenario_hash=scenario_hash(cfg))
+    return Scenario(duration, seed, transmitters, nodes, scenario_hash=scenario_hash(cfg))
 
 
 def build_scenario(cfg: dict) -> Scenario:

@@ -211,7 +211,7 @@ def _received_power(link: LinkParams) -> float:
                    commands=[])
     tx = TransmitterDef("tx0", link, on_time=0.0, off_time=None, targets=None,
                         dual_data=None, distances={})
-    sc = Scenario(1.0, 1, [tx], [node], stimuli=[], scenario_hash="")
+    sc = Scenario(1.0, 1, [tx], [node], scenario_hash="")
     [built] = Simulation(sc).nodes["n0"].links
     return built.base_power
 

@@ -15,6 +15,8 @@ from sliptsim.engine import Metrics, NodeMetrics
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 DEMO = str(SCENARIOS / "turbulent_demo.json")
+SUPERCAP = str(SCENARIOS / "vertical_supercap.json")
+_UTF8 = "must be text UTF-8 can encode: ids are written and stream names hashed as UTF-8"
 
 
 def test_run_writes_metrics_and_trace(tmp_path, capsys):
@@ -378,22 +380,12 @@ def test_negative_phase_offset_exits_1_with_its_path(tmp_path, capsys, policy_pa
         assert "Traceback" not in err
 
 
-def _wake_buoy_at(time):
-    def edit(cfg):
-        cfg["nodes"][0]["policy"] = {"kind": "protocol"}  # a stimulus needs a protocol node
-        cfg["stimuli"] = [{"time": time, "node": "buoy", "stimulus": "light_detected"}]
-
-    return edit
-
-
 @pytest.mark.parametrize("edit, message", [
     (lambda cfg: cfg["transmitters"][0].update(on="-2s"), "transmitters[0].on: must be >= 0"),
-    (_wake_buoy_at("-1s"), "stimuli[0].time: must be >= 0"),
-    (_wake_buoy_at("61s"), "stimuli[0].time: must be <= duration (60.0 s)"),
-], ids=["tx_on_negative", "stimulus_negative", "stimulus_after_duration"])
+], ids=["tx_on_negative"])
 def test_event_times_outside_the_run_exit_1_with_their_path(tmp_path, capsys, edit, message):
-    # before the check, a -1 s stimulus wrote rows at t = -1.0 and 61 s of
-    # phase occupancy over a 60 s run
+    # before the check, an event before 0 wrote rows at a negative time and
+    # counted phase occupancy past the run's duration
     bad = _variant(tmp_path, DEMO, edit)
     out = tmp_path / "out"
     for argv in (["validate", "--scenario", bad], ["run", "--scenario", bad, "--out", str(out)]):
@@ -470,10 +462,6 @@ def _make_dual(tx):
     *[(TANK, lambda cfg, v=value: cfg["nodes"][0].update(uplink=v),
        f"nodes[0].uplink: expected an object, got {got}")
       for value, got in (([], "list"), (0, "int"), (False, "bool"), ("", "str"))],
-    (DEMO, lambda cfg: cfg.update(stimuli=[{"time": "3s", "node": "buoy",
-                                            "stimulus": "light_detected"}]),
-     "stimuli[0].node: a stimulus drives the protocol state machine, "
-     "which node 'buoy' does not run"),
     (DEMO, lambda cfg: cfg["nodes"][0].update(commands=[{"op": "send_data"}]),
      "nodes[0].commands: commands are used only in the protocol's CommandRx phase, "
      "which node 'buoy' does not run"),
@@ -540,14 +528,14 @@ def _make_dual(tx):
        "nodes[0].id: must hold no ',', '\"', CR or LF: the CSV trace writes ids unquoted")
       for node_id in ("buoy,1", 'buoy"1', "buoy\r", "buoy\n1")],
     (DEMO, lambda cfg: cfg["nodes"][0].update(id="n\ud800"),
-     "nodes[0].id: must be text UTF-8 can encode: the trace is written in UTF-8"),
+     f"nodes[0].id: {_UTF8}"),
     *[(TANK, lambda cfg, v=volts: cfg["nodes"][0]["store"].update(zip(("v_empty", "v_full"), v)),
        "nodes[0].store: v_empty must be >= 0")
       for volts in (("-3V",), ("-1e308V", "1e308V"))],
 ], ids=["distances_list", "values_list", "divergence_100deg", "divergence_90deg",
         "zero_decode_rate", "zero_uplink_rate", "negative_sensing_time", "dual_under_spatial",
         "active_load_key", "uplink_list", "uplink_0", "uplink_false", "uplink_empty_string",
-        "stimulus_on_time_switch_node", "commands_on_time_switch_node",
+        "commands_on_time_switch_node",
         "sensors_on_time_switch_node", "alpha_above_1_on_a_node", "alpha_below_0_on_the_scenario",
         "repeated_target", "targets_under_spatial", "distance_for_an_untargeted_node",
         "empty_stream", "missing_sigma2", "string_sigma2", "list_kind", "object_kind_on_a_node",
@@ -564,8 +552,8 @@ def test_unrunnable_scenario_exits_1_with_its_path(tmp_path, capsys, base, edit,
     # before these checks, the list edits died with a traceback; the others
     # validated (a falsy uplink was taken as the defaults), and a run divided
     # by the zero rate once it timed a frame or an uplink, or ran on a
-    # negative beam radius, at negative event times, with the energy beam
-    # carrying data, or with a time_switch node walked through protocol phases;
+    # negative beam radius, at negative event times, or with the energy beam
+    # carrying data;
     # commands and sensors on a time_switch node validated and were never used;
     # an out-of-range alpha was reported at "policy.alpha", a path in no file;
     # a repeated target built its link twice, and targets under spatial were
@@ -633,6 +621,58 @@ def test_a_failed_command_removes_the_out_directories_it_made(tmp_path, monkeypa
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "nx").exists()
+
+
+def _tx_id_with_a_surrogate(cfg):
+    cfg["transmitters"][0]["id"] = "tx\ud800"
+    del cfg["transmitters"][0]["turbulence"]["stream"]  # the stream is named after the id
+
+
+@pytest.mark.parametrize("base, edit, message", [
+    (DEMO, lambda cfg: cfg.update(stimuli=[]), "scenario: unknown key(s) stimuli (allowed: "
+     "duration, name, nodes, policy, seed, transmitters)"),
+    (SUPERCAP, lambda cfg: cfg["nodes"][0]["store"].update(rated_voltage="1e200V"),
+     "nodes[0].store: capacity 0.5*C*V_rated^2 must be finite and > 0, got inf J"),
+    (SUPERCAP, lambda cfg: cfg["nodes"][0]["store"].update(capacitance="1e308F"),
+     "nodes[0].store: capacity 0.5*C*V_rated^2 must be finite and > 0, got inf J"),
+    (DEMO, lambda cfg: cfg["transmitters"][0]["turbulence"].update(stream="\ud800"),
+     f"transmitters[0].turbulence.stream: {_UTF8}"),
+    (DEMO, _tx_id_with_a_surrogate, f"transmitters[0].id: {_UTF8}"),
+], ids=["stimuli_key", "rated_voltage_squared_overflows", "capacity_overflows",
+        "lone_surrogate_in_stream", "lone_surrogate_in_transmitter_id"])
+def test_a_refused_scenario_fails_every_command_at_its_path(tmp_path, capsys, base, edit,
+                                                           message):
+    # the stimuli key was the one input that set a protocol phase no light or
+    # charge caused; a rated voltage whose square overflows died with an
+    # OverflowError traceback, an infinite capacity validated and ran a store
+    # that is never full, and a lone surrogate in a stream name or in the
+    # transmitter id that names the stream validated and died deriving the
+    # link's random stream with a UnicodeEncodeError traceback
+    bad = _variant(tmp_path, base, edit)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("not this command's\n")
+    before = _snapshot(out)
+    for argv in (["validate", "--scenario", bad],
+                 ["run", "--scenario", bad, "--out", str(out)],
+                 ["sweep", "--scenario", bad, "--param", "duration", "--values", "1s,2s",
+                  "--out", str(out)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert _snapshot(out) == before
+
+
+def test_a_sweep_to_a_rated_voltage_whose_square_overflows_exits_1_at_the_store(tmp_path,
+                                                                               capsys):
+    base = _variant(tmp_path, SUPERCAP, lambda cfg: cfg.update(duration="60s"))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--scenario", base, "--param", "nodes[0].store.rated_voltage",
+                 "--values", "5V,1e200V", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: nodes[0].store: capacity 0.5*C*V_rated^2 must be finite and > 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def _snapshot(root: Path) -> dict:

@@ -78,6 +78,22 @@ def test_validation():
         Supercapacitor(capacitance=0.0)
 
 
+@pytest.mark.parametrize("capacitance, rated_voltage, capacity", [
+    (5.0, 1e200, "inf"),  # rated_voltage**2 overflows: ** raised OverflowError
+    (1e308, 5.0, "inf"),  # the product overflows to inf: a store never full
+    (1e-200, 1e-200, "0.0"),  # the product underflows to 0: no state of charge
+])
+def test_a_supercap_capacity_outside_the_float_range_is_refused(capacitance, rated_voltage,
+                                                                  capacity):
+    message = f"capacity 0.5*C*V_rated^2 must be finite and > 0, got {capacity} J"
+    with pytest.raises(DomainError) as e:
+        Supercapacitor(capacitance=capacitance, rated_voltage=rated_voltage)
+    assert str(e.value) == message
+    # a rated voltage whose square is still finite builds, to the same bits
+    built = Supercapacitor(capacitance=1e-10, rated_voltage=1e154)
+    assert built.capacity == 0.5 * 1e-10 * 1e154**2
+
+
 @given(
     st.floats(1.0, 1e4),
     st.floats(0.0, 1.0),

@@ -111,13 +111,11 @@ def test_loads_are_resolved_to_watts_at_build():
 
 
 def test_full_charge_while_asleep_is_a_protocol_error():
-    cfg = {
-        "duration": "2s",
-        "seed": 1,
-        "nodes": [{"id": "n0", "store": _battery("20J", "8J")}],
-        "stimuli": [{"time": "1s", "node": "n0", "stimulus": "full_charge"}],
-    }
-    metrics, trace = Simulation(build_scenario(cfg)).run()
+    # no scenario schedules _handle_custom; bench/traced.py still wraps it by name
+    cfg = {"duration": "2s", "seed": 1, "nodes": [{"id": "n0", "store": _battery("20J", "8J")}]}
+    sim = Simulation(build_scenario(cfg))
+    sim._schedule(1.0, "_handle_custom", "n0", Stimulus.FULL_CHARGE)
+    metrics, trace = sim.run()
     assert metrics.nodes["n0"].protocol_errors == 1
     kinds = [r.event_kind for r in trace]
     assert "protocol_error" in kinds

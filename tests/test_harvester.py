@@ -24,7 +24,7 @@ def _run_cell(cell: SolarCell, light: float, duration: float = 2.0):
                    commands=[])
     tx = TransmitterDef("tx0", beam, on_time=0.0, off_time=None, targets=None,
                         dual_data=None, distances={})
-    sc = Scenario(duration, 1, [tx], [node], stimuli=[], scenario_hash="")
+    sc = Scenario(duration, 1, [tx], [node], scenario_hash="")
     metrics, _ = Simulation(sc).run()
     return metrics.nodes["n0"]
 

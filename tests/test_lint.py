@@ -265,7 +265,7 @@ def test_every_unit_kind_is_parsed_by_some_field():
 
 # records built only from the loader's values (NodeState by the engine, from
 # a NodeDef): the loader states every value a file leaves out
-RECORDS = {"scenario.py": ["TransmitterDef", "NodeDef", "StimulusDef", "Scenario"],
+RECORDS = {"scenario.py": ["TransmitterDef", "NodeDef", "Scenario"],
            "node.py": ["NodeState"]}
 
 

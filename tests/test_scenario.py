@@ -10,12 +10,13 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sliptsim.scenario as scenario
 from sliptsim.channel import TurbulenceModel
 from sliptsim.energy_store import Battery, Supercapacitor
+from sliptsim.engine import Simulation
 from sliptsim.errors import ConfigError
 from sliptsim.harvester import SolarCell
 from sliptsim.node import Command, Opcode
@@ -107,19 +108,14 @@ def test_transmitter_off_before_on_rejected():
 
 @pytest.mark.parametrize("edit, where, message", [
     ({"transmitters": [{"on": "-2s"}]}, "transmitters[0].on", "must be >= 0, got -2.0 s"),
-    ({"stimuli": [{"time": "-1s"}]}, "stimuli[0].time", "must be >= 0, got -1.0 s"),
-    ({"stimuli": [{"time": "10.5s"}]}, "stimuli[0].time",
-     "must be <= duration (10.0 s), got 10.5 s"),
 ])
 def test_event_times_outside_the_run_rejected(edit, where, message):
     tx = {"power": "1W", "water": "pure_sea", "beam_waist": "1mm",
           "receiver_radius": "1mm", "distance": "1m"}
-    stimulus = {"node": "n0", "stimulus": "light_detected"}
-    edges = _minimal(transmitters=[{**tx, "on": "0s"}],
-                     stimuli=[{**stimulus, "time": "0s"}, {**stimulus, "time": "10s"}])
+    edges = _minimal(transmitters=[{**tx, "on": "0s"}])
     assert validate_scenario(edges) == [] and build_scenario(edges)
     key, (over,) = next(iter(edit.items()))
-    cfg = _minimal(**{key: [{**(tx if key == "transmitters" else stimulus), **over}]})
+    cfg = _minimal(**{key: [{**tx, **over}]})
     assert validate_scenario(cfg) == [f"{where}: {message}"]
     with pytest.raises(ConfigError, match=re.escape(f"{where}: {message}")):
         build_scenario(cfg)
@@ -215,9 +211,6 @@ def test_dangling_references_rejected():
         build_scenario(_minimal(transmitters=[{**tx, "targets": ["ghost"]}]))
     with pytest.raises(ConfigError, match="ghost"):
         build_scenario(_minimal(transmitters=[{**tx, "distances": {"ghost": "1m"}}]))
-    with pytest.raises(ConfigError, match="ghost"):
-        build_scenario(_minimal(
-            stimuli=[{"time": "1s", "node": "ghost", "stimulus": "light_detected"}]))
 
 
 def test_spatial_constraints():
@@ -350,7 +343,6 @@ def test_omitted_keys_build_to_the_defaults():
     }
     for node in sc.nodes:
         assert {key: _attrs(node)[key] for key in expected_node} == expected_node
-    assert sc.stimuli == []
 
 
 def test_command_and_sensor_validation():
@@ -383,16 +375,6 @@ def test_a_sensor_on_a_command_that_reads_none_is_refused(op):
     assert (e.value.path, e.value.message) == (where, message)
     cfg["nodes"][0]["commands"][1] = {"op": "sensor_off", "sensor": 9}
     assert validate_scenario(cfg) == []
-
-
-def test_unknown_stimulus_rejected():
-    # "timeout" was a stimulus no phase has a transition for
-    for name in ("earthquake", "timeout"):
-        cfg = _minimal(stimuli=[{"time": "1s", "node": "n0", "stimulus": name}])
-        message = (rf"^stimuli\[0\]\.stimulus: unknown stimulus '{name}' \(have: "
-                   r"light_detected, sense_complete, commands_complete, full_charge\)$")
-        with pytest.raises(ConfigError, match=message):
-            build_scenario(cfg)
 
 
 def test_hash_is_canonical():
@@ -566,9 +548,9 @@ def test_validate_collects_multiple_issues():
 
 
 def test_validate_surfaces_cross_references_last():
-    cfg = _minimal(stimuli=[{"time": "1s", "node": "ghost", "stimulus": "light_detected"}])
+    cfg = _minimal(transmitters=[{**_TX, "distances": {"ghost": "1m"}}])
     issues = validate_scenario(cfg)
-    assert issues == ["stimuli[0].node: unknown node 'ghost'"]
+    assert issues == ["transmitters[0].distances: unknown node 'ghost'"]
     assert validate_scenario("not a dict") == ["scenario: expected an object, got str"]
     assert validate_scenario(_minimal()) == []
 
@@ -605,18 +587,17 @@ def _first_issue_is_raised(cfg):
 
 def test_validate_builds_each_item_once(monkeypatch):
     calls = {}
-    for name in ("_build_transmitter", "_build_node", "_build_stimulus"):
+    for name in ("_build_transmitter", "_build_node"):
         def counting(*args, _build=getattr(scenario, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _build(*args)
 
         monkeypatch.setattr(scenario, name, counting)
-    stimulus = {"time": "1s", "node": "n0", "stimulus": "light_detected"}
-    cfg = _minimal(transmitters=[{**_TX, "id": "a"}, {**_TX, "id": "b"}],
-                   stimuli=[stimulus, stimulus])
+    cfg = _minimal(transmitters=[{**_TX, "id": "a", "targets": ["n1"]},
+                                 {**_TX, "id": "b", "distances": {"n0": "2m"}}])
     cfg["nodes"].append({"id": "n1", "store": {"type": "battery", "capacity": "1J"}})
     assert validate_scenario(cfg) == []
-    assert calls == {"_build_transmitter": 2, "_build_node": 2, "_build_stimulus": 2}
+    assert calls == {"_build_transmitter": 2, "_build_node": 2}
 
 
 def test_validate_reports_every_field_in_build_order():
@@ -632,9 +613,87 @@ def test_validate_reports_every_field_in_build_order():
 
 
 def test_validate_reports_every_cross_reference():
-    cfg = _minimal(transmitters=[{**_TX, "targets": ["ghost"]}],
-                   stimuli=[{"time": "1s", "node": "phantom", "stimulus": "light_detected"}])
+    cfg = _minimal(transmitters=[{**_TX, "targets": ["ghost"]},
+                                 {**_TX, "id": "t1", "distances": {"phantom": "1m"}}])
     assert _first_issue_is_raised(cfg) == [
         "transmitters[0].targets: unknown node 'ghost'",
-        "stimuli[0].node: unknown node 'phantom'",
+        "transmitters[1].distances: unknown node 'phantom'",
     ]
+
+
+# -- mutated whole configs: validate never raises (ROADMAP item 6) ------------
+
+_BASES = {**{p.stem: json.loads(p.read_text(encoding="utf-8"))
+             for p in sorted(SCENARIOS.glob("*.json"))}, **INLINE}
+# a wrong unit and the values that found earlier holes: zero, negative, empty,
+# null, the wrong type, NaN, overflows and a lone surrogate
+_EDGE_VALUES = [0, -1, "", [], {}, None, True, "NaN", "1e999", "1e200V", 1e308, "\ud800",
+                "5kg"]
+# every key some part of a file may hold, so that a new key is mutated with no edit here
+_LOADER_KEYS = sorted(set().union(*(keys for name, keys in vars(scenario).items()
+                                    if re.fullmatch(r"_[A-Z_]+_KEYS", name))))
+_CONFIG_PATH = re.compile(r"(scenario|transmitters\[\d+\]|nodes\[\d+\])[^ ]*: ")
+
+
+def _sites(obj, path=()):
+    """(path, value) of every value under obj, each container before its items."""
+    items = (obj.items() if isinstance(obj, dict) else
+             enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from _sites(value, path + (key,))
+
+
+def _parent(cfg, path: tuple):
+    for key in path[:-1]:
+        cfg = cfg[key]
+    return cfg
+
+
+def _edited(name: str, path: tuple, value) -> dict:
+    cfg = copy.deepcopy(_BASES[name])
+    _parent(cfg, path)[path[-1]] = value
+    return cfg
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A bundled or golden config after 1-3 mutations: a value replaced from
+    the edge pool, a key deleted, or a loader key added to some object."""
+    cfg = copy.deepcopy(_BASES[draw(st.sampled_from(sorted(_BASES)))])
+    for _ in range(draw(st.integers(1, 3))):
+        sites = list(_sites(cfg))
+        value = copy.deepcopy(draw(st.sampled_from(_EDGE_VALUES)))  # [] and {} are not shared
+        kind = draw(st.sampled_from(["replace", "delete", "add"]))
+        if kind == "add":
+            obj = draw(st.sampled_from([cfg] + [v for _, v in sites if isinstance(v, dict)]))
+            obj[draw(st.sampled_from(_LOADER_KEYS))] = value
+        elif kind == "delete":
+            path = draw(st.sampled_from([p for p, _ in sites if isinstance(p[-1], str)]))
+            del _parent(cfg, path)[path[-1]]
+        else:
+            path = draw(st.sampled_from([p for p, _ in sites]))
+            _parent(cfg, path)[path[-1]] = value
+    return cfg
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_mutated_configs())
+# a rated voltage whose square overflows raised OverflowError in validate, and a
+# lone surrogate in a stream name validated and failed deriving the stream
+@example(_edited("vertical_supercap", ("nodes", 0, "store", "rated_voltage"), "1e200V"))
+@example(_edited("turbulent_demo", ("transmitters", 0, "turbulence", "stream"), "\ud800"))
+def test_validate_never_raises_and_what_it_accepts_builds_a_simulation(cfg):
+    issues = validate_scenario(cfg)
+    assert isinstance(issues, list) and all(isinstance(i, str) for i in issues)
+    for issue in issues:
+        assert _CONFIG_PATH.match(issue), issue
+    if issues:
+        with pytest.raises(ConfigError) as e:
+            build_scenario(cfg)
+        assert str(e.value) == issues[0]
+        return
+    sc = build_scenario(cfg)
+    # builds every link and random stream, runs no event; a file without a
+    # seed runs with --seed
+    Simulation(sc, seed_override=1 if sc.seed is None else None)
