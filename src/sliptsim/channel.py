@@ -109,7 +109,7 @@ class TurbulenceModel:
 
 class LinkParams:
     """Everything needed to evaluate one optical path; wavelength [nm]
-    selects the water entry and is not used numerically."""
+    only feeds the check that a dual pair's beams differ in wavelength."""
 
     __slots__ = ("tx_power", "wavelength", "water", "geometry", "turbulence")
 

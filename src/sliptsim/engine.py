@@ -94,8 +94,7 @@ def _is_full(store: EnergyStore) -> bool:
 def _boundary_time(sched: TimeSwitchSchedule, k: int) -> float:
     """Slot boundary k of a schedule whose t1 and t2 are both > 0."""
     period_idx, half = divmod(k, 2)
-    return (sched.phase_offset + period_idx * sched.period
-            + (sched.t1 if half == 0 else sched.period))
+    return period_idx * sched.period + (sched.t1 if half == 0 else sched.period)
 
 
 # -- Metrics ------------------------------------------------------------------

@@ -54,16 +54,13 @@ class NodeProtocol(Policy):
 class TimeSwitchSchedule(Policy):
     """Periodic harvest/decode slots: harvest for t1, decode for t2."""
 
-    def __init__(self, t1: float, t2: float, phase_offset: float = 0.0):
+    def __init__(self, t1: float, t2: float):
         if t1 < 0 or t2 < 0:
             raise DomainError("slot lengths must be >= 0")
         if t1 + t2 <= 0:
             raise DomainError("t1 + t2 must be > 0")
-        if not phase_offset >= 0:
-            raise DomainError("phase_offset must be >= 0")
         self.t1 = t1
         self.t2 = t2
-        self.phase_offset = phase_offset
 
     @property
     def schedule(self) -> "TimeSwitchSchedule":
@@ -83,17 +80,12 @@ class SpatialSplit(TimeSwitchSchedule):
 def mode_at(schedule: TimeSwitchSchedule, t: float) -> CellMode:
     """Cell mode under the schedule at simulation time t.
 
-    Photovoltaic on [k*T + offset, k*T + offset + t1), photoconductive
-    for the rest of each period.
+    Photovoltaic on [k*T, k*T + t1), photoconductive for the rest of each
+    period.  A finite t >= 0 gives an exact t % T below T, so t1 or t2 may be 0.
     """
     if t < 0:
         raise DomainError("t must be >= 0")
-    if schedule.t2 == 0:
-        return _PV
-    if schedule.t1 == 0:
-        return _PC
-    local = (t - schedule.phase_offset) % schedule.period
-    return _PV if local < schedule.t1 else _PC
+    return _PV if t % schedule.period < schedule.t1 else _PC
 
 
 class PowerSplit(Policy):

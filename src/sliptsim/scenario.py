@@ -93,11 +93,17 @@ _OPCODES = {
 }
 
 _TOP_KEYS = {"name", "duration", "seed", "policy", "transmitters", "nodes"}
+_KIND_KEYS = {"kind"}  # a policy kind that takes no parameter
+_SLOT_KEYS = {"kind", "t1", "t2"}
+_POWER_SPLIT_KEYS = {"kind", "alpha"}
 _TX_KEYS = {
     "id", "power", "wavelength", "water", "beam_waist", "divergence", "distance",
     "distances", "receiver_radius", "turbulence", "on", "off", "targets", "dual",
 }
+_DUAL_KEYS = {"energy", "data"}
 _DUAL_BEAM_KEYS = {"power", "wavelength", "water", "turbulence"}
+_WATER_KEYS = {"absorption", "scattering"}
+_TURBULENCE_KEYS = {"sigma2", "stream"}
 _NODE_KEYS = {
     "id", "cell", "store", "policy", "v_threshold", "sensors", "load",
     "sleep_load", "uplink", "data_demand", "commands",
@@ -230,7 +236,7 @@ def _water(value, path: str) -> WaterProperties:
     if isinstance(value, str):
         return _model(path, WaterProperties.preset, value)
     if isinstance(value, dict):
-        _check_keys(value, {"absorption", "scattering"}, path)
+        _check_keys(value, _WATER_KEYS, path)
         return _model(path, WaterProperties, _qty(value, "absorption", "per_length", path),
                       _qty(value, "scattering", "per_length", path))
     raise ConfigError(path, "expected a water preset name or an object with "
@@ -240,7 +246,7 @@ def _water(value, path: str) -> WaterProperties:
 def _turbulence(value, path: str) -> TurbulenceModel:
     given = {}  # without a stream, the engine names the link's own
     if isinstance(value, dict):
-        _check_keys(value, {"sigma2", "stream"}, path)
+        _check_keys(value, _TURBULENCE_KEYS, path)
         if "stream" in value:
             given["rng_stream_id"] = _str_field(value, "stream", path, "")
             if not given["rng_stream_id"]:
@@ -259,14 +265,8 @@ def _turbulence(value, path: str) -> TurbulenceModel:
 
 
 def _slots(cls):
-    def build(obj: dict, path: str) -> TimeSwitchSchedule:
-        offset = _given(obj, path, phase_offset="time")
-        if offset and offset["phase_offset"] < 0:
-            raise ConfigError(f"{path}.phase_offset", "must be >= 0")
-        return _model(path, cls, _qty(obj, "t1", "time", path), _qty(obj, "t2", "time", path),
-                      **offset)
-
-    return build
+    return lambda obj, path: _model(path, cls, _qty(obj, "t1", "time", path),
+                                    _qty(obj, "t2", "time", path))
 
 
 def _power_split(obj: dict, path: str) -> PowerSplit:
@@ -276,13 +276,12 @@ def _power_split(obj: dict, path: str) -> PowerSplit:
     return _model(f"{path}.alpha", PowerSplit, alpha)
 
 
-_SLOT_KEYS = {"kind", "t1", "t2", "phase_offset"}
 # JSON policy kind -> (allowed keys, builder of the policy object)
 _POLICIES = {
-    "protocol": ({"kind"}, lambda obj, path: NodeProtocol()),
+    "protocol": (_KIND_KEYS, lambda obj, path: NodeProtocol()),
     "time_switch": (_SLOT_KEYS, _slots(TimeSwitchSchedule)),
-    "power_split": ({"kind", "alpha"}, _power_split),
-    "dual_wavelength": ({"kind"}, lambda obj, path: DualWavelength()),
+    "power_split": (_POWER_SPLIT_KEYS, _power_split),
+    "dual_wavelength": (_KIND_KEYS, lambda obj, path: DualWavelength()),
     "spatial": (_SLOT_KEYS, _slots(SpatialSplit)),
 }
 
@@ -332,7 +331,7 @@ def _build_transmitter(obj, index: int) -> TransmitterDef:
     dual_data = None  # a dual pair's beam is its energy beam
     if "dual" in obj:
         dual = obj["dual"]
-        _check_keys(dual, {"energy", "data"}, f"{path}.dual")
+        _check_keys(dual, _DUAL_KEYS, f"{path}.dual")
         e_obj = _require(dual, "energy", f"{path}.dual")
         d_obj = _require(dual, "data", f"{path}.dual")
         _check_keys(e_obj, _DUAL_BEAM_KEYS, f"{path}.dual.energy")

@@ -544,36 +544,32 @@ def test_only_turbulent_links_get_a_stream(monkeypatch):
     assert calls == ["fading:wavy:n0"]
 
 
-def _slotted(phase_offset: float, t1: float = 1.0, t2: float = 1.0):
+def _slotted(t1: float, t2: float):
     """turbulent_demo with a hand-built schedule."""
     sc = load_scenario(SCENARIOS / "turbulent_demo.json")
-    policy = TimeSwitchSchedule(t1, t2, phase_offset)
+    policy = TimeSwitchSchedule(t1, t2)
     for nd in sc.nodes:
         nd.policy = policy
     return sc
 
 
-@pytest.mark.parametrize("phase_offset", [-7.3, -5e-324, math.nan])
-def test_a_schedule_refuses_a_negative_phase_offset(phase_offset):
-    with pytest.raises(DomainError, match="phase_offset must be >= 0"):
-        TimeSwitchSchedule(0.25, 0.5, phase_offset)
-
-
-@pytest.mark.parametrize("phase_offset, t1, t2, now", [
-    (0.0, 0.25, 0.5, 0.0),
-    (0.0, 0.25, 0.5, 0.75),  # now on a boundary: the next one is taken
-    (7.3, 0.25, 0.5, 12.6),
-    (0.3, 0.01, 0.03, 50.0),
-    (0.0, 3.0, 1e-3, 1e4),
-    (123.456, 1e-3, 1e-3, 987.654),
+@pytest.mark.parametrize("t1, t2, now", [
+    (0.25, 0.5, 0.0),
+    (0.25, 0.5, 0.75),  # now on a boundary: the next one is taken
+    (0.25, 0.5, 12.6),
+    (0.01, 0.03, 50.0),
+    (3.0, 1e-3, 1e4),
+    (1e-3, 1e-3, 987.654),
     # t1 far below the ulp of the boundary times: boundary 6 (3 s + t1)
     # rounds onto now = 3.0, where boundary 5 lies, and the walk steps past
     # both to 4.0
-    (0.0, 1e-20, 1.0, 3.0),
-    (1e6, 1e-12, 1.0, 1e6 + 1.0),
+    (1e-20, 1.0, 3.0),
+    # the same at a large now: boundary 2,000,000 (1e6 periods + t1) rounds
+    # onto boundary 1,999,999 (1e6 periods), which is now
+    (1e-12, 1.0, 1e6 * (1.0 + 1e-12)),
 ])
-def test_catch_up_lands_on_the_first_boundary_after_now(phase_offset, t1, t2, now):
-    sim = Simulation(_slotted(phase_offset, t1, t2))
+def test_catch_up_lands_on_the_first_boundary_after_now(t1, t2, now):
+    sim = Simulation(_slotted(t1, t2))
     n = next(iter(sim.nodes.values()))
     sim._heap.clear()
     n.slot_index = 0
@@ -585,13 +581,13 @@ def test_catch_up_lands_on_the_first_boundary_after_now(phase_offset, t1, t2, no
     assert engine._boundary_time(n.schedule, k - 1) <= now
 
 
-def _calm_slots(t1: str, t2: str, duration: str, phase_offset: str = "0s") -> dict:
+def _calm_slots(t1: str, t2: str, duration: str) -> dict:
     """One time_switch node on a calm link far above its sensitivity, so it
     decodes 500 kbit/s in every decode slot."""
     return {
         "duration": duration,
         "seed": 1,
-        "policy": {"kind": "time_switch", "t1": t1, "t2": t2, "phase_offset": phase_offset},
+        "policy": {"kind": "time_switch", "t1": t1, "t2": t2},
         "transmitters": [_beam("1.5W", water="clear_ocean", beam_waist="2mm",
                                divergence="1mrad", distance="1.5m",
                                receiver_radius="35mm", on="0s")],
@@ -605,22 +601,12 @@ def _calm_slots(t1: str, t2: str, duration: str, phase_offset: str = "0s") -> di
 # float modulo, not from the boundary's index k.  At t = 0.015 s with 5 ms
 # slots, 0.015 % 0.01 = 0.004999999999999999 < t1 keeps the node harvesting
 # through a decode slot.
-@pytest.mark.xfail(strict=True, reason="slot mode comes from a float modulo, not from k")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="slot mode comes from a float modulo, not from k")
 def test_every_decode_slot_decodes():
     metrics, _ = Simulation(build_scenario(_calm_slots("5ms", "5ms", "3s"))).run()
     # half of 3 s at 500 kbit/s; the float modulo gives 655,000 bits
     assert metrics.nodes["n0"].decoded_bits == pytest.approx(750_000, rel=1e-9)
-
-
-# The period start at phase_offset (boundary index -1) is never scheduled,
-# so the node decodes from 0 to 0.8 s, and at 2.3 s (2.3 - 0.3) % 1.0 =
-# 0.9999999999999998 keeps it decoding through a harvest slot.
-@pytest.mark.xfail(strict=True, reason="the first period start after 0 is never scheduled")
-def test_an_offset_schedule_harvests_in_every_harvest_slot():
-    metrics, _ = Simulation(build_scenario(_calm_slots("0.5s", "0.5s", "3s", "0.3s"))).run()
-    # decode on [0, 0.3), [0.8, 1.3), [1.8, 2.3) and [2.8, 3): 1.5 s, so
-    # harvest the other 1.5 s; the run decodes for 2.5 s
-    assert metrics.nodes["n0"].decoded_bits == pytest.approx(1.5 * 500e3, rel=1e-9)
 
 
 def _moved_beam_power(beam: LinkParams, d: float) -> float:

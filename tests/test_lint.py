@@ -16,13 +16,16 @@ loader and the trace module import nothing from the engine.  A run or
 sweep has loaded it before it reads its scenario.  A model
 module raises DomainError, never ConfigError: config paths are the
 loader's to name, in one handler.  The engine records a full charge in
-one method, and only the CLI's staging commit renames a file.  Every unit kind in units._UNIT_TABLES is the kind of some
-field scenario.py parses.  The records built from the loader's values
-declare no parameter defaults.
+one method, and only the CLI's staging commit renames a file.  Every
+unit kind in units._UNIT_TABLES is the kind of some field scenario.py
+parses.  Every key set scenario.py checks is a named `_*_KEYS` table,
+and the loader reads every key those tables allow.  The records built
+from the loader's values declare no parameter defaults.
 """
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -261,6 +264,33 @@ def test_every_unit_kind_is_parsed_by_some_field():
     kinds = _parsed_kinds()
     assert sorted(tables - kinds) == []
     assert sorted(kinds - tables) == []
+
+
+def test_every_key_the_loader_allows_is_read():
+    # a key in a _*_KEYS table that no code reads would be accepted and then
+    # ignored; a set literal outside the tables would hold keys that the
+    # README test and the mutation test, which read the tables, never see
+    tree = ast.parse((PACKAGE / "scenario.py").read_text())
+    tables = [node for node in tree.body if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and re.fullmatch(r"_[A-Z_]+_KEYS", t.id)
+                      for t in node.targets)]
+    in_tables = {sub for table in tables for sub in ast.walk(table)}
+    allowed = {sub.value for sub in in_tables if isinstance(sub, ast.Constant)}
+    read, literals = set(), []
+    for node in ast.walk(tree):
+        if node in in_tables:
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "_given"):
+            read |= {keyword.arg for keyword in node.keywords}
+        elif isinstance(node, ast.Set):
+            literals.append(f"scenario.py:{node.lineno}")
+    assert tables
+    unread = sorted(allowed - read)
+    assert unread == [], f"keys the loader allows but never reads: {unread}"
+    assert literals == [], f"name these key sets as _*_KEYS tables: {literals}"
 
 
 # records built only from the loader's values (NodeState by the engine, from

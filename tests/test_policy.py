@@ -45,15 +45,12 @@ def test_mode_at_walks_the_slots():
         mode_at(s, -1e-9)  # no slot before the run
 
 
-def test_mode_at_degenerate_schedules():
-    assert mode_at(TimeSwitchSchedule(1.0, 0.0), 123.4) is PV
-    assert mode_at(TimeSwitchSchedule(0.0, 1.0), 123.4) is PC
-
-
-def test_mode_at_phase_offset():
-    s = TimeSwitchSchedule(0.5, 0.5, phase_offset=0.25)
-    assert mode_at(s, 0.25) is PV
-    assert mode_at(s, 0.75) is PC
+@given(st.floats(0.0, allow_infinity=False),
+       st.floats(0.0, allow_infinity=False, exclude_min=True))
+def test_mode_at_degenerate_schedules(t, slot):
+    # for a finite t >= 0, t % T is exact and below T
+    assert mode_at(TimeSwitchSchedule(slot, 0.0), t) is PV
+    assert mode_at(TimeSwitchSchedule(0.0, slot), t) is PC
 
 
 # dyadic slot lengths and times keep t + period exact, so the property

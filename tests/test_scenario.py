@@ -235,8 +235,8 @@ def test_a_refused_scenario_policy_judges_no_node_key_unread():
     # a refused policy leaves the nodes checked as protocol nodes, which read
     # every key but data_demand; that key is not refused for it
     cfg = json.loads((SCENARIOS / "spatial_demo.json").read_text())
-    cfg["policy"]["phase_offset"] = "-1s"
-    assert validate_scenario(cfg) == ["scenario.policy.phase_offset: must be >= 0"]
+    cfg["policy"]["t1"] = "-1s"
+    assert validate_scenario(cfg) == ["scenario.policy: slot lengths must be >= 0"]
     cfg["policy"] = {"kind": "protocol"}
     assert validate_scenario(cfg)[0] == (
         "nodes[0].data_demand: data_demand is used only in spatial assignment, "
@@ -330,7 +330,7 @@ def test_omitted_keys_build_to_the_defaults():
     assert (battery.stored, battery.v_empty, battery.v_full) == (0.0, 3.0, 4.2)
     assert (supercap.capacitance, supercap.rated_voltage, supercap.stored) == (5.0, 5.0, 0.0)
     assert sc.transmitters[0].beam.turbulence.scintillation_index == 0.0
-    assert built.phase_offset == 0.0 and command.sensor_id == 0
+    assert command.sensor_id == 0
     expected_tx = {"on_time": 0.0, "off_time": None, "targets": None, "dual_data": None,
                    "distances": {}}
     assert {key: _attrs(sc.transmitters[0])[key] for key in expected_tx} == expected_tx
@@ -659,25 +659,36 @@ def _edited(name: str, path: tuple, value) -> dict:
 @st.composite
 def _mutated_configs(draw):
     """A bundled or golden config after 1-3 mutations: a value replaced from
-    the edge pool, a key deleted, or a loader key added to some object."""
+    the edge pool, a key deleted, a loader key added to some object, or a
+    list item duplicated or dropped (a transmitter, node, command, target,
+    enabled sensor, or a step of a sensor series)."""
     cfg = copy.deepcopy(_BASES[draw(st.sampled_from(sorted(_BASES)))])
     for _ in range(draw(st.integers(1, 3))):
         sites = list(_sites(cfg))
         value = copy.deepcopy(draw(st.sampled_from(_EDGE_VALUES)))  # [] and {} are not shared
-        kind = draw(st.sampled_from(["replace", "delete", "add"]))
+        list_items = [p for p, _ in sites if isinstance(p[-1], int)]
+        kind = draw(st.sampled_from(["replace", "delete", "add"]
+                                    + (["duplicate", "drop"] if list_items else [])))
         if kind == "add":
             obj = draw(st.sampled_from([cfg] + [v for _, v in sites if isinstance(v, dict)]))
             obj[draw(st.sampled_from(_LOADER_KEYS))] = value
         elif kind == "delete":
             path = draw(st.sampled_from([p for p, _ in sites if isinstance(p[-1], str)]))
             del _parent(cfg, path)[path[-1]]
-        else:
+        elif kind == "replace":
             path = draw(st.sampled_from([p for p, _ in sites]))
             _parent(cfg, path)[path[-1]] = value
+        else:
+            path = draw(st.sampled_from(list_items))
+            owner = _parent(cfg, path)
+            if kind == "duplicate":
+                owner.insert(path[-1], copy.deepcopy(owner[path[-1]]))
+            else:
+                del owner[path[-1]]
     return cfg
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
+@settings(max_examples=600, derandomize=True, deadline=None)
 @given(_mutated_configs())
 # a rated voltage whose square overflows raised OverflowError in validate, and a
 # lone surrogate in a stream name validated and failed deriving the stream
