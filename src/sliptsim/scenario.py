@@ -592,6 +592,8 @@ def _build(cfg, issues: list[ConfigError]) -> Scenario | None:
                       if "policy" in cfg else NodeProtocol())
     transmitters = section("transmitters", _build_transmitter)
     nodes = section("nodes", _build_node, default_policy)
+    if cfg.get("nodes", []) == []:  # a run reports on its nodes; no transmitter is a dark run
+        issues.append(ConfigError("scenario.nodes", "needs at least one node"))
     if issues:
         return None
 
