@@ -6,12 +6,12 @@ so the suite doubles as a human-readable scorecard.
 """
 
 import itertools
+import math
+import statistics
 import time
-import zlib
 from pathlib import Path
 
 import mpmath
-import numpy as np
 
 from sliptsim.channel import TurbulenceModel, attenuate, sample_fading
 from sliptsim.energy_store import Battery
@@ -22,14 +22,6 @@ from sliptsim.scenario import build_scenario, load_scenario
 from sliptsim.trace import trace_to_csv
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-
-
-def _input_stream(master_seed: int, purpose: str) -> np.random.Generator:
-    """A numpy Generator seeded as the engine's streams once were, so the
-    inputs these checks sample stay the same arrays as when they were
-    written; the engine's own streams are random.Random now."""
-    key = zlib.crc32(purpose.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(key,)))
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -119,10 +111,10 @@ def test_ac04_sense_energy_budget():
 
 def test_ac05_attenuation_oracle():
     mpmath.mp.dps = 50
-    rng = _input_stream(2025, "ac5:attenuation")
-    alphas = rng.uniform(0.01, 3.0, 1000)
-    depths = rng.uniform(0.1, 50.0, 1000)
-    intensities = rng.uniform(0.1, 10.0, 1000)
+    rng = rng_stream(2025, "ac5:attenuation")
+    alphas = [rng.uniform(0.01, 3.0) for _ in range(1000)]
+    depths = [rng.uniform(0.1, 50.0) for _ in range(1000)]
+    intensities = [rng.uniform(0.1, 10.0) for _ in range(1000)]
     worst = 0.0
     worst_semi = 0.0
     for i0, a, z in zip(intensities, alphas, depths):
@@ -141,21 +133,21 @@ def test_ac05_attenuation_oracle():
 def test_ac06_fading_statistics():
     model = TurbulenceModel(0.25)
     rng = rng_stream(2026, "ac6:fading")
-    samples = np.fromiter(
-        (sample_fading(model, rng) for _ in range(1_000_000)), float, 1_000_000)
-    mean = samples.mean()
-    var = samples.var()
+    samples = [sample_fading(model, rng) for _ in range(1_000_000)]
+    mean = statistics.fmean(samples)
+    # the population variance; statistics.pvariance is exact, and slow on 1e6 floats
+    var = math.fsum((x - mean) ** 2 for x in samples) / len(samples)
     ok = abs(mean - 1.0) <= 0.01 and abs(var - 0.25) <= 0.02
     _report(6, "fading-statistics", ok,
             f"mean {mean:.4f} (1.00+-0.01), var {var:.4f} (0.25+-0.02), n=1e6")
 
 
 def test_ac07_split_conserves_power():
-    rng = _input_stream(777, "ac7:split")
+    rng = rng_stream(777, "ac7:split")
     exact = 0
     for _ in range(1000):
-        alpha = float(rng.random())
-        p = float(rng.uniform(0.0, 1000.0))
+        alpha = rng.random()
+        p = rng.uniform(0.0, 1000.0)
         harvest, decode = split(PowerSplit(alpha), p)
         if harvest + decode == p and harvest >= 0.0 and decode >= 0.0:
             exact += 1
@@ -164,25 +156,25 @@ def test_ac07_split_conserves_power():
 
 
 def test_ac08_protocol_invariants():
-    rng = _input_stream(99, "ac8:protocol")
+    rng = rng_stream(99, "ac8:protocol")
     stimuli = list(Stimulus)
     rx_entries = 0
     harvest_exits = 0
     for _ in range(10_000):
         state = NodeState(v_threshold=3.6, enabled_sensors={1, 2})
-        store = Battery(capacity=10.0, stored=float(rng.uniform(0.0, 10.0)))
+        store = Battery(capacity=10.0, stored=rng.uniform(0.0, 10.0))
         for _ in range(8):
-            stim = stimuli[int(rng.integers(len(stimuli)))]
+            stim = stimuli[rng.randrange(len(stimuli))]
             v_b = store.terminal_voltage()
             before = state.phase
             state.step(stim, store)
             if state.phase is Phase.COMMAND_RX and before is not Phase.COMMAND_RX:
                 assert v_b >= state.v_threshold, "entered CommandRx undercharged"
                 rx_entries += 1
-            store.deposit(float(rng.uniform(-1.0, 1.0)) * float(rng.uniform(0.0, 2.0)))
+            store.deposit(rng.uniform(-1.0, 1.0) * rng.uniform(0.0, 2.0))
             assert store.stored >= 0.0, "stored energy went negative"
             if state.phase is Phase.HARVEST:
-                net = float(rng.uniform(0.1, 2.0))
+                net = rng.uniform(0.1, 2.0)
                 store.deposit(net * store.time_to_full(net))
                 state.step(Stimulus.FULL_CHARGE)
                 assert state.phase is Phase.SLEEP, "full charge did not end in Sleep"
@@ -208,16 +200,15 @@ def _brute_force_spatial(tx_ids, rx_ids, demands, lp, sens):
 
 
 def test_ac09_spatial_against_brute_force():
-    rng = _input_stream(4242, "ac9:spatial")
+    rng = rng_stream(4242, "ac9:spatial")
     gaps = []
     feasible_n = 0
     for _ in range(100):
-        tx_ids = [f"t{i}" for i in range(int(rng.integers(1, 4)))]
-        rx_ids = [f"r{i}" for i in range(int(rng.integers(1, 4)))]
-        lp = {(t, r): float(rng.uniform(0.0, 1.0))
-              for t in tx_ids for r in rx_ids}
-        sens = {r: float(rng.uniform(0.0, 0.9)) for r in rx_ids}
-        demands = {r: bool(rng.random() < 0.6) for r in rx_ids}
+        tx_ids = [f"t{i}" for i in range(rng.randint(1, 3))]
+        rx_ids = [f"r{i}" for i in range(rng.randint(1, 3))]
+        lp = {(t, r): rng.uniform(0.0, 1.0) for t in tx_ids for r in rx_ids}
+        sens = {r: rng.uniform(0.0, 0.9) for r in rx_ids}
+        demands = {r: rng.random() < 0.6 for r in rx_ids}
         greedy = assign_spatial(tx_ids, rx_ids, demands, lp, sens)
         brute_ok, brute_best = _brute_force_spatial(tx_ids, rx_ids, demands, lp, sens)
         assert (not greedy.infeasible) == brute_ok, "feasibility mismatch"
@@ -229,7 +220,7 @@ def test_ac09_spatial_against_brute_force():
             assert gap >= -1e-12, "greedy beat the exhaustive optimum"
             gaps.append(max(gap, 0.0))
     detail = (f"100 instances, feasibility always preserved; harvest gap "
-              f"mean {np.mean(gaps):.4f} W, max {np.max(gaps):.4f} W "
+              f"mean {statistics.fmean(gaps):.4f} W, max {max(gaps):.4f} W "
               f"over {feasible_n} feasible")
     _report(9, "spatial-vs-brute-force", True, detail)
 

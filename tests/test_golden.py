@@ -1,26 +1,38 @@
-"""Golden digests: same-seed runs must reproduce these bytes exactly.
+"""Golden cases: same-seed runs must reproduce the committed bytes exactly.
 
-The digests are SHA-256 of trace.csv and metrics.json as the CLI writes
-them.  They were computed once and are only ever changed by a change
-that says why its traces differ; a refactor that reorders a float sum
-shows up here.  Two inline configs cover the power_split and
-dual_wavelength policies, which no bundled scenario runs; a third has
-several broadcast transmitters take turns over a protocol fleet, so
-links toggle and fades are redrawn on many nodes; a fourth redraws the
-fades of three turbulent links every 5 ms slot for 30 s, thousands of
-draws per link, two of the links naming the same random stream; a fifth
-aims transmitters at subsets of a protocol fleet, one listing its targets
-out of node order and one a dual-wavelength pair, with windows that
-overlap, so frames are decoded and records uplinked under both.  Every
-file in scenarios/ is pinned too.  Each case is checked twice:
-serialized from the in-memory trace, and as `sliptsim run` streams it
-to its output directory.
+Each case's pinned output is a directory, tests/golden/<case>/, holding
+metrics.json and trace.csv as `sliptsim run --out` writes them; GOLDEN
+is the SHA-256 of those files.  golden_fast_slots' 9,826-row trace is
+pinned by its digest alone (TRACE_DIGEST_ONLY).  The files change
+only with a change that says why its traces differ; a refactor that
+reorders a float sum shows up here, as each metrics.json key that moved
+and the first trace.csv line that did.  Two inline configs cover the
+power_split and dual_wavelength policies, which no bundled scenario runs;
+a third has several broadcast transmitters take turns over a protocol
+fleet, so links toggle and fades are redrawn on many nodes; a fourth
+redraws the fades of three turbulent links every 5 ms slot for 30 s,
+thousands of draws per link, two of the links naming the same random
+stream; a fifth aims transmitters at subsets of a protocol fleet, one
+listing its targets out of node order and one a dual-wavelength pair,
+with windows that overlap, so frames are decoded and records uplinked
+under both.  Every file in scenarios/ is pinned too.  Each case is
+checked twice: serialized from the in-memory trace, and as `sliptsim run`
+streams it to its output directory.
+
+To re-pin a case, run it into its directory and commit what `git diff`
+then shows, with the reason:
+
+    sliptsim run --scenario scenarios/<case>.json --out tests/golden/<case>
+
+An inline case runs the same way from a file holding json.dumps(INLINE[case]).
+For golden_fast_slots, put the SHA-256 of the trace.csv it writes into
+TRACE_DIGEST_ONLY and delete the file.
 """
 
 import hashlib
 import heapq
+import itertools
 import json
-import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -198,82 +210,6 @@ TARGETED_PROTOCOL_CFG = {
     } for nid, stored in zip(_TARGETED_IDS, ["0.45J", "0.52J", "0.6J", "0.49J"])],
 }
 
-GOLDEN = {
-    "golden_broadcast_protocol": (
-        "43b9474f51eb22a8fdf1c596f980ad4d3095570f57a5755f2b18940392f7defd",
-        "ccf96cfceee6bdf839c062cc3be8c0c3b556ee5e0c873c1f19edea33b8cc0316",
-    ),
-    "golden_dual_wavelength": (
-        "1f70c44232a8a38918ddaa76cfa75dba9d027705938295f5a6b241f446b5f840",
-        "9a030fdd31d687c828ed4faeb91585d89ec47a07773151cadc8b07fe7ada9baa",
-    ),
-    "golden_fast_slots": (
-        "d3007d5921fae40786d31965bbf5453afa3c879a7ffbb63043f344a0327ef7eb",
-        "2da1c78998fca9f55d4053da0f85953c5d479546a60f6c8333a07810e5a549a9",
-    ),
-    "golden_power_split": (
-        "74daa5f88b2249633217a9e373f91518f4c5cc5ca741d6c9e4e15ee1764d13ef",
-        "c41aeaa39af837de0e7b341bfc937df507afa633bba66a89d99ae45d794dc9c5",
-    ),
-    "golden_targeted_protocol": (
-        "85d1b2327a6e57e55ed4e99d12cd17b782f3049a13202514710db430b903b842",
-        "a2928b874e7b09b4ec76f6e76e610e52179a9c05c9fab91ba7263b55d2a6b614",
-    ),
-    "protocol_demo": (
-        "56fa9b29889fb2efab33d3a71d7e525f56f6700d2f36197972c036d44de9d61f",
-        "26e4c2d893e4254ceffb7ecaaf9e39a9a4af3a55f45b4df1f270da9d50828092",
-    ),
-    "spatial_demo": (
-        "edb90ab80d3da0b4ec0206852ad992757bf385e2248e2143ce48df37fa68b345",
-        "84dacd1e9867552f8573d95d8b5d9c0d73848d782a22549c58220edba5b4364f",
-    ),
-    "tank_1m5": (
-        "df1ce5b28078fca94f872d77f86d930ad4c63cf3d90deaedba62dd2f64e31739",
-        "260dd16c02ebdb31f5703b136d66844903f967b66b1a3747b72fd55109d4e211",
-    ),
-    "turbulent_demo": (
-        "a27b155d1cc4f90907adfdb5b8b2a7e14aff95ec6ada5f49a5b9e047f8fb40c5",
-        "a828141181b578b4dd29fcb44228cbcb6646ee0d916903d58a15776132e0c5b2",
-    ),
-    "vertical_supercap": (
-        "7d57a17b23a68800797b285eae4eb18fe9fd1114e1c6f9d3e72309452af413da",
-        "8b5940767f85fff47bb8561d3ed9d4fc6c12ce4e03d266f98be3aa58c284a321",
-    ),
-}
-
-
-# The six cases with a turbulent link, as they ran while every stream was
-# numpy's default_rng(SeedSequence(seed, spawn_key=(crc32(name),))) and every
-# fade one Generator.lognormal(mu, sigma) draw.  Only the stream and the
-# draw changed when fades moved to random.Random, which
-# test_the_numpy_stream_gives_the_numpy_era_digests shows by putting both back.
-NUMPY_ERA_GOLDEN = {
-    "golden_broadcast_protocol": (
-        "5e9faf5575b2210112e45cf6741ff4152437a3a7c8f05d3ad13d9766a31f5a58",
-        "cef3641f822175e739880b2b20c2d408c86791afaec845f5b36f1e3354b31fd6",
-    ),
-    "golden_dual_wavelength": (
-        "cba4614e84c7a2ab4b3780dc19b2a6e43fffb80817d0d93b919f3cb80322fe69",
-        "da734d3f234a5b816a834017926152bdfc93ebcde207ce1326e97625fadc4dbc",
-    ),
-    "golden_fast_slots": (
-        "3943d388c8a30d0c441d6f09ec175fe987989b0e0f3f6a56191651bf05c96951",
-        "e0d24acd4969a796f7c90c7ba0af9beca4c7a283683acdf672694e6f804fc444",
-    ),
-    "golden_power_split": (
-        "e97c572f3632df5bfa8a7b1cd850277d54d28c0d8428966d0d0f6d02795d0873",
-        "43500a9a84a17f787a54008a21a7b6cd1226989bb08b65c02ce0e163a536e1a9",
-    ),
-    "golden_targeted_protocol": (
-        "9fab6ec4cf6eb870a191f5607d994e1a92e41ed3a444c638dc0bd891bda7e4d4",
-        "946dfce1d35ebfd7862e06519f91d1fbae5f2d52e61bbd172d45f13815df6f22",
-    ),
-    "turbulent_demo": (
-        "75c982954e95f7ef43f9dfbe489ca6ae59dd16f61c7b11c3a7036a440749818c",
-        "08f9b83c7c48410bd2a8895d9612c05bfa10e72461081074632abf40f80eae0f",
-    ),
-}
-
 INLINE = {cfg["name"]: cfg
           for cfg in (POWER_SPLIT_CFG, DUAL_WAVELENGTH_CFG, BROADCAST_PROTOCOL_CFG,
                       FAST_SLOTS_CFG, TARGETED_PROTOCOL_CFG)}
@@ -281,6 +217,24 @@ INLINE = {cfg["name"]: cfg
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# a case whose trace is too long to commit: golden_fast_slots' 9,826 rows, 954 KB
+TRACE_DIGEST_ONLY = {
+    "golden_fast_slots": "d3007d5921fae40786d31965bbf5453afa3c879a7ffbb63043f344a0327ef7eb",
+}
+
+
+def _file_sha256(path: Path) -> str | None:
+    return _sha256(path.read_bytes()) if path.is_file() else None
+
+
+# (trace.csv sha256, metrics.json sha256) of each case directory
+GOLDEN = {case.name: (_file_sha256(case / "trace.csv") or TRACE_DIGEST_ONLY.get(case.name),
+                      _file_sha256(case / "metrics.json"))
+          for case in sorted(GOLDEN_DIR.iterdir()) if case.is_dir()}
 
 
 def _scenario_path(name: str, tmp_path: Path) -> Path:
@@ -305,20 +259,49 @@ def _attrs(obj) -> dict:
     return {**held, **getattr(obj, "__dict__", {})}
 
 
+def _texts(metrics, trace) -> tuple[str, str]:
+    """(trace.csv, metrics.json) as `sliptsim run` writes them."""
+    return trace_to_csv(trace), json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def _digests_of(metrics, trace) -> tuple[str, str]:
-    metrics_text = json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
-    return (_sha256(trace_to_csv(trace).encode("utf-8")),
-            _sha256(metrics_text.encode("utf-8")))
+    return tuple(_sha256(text.encode("utf-8")) for text in _texts(metrics, trace))
 
 
-def digests(name: str) -> tuple[str, str]:
-    """(trace.csv sha256, metrics.json sha256) as `sliptsim run` writes them."""
-    return _digests_of(*Simulation(_scenario(name)).run())
+def _leaves(doc, prefix: str = "") -> dict:
+    """Each value of a JSON document that is not a non-empty object, by its
+    dotted key path, e.g. nodes.node0.spilled_J."""
+    if not isinstance(doc, dict) or not doc:
+        return {prefix: doc}
+    return {path: value for key, item in doc.items()
+            for path, value in _leaves(item, f"{prefix}.{key}" if prefix else key).items()}
+
+
+def _moved(name: str, metrics, trace) -> list[str]:
+    """What a run changed against tests/golden/<name>/: each metrics.json
+    key path whose value differs, then the first trace.csv line that does."""
+    case = GOLDEN_DIR / name
+    trace_text, metrics_text = _texts(metrics, trace)
+    got = _leaves(json.loads(metrics_text))
+    pinned = _leaves(json.loads((case / "metrics.json").read_bytes()))
+    moved = sorted(path for path in got.keys() | pinned.keys()
+                   if path not in got or path not in pinned or got[path] != pinned[path])
+    if (case / "trace.csv").is_file():
+        lines = trace_text.split("\n")
+        pinned_lines = (case / "trace.csv").read_bytes().decode("utf-8").split("\n")
+        for i, (line, want) in enumerate(itertools.zip_longest(lines, pinned_lines), 1):
+            if line != want:
+                moved.append(f"trace.csv line {i}: pinned {want!r}, run {line!r}")
+                break
+    return moved
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digests(name):
-    assert digests(name) == GOLDEN[name]
+    metrics, trace = Simulation(_scenario(name)).run()
+    moved = _moved(name, metrics, trace)
+    assert not moved, f"{name} moved: {moved}"
+    assert _digests_of(metrics, trace) == GOLDEN[name]  # and byte for byte
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -354,7 +337,17 @@ def test_objects_built_per_item_hold_no_instance_dict(name):
 def test_every_bundled_scenario_is_pinned():
     bundled = {path.stem for path in SCENARIOS.glob("*.json")}
     assert len(bundled) >= 5
-    assert sorted(bundled - set(GOLDEN)) == []
+    assert sorted(bundled - set(GOLDEN)) == []  # GOLDEN: one case per directory
+
+
+def test_every_golden_directory_is_a_case_with_its_files():
+    # each names a bundled scenario or an inline config and holds its
+    # metrics.json, and its trace.csv unless only the trace's digest is pinned
+    cases = {path.stem for path in SCENARIOS.glob("*.json")} | set(INLINE)
+    assert sorted(set(GOLDEN) - cases) == []
+    for name in GOLDEN:
+        files = sorted(path.name for path in (GOLDEN_DIR / name).iterdir())
+        assert files == ["metrics.json"] + ["trace.csv"] * (name not in TRACE_DIGEST_ONLY), name
 
 
 def test_protocol_demo_walks_the_whole_protocol():
@@ -528,27 +521,6 @@ def test_sweeping_superseded_timers_keeps_the_heap_small(name, monkeypatch):
         assert most[0] < 64
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_the_numpy_stream_gives_the_numpy_era_digests(name, monkeypatch):
-    # engine.rng_stream and engine.sample_fading are the only two names a
-    # fade goes through; with numpy's put back every case, calm ones too,
-    # gives its pinned pair from before the move, byte for byte
-    np = pytest.importorskip("numpy")
-
-    def numpy_stream(master_seed, purpose):
-        key = zlib.crc32(purpose.encode("utf-8"))
-        return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(key,)))
-
-    def numpy_fade(model, rng):
-        if model.scintillation_index == 0.0:
-            return 1.0
-        return float(rng.lognormal(model.log_mean, model.log_sigma))
-
-    monkeypatch.setattr(engine, "rng_stream", numpy_stream)
-    monkeypatch.setattr(engine, "sample_fading", numpy_fade)
-    assert digests(name) == NUMPY_ERA_GOLDEN.get(name, GOLDEN[name])
-
-
 @pytest.mark.parametrize("name", ["golden_fast_slots", "turbulent_demo"])
 def test_every_fade_is_the_next_draw_of_its_links_own_stream(name, monkeypatch):
     # every fade a link takes, in order, against a fresh copy of its stream
@@ -599,12 +571,10 @@ def test_removed_cell_keys_are_refused_at_the_cell(name, tmp_path, capsys):
 
 def test_tank_1m5_moved_only_through_its_scenario_hash():
     # tank_1m5.json dropped "decode_bandwidth": "30kHz", a key no model
-    # read; with the old file's hash put back, its metrics are the old bytes
+    # read; with the old file's hash put back, the run differs from the
+    # pinned files in that hash alone
     cfg = read_config(SCENARIOS / "tank_1m5.json")
     metrics, trace = Simulation(build_scenario(cfg)).run()
     cfg["nodes"][0]["cell"]["decode_bandwidth"] = "30kHz"
     metrics.scenario_hash = scenario_hash(cfg)
-    assert _digests_of(metrics, trace) == (
-        GOLDEN["tank_1m5"][0],
-        "e7115f7338ba241e3912e7cab3840f15b9c30b8fa56a2ad3dcfff6c3835b5149",
-    )
+    assert _moved("tank_1m5", metrics, trace) == ["scenario_hash"]

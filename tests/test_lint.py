@@ -10,9 +10,11 @@ bench/traced.py can time them as `engine.<name>`; each of those must
 still be in traced.py's TIMED table.  A private module-level name (an
 assignment, function or class named `_x`) must be read somewhere in
 src/sliptsim or bench/, so a leftover of deleted code cannot linger.
-No validate, run or sweep, calm or turbulent, loads numpy or OpenSSL's
-libcrypto (`_hashlib`), and no validate loads the event loop: the
-loader and the trace module import nothing from the engine.  A run or
+No module or test imports numpy, and pyproject.toml lists it neither as
+a dependency nor in the test extra.  No validate, run or sweep, calm or
+turbulent, loads numpy or OpenSSL's libcrypto (`_hashlib`), and no
+validate loads the event loop: the loader and the trace module import
+nothing from the engine.  A run or
 sweep has loaded it before it reads its scenario.  A model
 module raises DomainError, never ConfigError: config paths are the
 loader's to name, in one handler.  The engine records a full charge in
@@ -79,20 +81,45 @@ def _used(tree: ast.Module) -> set[str]:
     return {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
-def test_numpy_is_no_runtime_dependency():
-    # fades come from random.Random; numpy is only in the test extra
-    for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                roots = [alias.name.split(".")[0] for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                roots = [(node.module or "").split(".")[0]]
-            else:
-                continue
-            assert "numpy" not in roots, f"{path.name}:{node.lineno}"
+def _numpy_imports(path: Path) -> list[str]:
+    """`file:line` of each import of numpy in the file: an import
+    statement, or an importorskip, import_module or __import__ call."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            roots = [node.module or ""]
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            roots = [str(node.args[0].value)] * (name in {"importorskip", "import_module",
+                                                          "__import__"})
+        else:
+            continue
+        if "numpy" in (root.split(".")[0] for root in roots):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def _pyproject() -> dict:
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-    pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
-    assert pyproject["project"]["dependencies"] == []
+    return tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+
+
+def test_numpy_is_no_runtime_dependency():
+    # fades come from random.Random
+    assert [hit for path in MODULES for hit in _numpy_imports(path)] == []
+    assert _pyproject()["project"]["dependencies"] == []
+
+
+def test_the_tests_need_no_numpy():
+    # their inputs come from engine.rng_stream and their statistics from the
+    # standard library, so the test extra does not list numpy either
+    tests = sorted(Path(__file__).resolve().parent.rglob("*.py"))
+    assert [hit for path in tests for hit in _numpy_imports(path)] == []
+    extra = _pyproject()["project"]["optional-dependencies"]["test"]
+    assert [req for req in extra if re.match(r"numpy\b", req.strip(), re.IGNORECASE)] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
