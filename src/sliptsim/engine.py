@@ -102,13 +102,13 @@ def _boundary_time(sched: TimeSwitchSchedule, k: int) -> float:
 
 class NodeMetrics:
     __slots__ = ("harvested_j", "consumed_j", "spilled_j", "decoded_bits", "delivered_records",
-                 "outage_s", "protocol_errors", "phase_occupancy", "charge_completions",
+                 "outage_s", "phase_occupancy", "charge_completions",
                  "stored_initial_j", "stored_final_j")
 
     def __init__(self, stored_initial_j: float):
         self.harvested_j, self.consumed_j, self.spilled_j = 0.0, 0.0, 0.0
         self.decoded_bits, self.delivered_records = 0.0, 0
-        self.outage_s, self.protocol_errors = 0.0, 0
+        self.outage_s = 0.0
         self.phase_occupancy: dict[str, float] = {}
         self.charge_completions: list[float] = []
         self.stored_initial_j, self.stored_final_j = stored_initial_j, 0.0
@@ -121,7 +121,6 @@ class NodeMetrics:
             "decoded_bits": self.decoded_bits,
             "delivered_records": self.delivered_records,
             "outage_s": self.outage_s,
-            "protocol_errors": self.protocol_errors,
             "phase_occupancy_s": dict(sorted(self.phase_occupancy.items())),
             "charge_completions_s": list(self.charge_completions),
             "stored_initial_J": self.stored_initial_j,
@@ -422,8 +421,7 @@ class Simulation:
         n.timer_queued = flavor is not None
         if is_full and not n.was_full:
             self._record_full(n, t)
-            if n.cfg.policy.protocol and n.state.phase is _HARVEST:
-                self._deliver(n, _FULL_CHARGE, t)
+            if n.cfg.policy.protocol and self._deliver(n, _FULL_CHARGE, t):
                 self._refresh(n, t)
         else:
             n.was_full = is_full
@@ -470,14 +468,12 @@ class Simulation:
 
     # -- stimulus delivery ----------------------------------------------------
 
-    def _deliver(self, n: _NodeRuntime, stimulus: Stimulus, t: float):
-        """Step the node's protocol, then start what the entered phase does;
-        a stimulus the phase has no transition for is a protocol error."""
-        node_id = n.cfg.node_id
+    def _deliver(self, n: _NodeRuntime, stimulus: Stimulus, t: float) -> bool:
+        """Step the node's protocol and start what the entered phase does, True;
+        a stimulus the phase has no transition for does nothing, False."""
         if not n.state.step(stimulus, n.store):
-            n.metrics.protocol_errors += 1
-            self._emit(t, node_id, "protocol_error", n)
-            return
+            return False
+        node_id = n.cfg.node_id
         phase = n.state.phase
         if phase is _SENSE_SAVE:
             sensors = sorted(n.state.enabled_sensors)
@@ -495,6 +491,7 @@ class Simulation:
                 self._schedule(start + (i + 1) * frame_s, "_handle_frame_arrival", node_id, i)
         elif phase is _HARVEST:
             self._switch_cell(n, _PV, t)
+        return True
 
     def _switch_cell(self, n: _NodeRuntime, target: CellMode, t: float):
         """Switch the cell; while its relay settles, arm cell_ready."""
@@ -544,10 +541,8 @@ class Simulation:
             self._advance(n, t)
             was_lit = n.lit
             self._refresh(n, t)
-            if (turn_on and not was_lit and n.lit
-                    and n.cfg.policy.protocol
-                    and n.state.phase is _SLEEP):
-                self._deliver(n, _LIGHT_DETECTED, t)
+            if (turn_on and not was_lit and n.lit and n.cfg.policy.protocol
+                    and self._deliver(n, _LIGHT_DETECTED, t)):
                 self._refresh(n, t)
             self._emit(t, node_id, kind, n)
 
@@ -581,8 +576,7 @@ class Simulation:
             n.state.record_sensor(sensor_id, value, t)
             kind = f"sense_tick:{sensor_id}"
         else:
-            if n.state.phase is _SENSE_SAVE:
-                self._deliver(n, _SENSE_COMPLETE, t)
+            self._deliver(n, _SENSE_COMPLETE, t)
             kind = "sense_tick:complete"
         self._refresh(n, t)
         self._emit(t, node_id, kind, n)
@@ -590,9 +584,8 @@ class Simulation:
     def _handle_frame_arrival(self, t: float, node_id: str, index: int):
         n = self.nodes[node_id]
         self._advance(n, t)
-        ok = (n.state.phase is _COMMAND_RX
-              and n.decoding and n.decode_in >= n.cell.sensitivity)
-        if not ok:
+        # a protocol node decodes only in CommandRx: see Policy.divide
+        if not (n.decoding and n.decode_in >= n.cell.sensitivity):
             link = self._strongest_decode_link(n)
             key = f"{link.tx_id}->{node_id}" if link else f"?->{node_id}"
             self.metrics.frame_errors[key] = self.metrics.frame_errors.get(key, 0) + 1
@@ -621,8 +614,7 @@ class Simulation:
         n = self.nodes[target_id]
         self._advance(n, t)
         if action == "commands_complete":
-            if n.state.phase is _COMMAND_RX:
-                self._deliver(n, _COMMANDS_COMPLETE, t)
+            self._deliver(n, _COMMANDS_COMPLETE, t)
         elif action == "uplink_done":
             n.state.ack_transmission(batch)
             n.metrics.delivered_records += len(batch)

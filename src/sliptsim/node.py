@@ -8,8 +8,10 @@ commands (sensor on/off, send/retransmit saved data), then returns to
 harvesting until the store is full, and finally sleeps.
 
 NodeState.step only moves the phase, and light in Sleep runs the voltage
-check in the same step.  The engine starts what a phase does (sense
-ticks, command frames, the panel switch) when the node enters it.
+check in the same step.  It is the one table of which stimulus each
+phase takes: a stimulus the phase has no transition for does nothing.
+The engine starts what a phase does (sense ticks, command frames, the
+panel switch) when the node enters it.
 
 Command frames are 4 bytes on the wire:
 
@@ -193,10 +195,10 @@ class NodeState:
         self.last_sent: list[SensorRecord] = []
 
     def step(self, stimulus: Stimulus, store: EnergyStore | None = None) -> bool:
-        """Move the phase on one stimulus; False, phase unchanged, if the
-        current phase has no transition for it.  LightDetected in Sleep goes
-        to CommandRx when the store's terminal voltage >= v_threshold, else
-        SenseSave; no other transition reads the store."""
+        """Move the phase on one stimulus; a stimulus the current phase has
+        no transition for does nothing and returns False.  LightDetected in
+        Sleep goes to CommandRx when the store's terminal voltage >=
+        v_threshold, else SenseSave; no other transition reads the store."""
         phase = self.phase
         if stimulus is _LIGHT_DETECTED and phase is _SLEEP:
             if store is None:

@@ -608,6 +608,7 @@ def _build(cfg, issues: list[ConfigError]) -> Scenario | None:
         refuse("scenario.transmitters", "duplicate transmitter ids")
     by_id = {n.node_id: n for n in nodes}
     spatial = any(n.policy.spatial for n in nodes)
+    dual_ids = {n.node_id for n in nodes if isinstance(n.policy, DualWavelength)}
     for i, tx in enumerate(transmitters):
         for target in tx.targets or []:
             if target not in by_id:
@@ -618,6 +619,12 @@ def _build(cfg, issues: list[ConfigError]) -> Scenario | None:
             elif not spatial and tx.targets is not None and node_id not in tx.targets:
                 refuse(f"transmitters[{i}].distances.{node_id}",
                        "not one of the transmitter's targets, so no link uses it")
+        lit = node_ids if tx.targets is None else tx.targets
+        single_lit = [nid for nid in lit if nid in dual_ids] if tx.dual_data is None else []
+        if single_lit:
+            # dual_wavelength harvests and decodes at once, so one beam would count twice
+            refuse(f"transmitters[{i}]", f"a single beam lights dual_wavelength node "
+                   f"{single_lit[0]!r}, which needs a dual energy/data pair")
         if spatial and tx.dual_data is not None:
             refuse(f"transmitters[{i}].dual",
                    "spatial assignment aims one beam per transmitter, not a dual pair")

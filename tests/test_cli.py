@@ -628,9 +628,13 @@ def _tx_id_with_a_surrogate(cfg):
     (DEMO, lambda cfg: cfg["nodes"][0].update(policy=_OFFSET_SLOTS),
      "nodes[0].policy: unknown key(s) phase_offset (allowed: kind, t1, t2)"),
     (TANK, lambda cfg: cfg.update(nodes=[]), "scenario.nodes: needs at least one node"),
+    (DEMO, lambda cfg: cfg.update(policy={"kind": "dual_wavelength"}),
+     "transmitters[0]: a single beam lights dual_wavelength node 'buoy', which needs a "
+     "dual energy/data pair"),
 ], ids=["stimuli_key", "rated_voltage_squared_overflows", "capacity_overflows",
         "lone_surrogate_in_stream", "lone_surrogate_in_transmitter_id",
-        "phase_offset_in_policy", "phase_offset_in_node_policy", "empty_nodes"])
+        "phase_offset_in_policy", "phase_offset_in_node_policy", "empty_nodes",
+        "single_beam_on_dual_wavelength"])
 def test_a_refused_scenario_fails_every_command_at_its_path(tmp_path, capsys, base, edit,
                                                            message):
     # the stimuli key was the one input that set a protocol phase no light or
@@ -640,7 +644,8 @@ def test_a_refused_scenario_fails_every_command_at_its_path(tmp_path, capsys, ba
     # transmitter id that names the stream validated and died deriving the
     # link's random stream with a UnicodeEncodeError traceback; phase_offset
     # was the one key that shifted a slot grid off t = 0; an empty nodes list
-    # validated and ran to a metrics.json that reported on no node
+    # validated and ran to a metrics.json that reported on no node; a
+    # dual_wavelength node lit by one plain beam harvested and decoded all of it
     bad = _variant(tmp_path, base, edit)
     out = tmp_path / "out"
     out.mkdir()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -110,17 +111,18 @@ def test_loads_are_resolved_to_watts_at_build():
     assert n.loads == (0.0, 3.7 * 11e-3, 3.7 * 102e-3)
 
 
-def test_full_charge_while_asleep_is_a_protocol_error():
+def test_full_charge_while_asleep_does_nothing():
     # no scenario schedules _handle_custom; bench/traced.py still wraps it by name
     cfg = {"duration": "2s", "seed": 1, "nodes": [{"id": "n0", "store": _battery("20J", "8J")}]}
+    plain, _ = Simulation(build_scenario(cfg)).run()
     sim = Simulation(build_scenario(cfg))
     sim._schedule(1.0, "_handle_custom", "n0", Stimulus.FULL_CHARGE)
     metrics, trace = sim.run()
-    assert metrics.nodes["n0"].protocol_errors == 1
-    kinds = [r.event_kind for r in trace]
-    assert "protocol_error" in kinds
-    assert "custom:full_charge" in kinds
-    assert all(r.phase == "sleep" for r in trace)
+    assert [(r.time, r.event_kind, r.phase) for r in trace] == [
+        (1.0, "custom:full_charge", "sleep"), (2.0, "end", "sleep")]
+    assert metrics.events_processed == plain.events_processed + 1
+    metrics.events_processed = plain.events_processed
+    assert metrics.to_dict() == plain.to_dict()
 
 
 def _protocol_node(stored: str, **node):
@@ -180,15 +182,29 @@ def test_commands_complete_switches_the_cell_back_to_harvest():
     assert n.cell.ready_at > 20.0
 
 
-def test_an_invalid_stimulus_keeps_the_phase_and_writes_one_error_row():
+# NodeState.step's four transitions; the charged node wakes to CommandRx
+_TRANSITIONS = {(Stimulus.LIGHT_DETECTED, Phase.SLEEP): Phase.COMMAND_RX,
+                (Stimulus.SENSE_COMPLETE, Phase.SENSE_SAVE): Phase.SLEEP,
+                (Stimulus.COMMANDS_COMPLETE, Phase.COMMAND_RX): Phase.HARVEST,
+                (Stimulus.FULL_CHARGE, Phase.HARVEST): Phase.SLEEP}
+
+
+@pytest.mark.parametrize("phase", list(Phase), ids=lambda p: p.value)
+@pytest.mark.parametrize("stimulus", list(Stimulus), ids=lambda s: s.value)
+def test_deliver_takes_exactly_the_transitions_of_step(stimulus, phase):
     sim, n = _protocol_node("15J")
-    rows = len(sim.trace)
-    sim._deliver(n, Stimulus.FULL_CHARGE, 10.0)
-    assert n.state.phase is Phase.SLEEP
-    assert n.metrics.protocol_errors == 1
-    assert [(r.time, r.event_kind, r.phase) for r in sim.trace[rows:]] == [
-        (10.0, "protocol_error", "sleep")]
-    assert sim._heap == []
+    n.state.phase = phase
+    n.cell.switch_mode(CellMode.PHOTOCONDUCTIVE, 5.0)  # settles at 5.005 s
+    sim._heap.clear()
+    before = (sim._heap[:], len(sim.trace), n.metrics.to_dict(), n.cell.mode, n.cell.ready_at)
+    taken = sim._deliver(n, stimulus, 10.0)
+    assert taken is ((stimulus, phase) in _TRANSITIONS)
+    if taken:
+        assert n.state.phase is _TRANSITIONS[stimulus, phase]
+        return
+    assert n.state.phase is phase
+    assert (sim._heap, len(sim.trace), n.metrics.to_dict(), n.cell.mode,
+            n.cell.ready_at) == before
 
 
 @pytest.mark.parametrize("name", ["golden_broadcast_protocol", "protocol_demo"])
@@ -204,7 +220,7 @@ def test_only_a_wake_reads_the_store_voltage(name, monkeypatch):
         deliveries.append(t)
         if stimulus is Stimulus.LIGHT_DETECTED and n.state.phase is Phase.SLEEP:
             wakes.append(t)
-        deliver(self, n, stimulus, t)
+        return deliver(self, n, stimulus, t)
 
     monkeypatch.setattr(Simulation, "_deliver", counting)
     Simulation(_scenario(name), sink=NullSink()).run()  # a NullSink reads no voltage
@@ -237,7 +253,8 @@ def test_protocol_walk_end_to_end():
     received = 0.4 * math.exp(-_PURE_SEA_ATT)
     frame_s = FRAME_BITS / 500e3
 
-    assert m.protocol_errors == 0
+    walk = [phase for phase, _ in itertools.groupby(r.phase for r in trace)]
+    assert walk == ["sense_save", "sleep", "command_rx", "harvest", "sleep"]
     assert metrics.frame_errors == {}
     assert m.delivered_records == 1
     assert sim.nodes["n0"].state.enabled_sensors == {2, 3}
@@ -421,8 +438,9 @@ def test_a_stepped_sensor_series_records_the_step_in_force():
                                "values": {"2": [[0, 7.0], [40, 7.5]]}}}],
     }
     sim = Simulation(build_scenario(cfg))
-    metrics, _ = sim.run()
-    assert metrics.nodes["n0"].protocol_errors == 0
+    _, trace = sim.run()
+    walk = [phase for phase, _ in itertools.groupby(r.phase for r in trace)]
+    assert walk == ["sense_save", "sleep", "sense_save", "sleep"]
     assert [(r.timestamp, r.sensor_id, r.value) for r in sim.nodes["n0"].state.storage] == [
         (1.0, 2, 7.0), (61.0, 2, 7.5)]
 

@@ -18,7 +18,9 @@ nothing from the engine.  A run or
 sweep has loaded it before it reads its scenario.  A model
 module raises DomainError, never ConfigError: config paths are the
 loader's to name, in one handler.  The engine records a full charge in
-one method, and only the CLI's staging commit renames a file.  Every
+one method, NodeState.step alone decides which stimulus a phase takes
+(no test of a phase guards a _deliver call), and only the CLI's
+staging commit renames a file.  Every
 unit kind in units._UNIT_TABLES is the kind of some field scenario.py
 parses.  Every key set scenario.py checks is a named `_*_KEYS` table,
 and the loader reads every key those tables allow.  The records built
@@ -237,6 +239,27 @@ def test_the_engine_records_a_full_charge_in_one_place():
     [record] = [f for f in sim.body if isinstance(f, ast.FunctionDef) and f.name == "_record_full"]
     assert len(appends) == 1 and appends[0] in list(ast.walk(record)), (
         f"engine.py appends to charge_completions at lines {[a.lineno for a in appends]}")
+
+
+def _reads_phase(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "phase"
+               or isinstance(n, ast.Name) and n.id == "phase" for n in ast.walk(node))
+
+
+def test_no_phase_test_guards_a_stimulus():
+    # NodeState.step is the one table of which stimulus each phase takes;
+    # a phase test around _deliver would state a row of it a second time
+    guarded = []
+    for node in ast.walk(ast.parse((PACKAGE / "engine.py").read_text())):
+        if isinstance(node, ast.If) and _reads_phase(node.test):
+            under = node.body + node.orelse
+        elif isinstance(node, ast.BoolOp) and any(map(_reads_phase, node.values)):
+            under = node.values
+        else:
+            continue
+        guarded += [call.lineno for branch in under for call in ast.walk(branch)
+                    if isinstance(call, ast.Call) and ast.unparse(call.func).endswith("_deliver")]
+    assert not guarded, f"engine.py calls _deliver under a phase test at lines {guarded}"
 
 
 def test_only_the_cli_staging_commit_renames_a_file():

@@ -693,11 +693,13 @@ def _mutated_configs(draw):
 # a rated voltage whose square overflows raised OverflowError in validate, and a
 # lone surrogate in a stream name validated and failed deriving the stream; an
 # empty nodes list validated and ran a report on no node, while a file with no
-# transmitter is a dark run and builds
+# transmitter is a dark run and builds; a dual_wavelength node under one plain
+# beam validated and counted that beam twice, harvested in full and decoded in full
 @example(_edited("vertical_supercap", ("nodes", 0, "store", "rated_voltage"), "1e200V"))
 @example(_edited("turbulent_demo", ("transmitters", 0, "turbulence", "stream"), "\ud800"))
 @example(_edited("tank_1m5", ("nodes",), []))
 @example(_edited("tank_1m5", ("transmitters",), []))
+@example(_edited("turbulent_demo", ("policy",), {"kind": "dual_wavelength"}))
 def test_validate_never_raises_and_what_it_accepts_builds_a_simulation(cfg):
     issues = validate_scenario(cfg)
     assert isinstance(issues, list) and all(isinstance(i, str) for i in issues)
